@@ -17,18 +17,10 @@ import sys
 
 from . import jsonio, render, verify
 from .errors import (
-    BadLink,
-    BlockStraddlesSet,
-    Crossing,
-    LetterNotInDomain,
     LimitExceeded,
-    NotACover,
-    NotAPartition,
+    NonCrossingError,
     NotConnected,
     NotNclS,
-    OddGroundSet,
-    OrderTooLow,
-    SizeMismatch,
     ZeroFirstMoment,
     ZeroT0,
 )
@@ -53,27 +45,21 @@ from .trees import (
     tree_from_connected,
 )
 
-_DOMAIN_ERRORS = (
-    BadLink,
-    BlockStraddlesSet,
-    Crossing,
-    LetterNotInDomain,
-    NotACover,
-    NotAPartition,
-    NotConnected,
-    NotNclS,
-    OddGroundSet,
-    OrderTooLow,
-    SizeMismatch,
-)
-
 _ENUMERATORS = {
-    "nc": ("nc", enumerate_nc),
-    "ncl": ("ncl", enumerate_ncl),
-    "ncs": ("ncs", enumerate_ncs),
-    "ncls": ("ncls", enumerate_ncls),
-    "trees": ("trees", enumerate_planar_trees),
-    "bicolor": ("bicolor", enumerate_bicolor),
+    "nc": enumerate_nc,
+    "ncl": enumerate_ncl,
+    "ncs": enumerate_ncs,
+    "ncls": enumerate_ncls,
+    "trees": enumerate_planar_trees,
+    "bicolor": enumerate_bicolor,
+}
+
+# direction -> (input parser, transform)
+_TRANSFORMS = {
+    "m2k": (jsonio.parse_moments, moments_to_cumulants),
+    "k2m": (jsonio.parse_cumulants, cumulants_to_moments),
+    "m2t": (jsonio.parse_moments, moments_to_tcoeffs),
+    "t2m": (jsonio.parse_tcoeffs, tcoeffs_to_moments),
 }
 
 
@@ -117,9 +103,8 @@ def _resolve_limit(args, kind: str, n: int) -> int | None:
 
 
 def _cmd_enumerate(args) -> int:
-    kind, enumerator = _ENUMERATORS[args.kind]
-    limit = _resolve_limit(args, kind, args.n)
-    objects = enumerator(args.n, limit=limit)
+    limit = _resolve_limit(args, args.kind, args.n)
+    objects = _ENUMERATORS[args.kind](args.n, limit=limit)
     for obj in objects:
         if args.format == "json":
             print(_dump(obj.to_json_dict()))
@@ -133,15 +118,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    data = _read_data(args.data)
-    if args.direction == "m2k":
-        out = moments_to_cumulants(jsonio.parse_moments(data))
-    elif args.direction == "k2m":
-        out = cumulants_to_moments(jsonio.parse_cumulants(data))
-    elif args.direction == "m2t":
-        out = moments_to_tcoeffs(jsonio.parse_moments(data))
-    else:
-        out = tcoeffs_to_moments(jsonio.parse_tcoeffs(data))
+    parse, transform = _TRANSFORMS[args.direction]
+    out = transform(parse(_read_data(args.data)))
     print(_dump(out.to_json_dict()))
     return 0
 
@@ -222,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=["json", "text"], default="json")
+    def limit_flags(p):
         p.add_argument(
             "--limit",
             action="append",
@@ -239,31 +216,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list a combinatorial family")
     p.add_argument("kind", choices=sorted(_ENUMERATORS))
     p.add_argument("n", type=int)
-    common(p)
+    p.add_argument("--format", choices=["json", "text"], default="json")
+    limit_flags(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("transform", help="convert between coefficient sequences")
-    p.add_argument("direction", choices=["m2k", "k2m", "m2t", "t2m"])
+    p.add_argument("direction", choices=list(_TRANSFORMS))
     p.add_argument("data", help="series JSON, or - for stdin")
-    common(p)
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("biject", help="apply a tree bijection")
     p.add_argument("direction", choices=["theta", "theta-inv", "lambda", "lambda-inv"])
     p.add_argument("data", help="object JSON, or - for stdin")
-    common(p)
     p.set_defaults(func=_cmd_biject)
 
     p = sub.add_parser("render", help="draw a partition or tree as ASCII")
     p.add_argument("data", help="object JSON, or - for stdin")
-    common(p)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--seed", type=int, default=7)
-    common(p)
+    p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("convolve", help="multiply t-series or verify multiplicativity")
@@ -272,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mx", help="first moment series JSON")
     p.add_argument("--my", help="second moment series JSON")
     p.add_argument("--order", type=int, default=None)
-    common(p)
+    limit_flags(p)
     p.set_defaults(func=_cmd_convolve)
 
     return parser
@@ -289,7 +264,7 @@ def main(argv=None) -> int:
     except (ZeroFirstMoment, ZeroT0) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _DOMAIN_ERRORS as exc:
+    except NonCrossingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except (ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -15,13 +15,15 @@ from .transforms import (
     CumulantSequence,
     MomentSequence,
     TCoeffSequence,
-    TruncatedSeries,
 )
 from .trees import BicolorPlanarTree, PlanarTree
 
 
 def parse_fraction(text) -> Fraction:
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _require(data: dict, key: str):
@@ -30,12 +32,19 @@ def _require(data: dict, key: str):
     return data[key]
 
 
+def _require_list(data: dict, key: str) -> list:
+    value = _require(data, key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a list")
+    return value
+
+
 def parse_nc(data: dict) -> NCPartition:
-    return validate_nc(int(_require(data, "n")), _require(data, "blocks"))
+    return validate_nc(int(_require(data, "n")), _require_list(data, "blocks"))
 
 
 def parse_ncl(data: dict) -> NCLPartition:
-    return validate_ncl(int(_require(data, "n")), _require(data, "blocks"))
+    return validate_ncl(int(_require(data, "n")), _require_list(data, "blocks"))
 
 
 def parse_tree(data: dict) -> PlanarTree | BicolorPlanarTree:
@@ -66,7 +75,7 @@ def _parse_bicolor(data: dict) -> BicolorPlanarTree:
 
 
 def _parse_coeffs(data: dict) -> tuple[Fraction, ...]:
-    coeffs = tuple(parse_fraction(c) for c in _require(data, "coeffs"))
+    coeffs = tuple(parse_fraction(c) for c in _require_list(data, "coeffs"))
     declared = data.get("order")
     if declared is not None and int(declared) != len(coeffs):
         raise ValueError(f"order {declared} does not match {len(coeffs)} coefficients")
@@ -83,10 +92,6 @@ def parse_cumulants(data: dict) -> CumulantSequence:
 
 def parse_tcoeffs(data: dict) -> TCoeffSequence:
     return TCoeffSequence(_parse_coeffs(data))
-
-
-def parse_series(data: dict) -> TruncatedSeries:
-    return TruncatedSeries(_parse_coeffs(data))
 
 
 def parse_scenario(data: dict) -> Scenario:

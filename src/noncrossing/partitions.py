@@ -273,13 +273,9 @@ def leq(sigma: AnyPartition, pi: AnyPartition) -> bool:
     return True
 
 
-def connected_components(pi: NCLPartition) -> NCPartition:
-    """The non-crossing partition whose blocks are the components of ``pi``.
-
-    Two positions are connected when a chain of pairwise-overlapping blocks
-    joins them.
-    """
-    parent = list(range(pi.n + 1))
+def _join(n: int, links) -> Blocks:
+    """Blocks of {1..n} after merging the two ends of every link (union-find)."""
+    parent = list(range(n + 1))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -287,19 +283,22 @@ def connected_components(pi: NCLPartition) -> NCPartition:
             x = parent[x]
         return x
 
-    for blk in pi.blocks:
-        r = find(blk[0])
-        for e in blk[1:]:
-            parent[find(e)] = r
+    for a, b in links:
+        parent[find(b)] = find(a)
     groups: dict[int, list[int]] = {}
-    for e in range(1, pi.n + 1):
+    for e in range(1, n + 1):
         groups.setdefault(find(e), []).append(e)
-    blocks = tuple(sorted(tuple(g) for g in groups.values()))
-    return NCPartition(pi.n, blocks)
+    return tuple(sorted(tuple(g) for g in groups.values()))
 
 
-def is_connected(pi: NCLPartition) -> bool:
-    return len(connected_components(pi).blocks) == 1
+def connected_components(pi: NCLPartition) -> NCPartition:
+    """The non-crossing partition whose blocks are the components of ``pi``.
+
+    Two positions are connected when a chain of pairwise-overlapping blocks
+    joins them.
+    """
+    links = ((blk[0], e) for blk in pi.blocks for e in blk[1:])
+    return NCPartition(pi.n, _join(pi.n, links))
 
 
 def exterior_blocks(pi: NCLPartition) -> Blocks:
@@ -371,23 +370,13 @@ def kreweras(gamma: NCPartition) -> NCPartition:
     n + 1.
     """
     n = gamma.n
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if _bars_joinable(gamma, i, j):
-                parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for e in range(1, n + 1):
-        groups.setdefault(find(e), []).append(e)
-    blocks = tuple(sorted(tuple(g) for g in groups.values()))
-    return NCPartition(n, blocks)
+    links = (
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if _bars_joinable(gamma, i, j)
+    )
+    return NCPartition(n, _join(n, links))
 
 
 def is_ncs(gamma: NCPartition) -> bool:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import prod
+from typing import ClassVar
 
 from .errors import (
     NotNclS,
@@ -54,62 +55,49 @@ def _fractions(values) -> tuple[Fraction, ...]:
 
 
 @dataclass(frozen=True)
-class MomentSequence:
+class _CoeffSequence:
+    """Exact coefficients of one kind; ``kind`` names it in error messages."""
+
+    values: tuple[Fraction, ...]
+    kind: ClassVar[str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _fractions(self.values))
+        if not self.values:
+            raise OrderTooLow(f"a {self.kind} sequence needs at least one entry")
+
+    @property
+    def order(self) -> int:
+        return len(self.values)
+
+    def to_json_dict(self) -> dict:
+        return {"order": self.order, "coeffs": [str(v) for v in self.values]}
+
+
+@dataclass(frozen=True)
+class MomentSequence(_CoeffSequence):
     """Moments m_1..m_N of a formal distribution."""
 
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _fractions(self.values))
-        if not self.values:
-            raise OrderTooLow("a moment sequence needs at least one entry")
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [_frac_str(v) for v in self.values]}
+    kind = "moment"
 
 
 @dataclass(frozen=True)
-class CumulantSequence:
+class CumulantSequence(_CoeffSequence):
     """Free cumulants k_1..k_N."""
 
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _fractions(self.values))
-        if not self.values:
-            raise OrderTooLow("a cumulant sequence needs at least one entry")
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [_frac_str(v) for v in self.values]}
+    kind = "cumulant"
 
 
 @dataclass(frozen=True)
-class TCoeffSequence:
+class TCoeffSequence(_CoeffSequence):
     """t-coefficients t_0..t_{N-1}; the constant term must not vanish."""
 
-    values: tuple[Fraction, ...]
+    kind = "t-coefficient"
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _fractions(self.values))
-        if not self.values:
-            raise OrderTooLow("a t-coefficient sequence needs at least one entry")
+        super().__post_init__()
         if self.values[0] == 0:
             raise ZeroT0("the constant t-coefficient must be nonzero")
-
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [_frac_str(v) for v in self.values]}
 
 
 @dataclass(frozen=True)
@@ -125,14 +113,16 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def _check_same_order(self, other: "TruncatedSeries") -> None:
         if len(self.coeffs) != len(other.coeffs):
             raise SizeMismatch("series truncated at different orders")
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        self._check_same_order(other)
         return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if len(self.coeffs) != len(other.coeffs):
-            raise SizeMismatch("series truncated at different orders")
+        self._check_same_order(other)
         n = len(self.coeffs)
         out = [Fraction(0)] * n
         for i, a in enumerate(self.coeffs):
@@ -143,11 +133,7 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(out))
 
     def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [_frac_str(v) for v in self.coeffs]}
-
-
-def _frac_str(v: Fraction) -> str:
-    return str(v)
+        return {"order": self.order, "coeffs": [str(v) for v in self.coeffs]}
 
 
 def r_series(kappa: CumulantSequence) -> TruncatedSeries:
@@ -413,10 +399,6 @@ def _check(identity: str, parameters: dict, lhs, rhs) -> IdentityCheck:
     return IdentityCheck(identity, parameters, lhs == rhs, str(lhs), str(rhs))
 
 
-def _truncate(values, order):
-    return values[:order]
-
-
 def verify_t_multiplicativity(
     mx: MomentSequence, my: MomentSequence, order: int, *, limit: int | None = None
 ) -> MultiplicativityReport:
@@ -436,8 +418,8 @@ def verify_t_multiplicativity(
     if mx.order < order or my.order < order:
         raise OrderTooLow(f"need moments up to order {order}")
 
-    mx = MomentSequence(_truncate(mx.values, order))
-    my = MomentSequence(_truncate(my.values, order))
+    mx = MomentSequence(mx.values[:order])
+    my = MomentSequence(my.values[:order])
     kx = moments_to_cumulants(mx)
     ky = moments_to_cumulants(my)
     tx = moments_to_tcoeffs(mx)

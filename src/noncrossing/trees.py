@@ -105,13 +105,15 @@ def elementary_decomposition(tree: PlanarTree) -> tuple[tuple[int, int], ...]:
 
 
 @cache
-def _forests(m: int) -> tuple[tuple[PlanarTree, ...], ...]:
+def _forests(m: int, trees) -> tuple[tuple, ...]:
+    """Ordered sequences of trees, drawn from ``trees(size)``, with m vertices
+    in total; ``trees`` is :func:`_trees` or :func:`_bicolor`."""
     if m == 0:
         return ((),)
     out = []
     for s in range(1, m + 1):
-        for t in _trees(s):
-            for rest in _forests(m - s):
+        for t in trees(s):
+            for rest in _forests(m - s, trees):
                 out.append((t,) + rest)
     return tuple(out)
 
@@ -120,7 +122,7 @@ def _forests(m: int) -> tuple[tuple[PlanarTree, ...], ...]:
 def _trees(n: int) -> tuple[PlanarTree, ...]:
     if n == 1:
         return (PlanarTree(),)
-    return tuple(PlanarTree(f) for f in _forests(n - 1))
+    return tuple(PlanarTree(f) for f in _forests(n - 1, _trees))
 
 
 def enumerate_planar_trees(n: int, *, limit: int | None = None) -> tuple[PlanarTree, ...]:
@@ -140,23 +142,11 @@ def enumerate_bicolor_elementary(n: int) -> tuple[BicolorPlanarTree, ...]:
 
 
 @cache
-def _bforests(m: int) -> tuple[tuple[BicolorPlanarTree, ...], ...]:
-    if m == 0:
-        return ((),)
-    out = []
-    for s in range(1, m + 1):
-        for t in _bicolor(s):
-            for rest in _bforests(m - s):
-                out.append((t,) + rest)
-    return tuple(out)
-
-
-@cache
 def _bicolor(n: int) -> tuple[BicolorPlanarTree, ...]:
     if n == 1:
         return (BicolorPlanarTree(),)
     out = []
-    for f in _bforests(n - 1):
+    for f in _forests(n - 1, _bicolor):
         for k in range(len(f), -1, -1):
             children = tuple((1, t) for t in f[:k]) + tuple((0, t) for t in f[k:])
             out.append(BicolorPlanarTree(children))

@@ -46,7 +46,6 @@ from .trees import (
     enumerate_planar_trees,
 )
 
-CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796]
 SCHROEDER = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586]
 BICOLOR_COUNTS = [1, 2, 7, 30, 143]
 
@@ -128,50 +127,30 @@ def shifted_catalan_moments(order: int) -> MomentSequence:
 
 
 def counts_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
+    # identity, largest n, enumerator per witness key, expected count
+    table = (
+        ("non-crossing partition count", 10, {"got": enumerate_nc}, catalan),
+        ("linked partition count", 9, {"got": enumerate_ncl},
+         lambda n: SCHROEDER[n - 1]),
+        ("planar tree count", 10, {"got": enumerate_planar_trees},
+         lambda n: catalan(n - 1)),
+        ("one-level bicolor count", 8, {"got": enumerate_bicolor_elementary},
+         lambda n: n),
+        ("bicolor tree and split partition count", 5,
+         {"trees": enumerate_bicolor, "partitions": enumerate_ncls},
+         lambda n: BICOLOR_COUNTS[n - 1]),
+        ("parity-split partition count", 6, {"got": enumerate_ncs}, catalan),
+    )
     entries = []
-    for n in range(1, 11):
-        got = len(enumerate_nc(n))
-        entries.append(
-            _entry("counts", "non-crossing partition count", {"n": n}, got == CATALAN[n],
-                   None if got == CATALAN[n] else {"got": got, "expected": CATALAN[n]})
-        )
-    for n in range(1, 10):
-        got = len(enumerate_ncl(n))
-        want = SCHROEDER[n - 1]
-        entries.append(
-            _entry("counts", "linked partition count", {"n": n}, got == want,
-                   None if got == want else {"got": got, "expected": want})
-        )
-    for n in range(1, 11):
-        got = len(enumerate_planar_trees(n))
-        want = catalan(n - 1)
-        entries.append(
-            _entry("counts", "planar tree count", {"n": n}, got == want,
-                   None if got == want else {"got": got, "expected": want})
-        )
-    for n in range(1, 9):
-        got = len(enumerate_bicolor_elementary(n))
-        entries.append(
-            _entry("counts", "one-level bicolor count", {"n": n}, got == n,
-                   None if got == n else {"got": got, "expected": n})
-        )
-    for n in range(1, 6):
-        got_trees = len(enumerate_bicolor(n))
-        got_split = len(enumerate_ncls(n))
-        want = BICOLOR_COUNTS[n - 1]
-        ok = got_trees == want == got_split
-        entries.append(
-            _entry("counts", "bicolor tree and split partition count", {"n": n}, ok,
-                   None if ok else {"trees": got_trees, "partitions": got_split,
-                                    "expected": want})
-        )
-    for n in range(1, 7):
-        got = len(enumerate_ncs(n))
-        want = catalan(n)
-        entries.append(
-            _entry("counts", "parity-split partition count", {"n": n}, got == want,
-                   None if got == want else {"got": got, "expected": want})
-        )
+    for identity, top, enumerators, expected in table:
+        for n in range(1, top + 1):
+            got = {key: len(enumerate_(n)) for key, enumerate_ in enumerators.items()}
+            want = expected(n)
+            ok = all(v == want for v in got.values())
+            entries.append(
+                _entry("counts", identity, {"n": n}, ok,
+                       None if ok else {**got, "expected": want})
+            )
 
     # fixed fixtures
     fixture = validate_ncl(12, LINKED_12_BLOCKS)
@@ -253,46 +232,36 @@ def _corpus_with_fixtures(seed, count, order):
     return corpus
 
 
-def prop21_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
+def _cumulant_route_suite(suite, identity, cumulant_via, order, seed, count):
+    """Check ``cumulant_via(t, n)`` against the cumulants of every corpus
+    sequence; both transforms run once per sequence, outside the n loop."""
     top = min(order or 7, 7)
     corpus = _corpus_with_fixtures(seed, count, top)
+    targets = [(moments_to_cumulants(m), moments_to_tcoeffs(m)) for m in corpus]
     entries = []
     for n in range(1, top + 1):
         bad = None
-        for idx, m in enumerate(corpus):
-            kappa = moments_to_cumulants(m)
-            t = moments_to_tcoeffs(m)
-            got = cumulant_via_classes(t, n)
+        for idx, (kappa, t) in enumerate(targets):
+            got = cumulant_via(t, n)
             if got != kappa.values[n - 1]:
                 bad = {"sequence": idx, "got": str(got),
                        "expected": str(kappa.values[n - 1])}
                 break
         entries.append(
-            _entry("prop21", "cumulant via connected linked classes",
-                   {"n": n, "sequences": len(corpus)}, bad is None, bad)
+            _entry(suite, identity, {"n": n, "sequences": len(corpus)},
+                   bad is None, bad)
         )
     return entries
+
+
+def prop21_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
+    return _cumulant_route_suite("prop21", "cumulant via connected linked classes",
+                                 cumulant_via_classes, order, seed, count)
 
 
 def eq5_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
-    top = min(order or 7, 7)
-    corpus = _corpus_with_fixtures(seed, count, top)
-    entries = []
-    for n in range(1, top + 1):
-        bad = None
-        for idx, m in enumerate(corpus):
-            kappa = moments_to_cumulants(m)
-            t = moments_to_tcoeffs(m)
-            got = cumulant_via_trees(t, n)
-            if got != kappa.values[n - 1]:
-                bad = {"sequence": idx, "got": str(got),
-                       "expected": str(kappa.values[n - 1])}
-                break
-        entries.append(
-            _entry("eq5", "cumulant via planar tree sum",
-                   {"n": n, "sequences": len(corpus)}, bad is None, bad)
-        )
-    return entries
+    return _cumulant_route_suite("eq5", "cumulant via planar tree sum",
+                                 cumulant_via_trees, order, seed, count)
 
 
 def prop22_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
@@ -319,10 +288,7 @@ def prop22_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
 def bridge_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
     top = min(order or 5, 5)
     corpus = _corpus_with_fixtures(seed, 2, max(top, 2))
-    mx, my = corpus[-2], corpus[-1]
-    pairs = [(mx, my)]
-    if len(corpus) >= 4:
-        pairs.append((corpus[0], corpus[1]))
+    pairs = [(corpus[-2], corpus[-1]), (corpus[0], corpus[1])]
     entries = []
     for pair_idx, (ma, mb) in enumerate(pairs):
         tx = moments_to_tcoeffs(ma)

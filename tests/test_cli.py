@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from noncrossing import cli, verify
 from noncrossing.partitions import NCPartition
 
@@ -165,6 +167,51 @@ def test_bad_json_exit2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("transform", "m2k", '{"coeffs":["1/0"]}'),
+        ("transform", "m2k", '{"coeffs":null}'),
+        ("render", '{"n":3,"blocks":null}'),
+    ],
+)
+def test_malformed_json_exit2(args):
+    # exit 1 means a failing identity; malformed input is a usage error
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+SERIES = '{"order":3,"coeffs":["1","1","0"]}'
+TREE = '{"children":[]}'
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("transform", "m2k", SERIES, "--format", "text"),
+        ("transform", "m2k", SERIES, "--limit", "nc=3"),
+        ("transform", "m2k", SERIES, "--unsafe-limits"),
+        ("biject", "theta-inv", TREE, "--format", "text"),
+        ("biject", "theta-inv", TREE, "--limit", "nc=1"),
+        ("biject", "theta-inv", TREE, "--unsafe-limits"),
+        ("render", TREE, "--format", "text"),
+        ("render", TREE, "--limit", "nc=1"),
+        ("render", TREE, "--unsafe-limits"),
+        ("verify", "counts", "--limit", "nc=3"),
+        ("verify", "counts", "--unsafe-limits"),
+        ("convolve", "--tx", SERIES, "--ty", SERIES, "--format", "text"),
+    ],
+)
+def test_flags_only_where_read(args):
+    # a subcommand that would ignore a flag rejects it instead
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+
+
 def test_verify_kreweras_passes():
     proc = run_cli("verify", "kreweras", "--order", "5", "--format", "text")
     assert proc.returncode == 0
@@ -223,16 +270,46 @@ def test_convolve_requires_arguments():
     assert proc.returncode == 2
 
 
-def test_fault_injection_reports_witness(monkeypatch, capsys):
-    # a corrupted complement must turn the suite red and carry a witness
+def _singleton_complement(original):
     def broken(gamma):
         return NCPartition(gamma.n, tuple((i,) for i in range(1, gamma.n + 1)))
 
-    monkeypatch.setattr(verify, "kreweras", broken)
+    return broken
+
+
+def _off_by_one(original):
+    return lambda t, n: original(t, n) + 1
+
+
+def _drop_one(original):
+    return lambda n, **kwargs: original(n, **kwargs)[1:]
+
+
+@pytest.mark.parametrize(
+    "suite, attr, corrupt, identity, witness_keys",
+    [
+        ("kreweras", "kreweras", _singleton_complement, "block count identity",
+         {"partition", "complement"}),
+        ("prop21", "cumulant_via_classes", _off_by_one,
+         "cumulant via connected linked classes", {"sequence", "got", "expected"}),
+        ("eq5", "cumulant_via_trees", _off_by_one,
+         "cumulant via planar tree sum", {"sequence", "got", "expected"}),
+        ("counts", "enumerate_ncl", _drop_one, "linked partition count",
+         {"got", "expected"}),
+    ],
+    ids=["kreweras", "prop21", "eq5", "counts"],
+)
+def test_fault_injection_reports_witness(
+    monkeypatch, capsys, suite, attr, corrupt, identity, witness_keys
+):
+    # a corrupted computation must turn its suite red and carry a witness
+    monkeypatch.setattr(verify, attr, corrupt(getattr(verify, attr)))
     monkeypatch.delenv("NCL_LIMITS", raising=False)
-    code = cli.main(["verify", "kreweras", "--order", "4"])
+    code = cli.main(["verify", suite, "--order", "4"])
     out = capsys.readouterr().out
     assert code == 1
     data = json.loads(out)
     assert data["pass"] is False
-    assert any(e.get("witness") for e in data["entries"])
+    failed = [e for e in data["entries"] if e["identity"] == identity and not e["pass"]]
+    assert failed
+    assert all(set(e["witness"]) == witness_keys for e in failed)
