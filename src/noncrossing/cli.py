@@ -70,14 +70,14 @@ def _dump(obj) -> str:
 def _read_data(raw: str) -> dict:
     if raw == "-":
         raw = sys.stdin.read()
-    return json.loads(raw)
+    data = json.loads(raw)
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    return data
 
 
-def _parse_limit_overrides(args) -> dict[str, int]:
+def _parse_limit_specs(specs) -> dict[str, int]:
     overrides: dict[str, int] = {}
-    env = os.environ.get("NCL_LIMITS", "")
-    specs = [s for s in env.split(",") if s.strip()]
-    specs += args.limit or []
     for spec in specs:
         kind, _, value = spec.partition("=")
         kind = kind.strip()
@@ -87,8 +87,22 @@ def _parse_limit_overrides(args) -> dict[str, int]:
     return overrides
 
 
+def _flag_limits(args, kind: str | None) -> dict[str, int]:
+    """The ``--limit`` overrides, which may name only the kind in use."""
+    flags = _parse_limit_specs(args.limit or [])
+    unused = sorted(set(flags) - {kind})
+    if unused:
+        raise LimitExceeded(
+            f"--limit names {unused[0]}, which this {args.command} run does not cap"
+        )
+    return flags
+
+
 def _resolve_limit(args, kind: str, n: int) -> int | None:
-    overrides = _parse_limit_overrides(args)
+    # NCL_LIMITS is shell-wide, so only its entry for ``kind`` applies
+    env = os.environ.get("NCL_LIMITS", "")
+    overrides = _parse_limit_specs(s for s in env.split(",") if s.strip())
+    overrides.update(_flag_limits(args, kind))
     if kind in overrides:
         cap = overrides[kind]
         if cap > DEFAULT_LIMITS[kind] and not args.unsafe_limits:
@@ -178,6 +192,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_convolve(args) -> int:
     if args.tx is not None and args.ty is not None:
+        _flag_limits(args, None)
         tx = jsonio.parse_tcoeffs(_read_data(args.tx))
         ty = jsonio.parse_tcoeffs(_read_data(args.ty))
         print(_dump(t_convolve(tx, ty).to_json_dict()))

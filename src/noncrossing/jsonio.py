@@ -7,6 +7,7 @@ blocks in any order.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from .freeness import Scenario
@@ -39,45 +40,65 @@ def _require_list(data: dict, key: str) -> list:
     return value
 
 
+def _require_int(data: dict, key: str) -> int:
+    try:
+        return int(_require(data, key))
+    except (TypeError, OverflowError):
+        raise ValueError(f"{key!r} must be an integer") from None
+
+
+def _blocks(data: dict) -> list:
+    blocks = _require_list(data, "blocks")
+    for blk in blocks:
+        if not isinstance(blk, list) or not all(type(e) is int for e in blk):
+            raise ValueError(f"block {json.dumps(blk)} is not a list of integers")
+    return blocks
+
+
 def parse_nc(data: dict) -> NCPartition:
-    return validate_nc(int(_require(data, "n")), _require_list(data, "blocks"))
+    return validate_nc(_require_int(data, "n"), _blocks(data))
 
 
 def parse_ncl(data: dict) -> NCLPartition:
-    return validate_ncl(int(_require(data, "n")), _require_list(data, "blocks"))
+    return validate_ncl(_require_int(data, "n"), _blocks(data))
 
 
 def parse_tree(data: dict) -> PlanarTree | BicolorPlanarTree:
     """Parse a tree; entries with a ``color`` key yield a bicolor tree."""
+    return _parse_bicolor(data) if _uses_colors(data) else _parse_plain(data)
+
+
+def _entries(data: dict) -> list[dict]:
+    """The child entries of a tree object, each an object with a ``tree``
+    object."""
     entries = data.get("children", [])
-    if _uses_colors(data):
-        return _parse_bicolor(data)
-    children = tuple(_parse_plain(e["tree"]) for e in entries)
-    return PlanarTree(children)
+    if not isinstance(entries, list):
+        raise ValueError("'children' must be a list")
+    for entry in entries:
+        if not isinstance(entry, dict) or not isinstance(_require(entry, "tree"), dict):
+            raise ValueError("a child entry must be an object with a 'tree' object")
+    return entries
 
 
 def _uses_colors(data: dict) -> bool:
-    for entry in data.get("children", []):
-        if "color" in entry or _uses_colors(entry.get("tree", {})):
-            return True
-    return False
+    return any("color" in e or _uses_colors(e["tree"]) for e in _entries(data))
 
 
 def _parse_plain(data: dict) -> PlanarTree:
-    return PlanarTree(tuple(_parse_plain(e["tree"]) for e in data.get("children", [])))
+    return PlanarTree(tuple(_parse_plain(e["tree"]) for e in _entries(data)))
 
 
 def _parse_bicolor(data: dict) -> BicolorPlanarTree:
-    children = []
-    for entry in data.get("children", []):
-        children.append((int(_require(entry, "color")), _parse_bicolor(entry["tree"])))
-    return BicolorPlanarTree(tuple(children))
+    return BicolorPlanarTree(tuple(
+        (_require_int(e, "color"), _parse_bicolor(e["tree"]))
+        for e in _entries(data)
+    ))
 
 
 def _parse_coeffs(data: dict) -> tuple[Fraction, ...]:
     coeffs = tuple(parse_fraction(c) for c in _require_list(data, "coeffs"))
     declared = data.get("order")
-    if declared is not None and int(declared) != len(coeffs):
+    if declared is not None and _require_int(data, "order") != len(coeffs):
         raise ValueError(f"order {declared} does not match {len(coeffs)} coefficients")
     return coeffs
 

@@ -1,7 +1,9 @@
-"""Enumeration caps.
+"""Enumeration and transform caps.
 
 Every enumerator is capped so that a typo cannot trigger a combinatorial
 explosion.  Caps can be overridden per call (``limit=``) and from the CLI.
+The ``transform`` cap bounds the order of the four moment transforms, whose
+exact solves take at least cubic time in the order; it has no override.
 """
 
 from .errors import LimitExceeded
@@ -15,6 +17,7 @@ DEFAULT_LIMITS = {
     "bicolor": 7,
     "theorem": 6,
     "word": 12,
+    "transform": 60,
 }
 
 

@@ -1,11 +1,16 @@
 """Exact transforms between moments, free cumulants, and t-coefficients.
 
-All arithmetic is exact rational.  Moments determine free cumulants by a
-sum over non-crossing partitions, and t-coefficients by the analogous sum
-over non-crossing linked partitions in which every block of size l
-contributes the coefficient of index l-1 and every non-minimal position a
-constant-term factor.  Both recursions solve for the top coefficient in
-the single-block term, whose cofactor is a power of the constant term.
+All arithmetic is exact rational.  The transforms solve the functional
+equations of the generating series M = sum of m_n z^n, the R-series
+R = sum of k_n z^n and the t-series T = sum of t_n z^n:
+
+    M = R(z(1 + M))        (free cumulants)
+    M = z(1 + M) T(M)      (t-coefficients)
+
+Read off at z^n, each is a triangular system over the powers of z(1 + M)
+or of M, solved one order at a time.  The sums over non-crossing and
+non-crossing linked partitions that these equations encode are what the
+evaluations below and the ``verify`` suites check against them.
 
 The cumulant generating series adds under free addition; the t-series
 multiplies under free multiplication, which :func:`verify_t_multiplicativity`
@@ -15,10 +20,8 @@ routes.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import prod
 from typing import ClassVar
 
@@ -34,7 +37,6 @@ from .partitions import (
     NCLPartition,
     class_members,
     enumerate_nc,
-    enumerate_ncl,
     is_ncls,
     kreweras,
     non_minimal_elements,
@@ -147,30 +149,57 @@ def t_series(t: TCoeffSequence) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# partition profiles (cached exponent tables; value-identical to summing
-# over the enumerations directly)
+# series solves
 
 
-@cache
-def _nc_profiles(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Multiset of block sizes -> multiplicity, over all of NC(n)."""
-    counts = Counter(
-        tuple(sorted(len(b) for b in g.blocks)) for g in enumerate_nc(n)
-    )
-    return tuple(sorted(counts.items()))
+def _power_row(rows: list[list[Fraction]], a: list[Fraction]) -> None:
+    """Append row d = len(rows) of the power table of A = a_1 z + a_2 z^2 + ...
+
+    Row d holds [z^d] A^j for j = 0..d (the coefficient is 0 for j > d).
+    It reads only a_1..a_d, so a solve may extend ``a`` between rows.
+    """
+    d = len(rows)
+    row = [Fraction(int(d == 0))]
+    for j in range(1, d + 1):
+        # A^j = A * A^(j-1), and A^(j-1) starts at z^(j-1)
+        row.append(sum(a[i - 1] * rows[d - i][j - 1] for i in range(1, d - j + 2)))
+    rows.append(row)
 
 
-@cache
-def _ncl_profiles(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Exponent vector of t_0..t_{n-1} -> multiplicity, over all of NCL(n)."""
-    counts: Counter[tuple[int, ...]] = Counter()
-    for pi in enumerate_ncl(n):
-        exps = [0] * n
-        for blk in pi.blocks:
-            exps[len(blk) - 1] += 1
-        exps[0] += n - len(pi.blocks)  # one t_0 per non-minimal position
-        counts[tuple(exps)] += 1
-    return tuple(sorted(counts.items()))
+def _solve(values, from_moments: bool, a: list[Fraction], weights) -> tuple:
+    """Solve m_n = sum over i <= n of x_i w(n, i), for n = 1..order.
+
+    Given the moments it returns the x's; given the x's, the moments.  The
+    weights of order n are ``weights(row)`` for row len(a) of the power
+    table of the series with coefficients ``a``, which grows by m_n after
+    step n.  Only the diagonal weight w(n, n) is ever a divisor.
+    """
+    check_limit("transform", len(values))
+    x, m = ([], list(values)) if from_moments else (list(values), [])
+    rows: list[list[Fraction]] = []
+    for n in range(1, len(values) + 1):
+        while len(rows) <= len(a):
+            _power_row(rows, a)
+        w = weights(rows[len(a)])
+        rest = sum(xi * wi for xi, wi in zip(x[: n - 1], w))
+        if from_moments:
+            x.append((m[n - 1] - rest) / w[n - 1])
+        else:
+            m.append(rest + x[n - 1] * w[n - 1])
+        a.append(m[n - 1])
+    return tuple(x if from_moments else m)
+
+
+def _cumulant_solve(values, from_moments: bool) -> tuple:
+    # M = R(z(1+M)): m_n = sum_k k_k [z^n](z(1+M))^k, and [z^n](z(1+M))^n = 1
+    return _solve(values, from_moments, [Fraction(1)], lambda row: row[1:])
+
+
+def _tcoeff_solve(values, from_moments: bool) -> tuple:
+    # M = z(1+M) T(M): m_n = sum_j t_j [z^(n-1)](M^j + M^(j+1)), whose
+    # j = n-1 term is t_(n-1) m_1^(n-1)
+    return _solve(values, from_moments, [],
+                  lambda row: [p + q for p, q in zip(row, row[1:] + [0])])
 
 
 # ---------------------------------------------------------------------------
@@ -178,29 +207,14 @@ def _ncl_profiles(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def cumulants_to_moments(kappa: CumulantSequence) -> MomentSequence:
-    """Evaluate the moment of each order as a sum over non-crossing
-    partitions of products of block cumulants."""
-    values = []
-    for n in range(1, kappa.order + 1):
-        total = Fraction(0)
-        for sizes, mult in _nc_profiles(n):
-            total += mult * prod(kappa.values[s - 1] for s in sizes)
-        values.append(total)
-    return MomentSequence(tuple(values))
+    """The moments whose free cumulants are ``kappa``."""
+    return MomentSequence(_cumulant_solve(kappa.values, from_moments=False))
 
 
 def moments_to_cumulants(m: MomentSequence) -> CumulantSequence:
-    """Solve for the cumulants order by order; the single-block term has
-    coefficient one, so the recursion never divides."""
-    kappa: list[Fraction] = []
-    for n in range(1, m.order + 1):
-        rest = Fraction(0)
-        for sizes, mult in _nc_profiles(n):
-            if sizes == (n,):
-                continue
-            rest += mult * prod(kappa[s - 1] for s in sizes)
-        kappa.append(m.values[n - 1] - rest)
-    return CumulantSequence(tuple(kappa))
+    """The free cumulants of ``m``; every diagonal weight is 1, so any
+    moments have cumulants."""
+    return CumulantSequence(_cumulant_solve(m.values, from_moments=True))
 
 
 # ---------------------------------------------------------------------------
@@ -208,33 +222,18 @@ def moments_to_cumulants(m: MomentSequence) -> CumulantSequence:
 
 
 def tcoeffs_to_moments(t: TCoeffSequence) -> MomentSequence:
-    """Evaluate each moment as a sum over non-crossing linked partitions."""
-    values = []
-    for n in range(1, t.order + 1):
-        total = Fraction(0)
-        for exps, mult in _ncl_profiles(n):
-            total += mult * prod(t.values[i] ** e for i, e in enumerate(exps) if e)
-        values.append(total)
-    return MomentSequence(tuple(values))
+    """The moments whose t-coefficients are ``t``."""
+    return MomentSequence(_tcoeff_solve(t.values, from_moments=False))
 
 
 def moments_to_tcoeffs(m: MomentSequence) -> TCoeffSequence:
-    """Solve for the t-coefficients order by order.
+    """The t-coefficients of ``m``.
 
-    The single-block term of order n is t_{n-1} t_0^{n-1}, so each step
-    divides by a power of t_0 = m_1, which must be nonzero.
+    Order n divides by m_1^(n-1), so the first moment must be nonzero.
     """
     if m.values[0] == 0:
         raise ZeroFirstMoment("t-coefficients need a nonzero first moment")
-    t: list[Fraction] = [m.values[0]]
-    for n in range(2, m.order + 1):
-        rest = Fraction(0)
-        for exps, mult in _ncl_profiles(n):
-            if exps[n - 1]:
-                continue  # the full-block term is the unknown
-            rest += mult * prod(t[i] ** e for i, e in enumerate(exps) if e)
-        t.append((m.values[n - 1] - rest) / t[0] ** (n - 1))
-    return TCoeffSequence(tuple(t))
+    return TCoeffSequence(_tcoeff_solve(m.values, from_moments=True))
 
 
 # ---------------------------------------------------------------------------

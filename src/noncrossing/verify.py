@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import Crossing, NotAPartition
+from .errors import Crossing, LimitExceeded, NotAPartition
 from .freeness import Scenario, freeness_vanishing_suite
 from .partitions import (
     connected_components,
@@ -193,7 +193,7 @@ def _interleaved_compatible(gamma, bars) -> bool:
 
 def kreweras_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
     entries = []
-    top = min(order or 8, 8)
+    top = order or 8
     for n in range(1, top + 1):
         bad = None
         for gamma in enumerate_nc(n):
@@ -235,7 +235,7 @@ def _corpus_with_fixtures(seed, count, order):
 def _cumulant_route_suite(suite, identity, cumulant_via, order, seed, count):
     """Check ``cumulant_via(t, n)`` against the cumulants of every corpus
     sequence; both transforms run once per sequence, outside the n loop."""
-    top = min(order or 7, 7)
+    top = order or 7
     corpus = _corpus_with_fixtures(seed, count, top)
     targets = [(moments_to_cumulants(m), moments_to_tcoeffs(m)) for m in corpus]
     entries = []
@@ -265,7 +265,7 @@ def eq5_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
 
 
 def prop22_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
-    top = min(order or 6, 6)
+    top = order or 6
     rng_corpus = seeded_moment_corpus(seed, 2, top)
     scenario = Scenario(
         {
@@ -286,7 +286,7 @@ def prop22_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
 
 
 def bridge_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
-    top = min(order or 5, 5)
+    top = order or 5
     corpus = _corpus_with_fixtures(seed, 2, max(top, 2))
     pairs = [(corpus[-2], corpus[-1]), (corpus[0], corpus[1])]
     entries = []
@@ -324,7 +324,7 @@ def bridge_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
 
 
 def theorem_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
-    top = min(order or 5, 6)
+    top = order or 5
     corpus = seeded_moment_corpus(seed, count, top)
     pairs = list(zip(corpus[0::2], corpus[1::2]))
     pairs.insert(0, (catalan_moments(top), shifted_catalan_moments(top)))
@@ -356,10 +356,22 @@ SUITES = {
 }
 
 
+# the largest order each suite accepts; counts reads no order
+MAX_ORDER = {"kreweras": 8, "prop21": 7, "eq5": 7, "prop22": 6, "bridge": 5, "theorem": 6}
+
+
 def run_suites(names, *, order=None, seed=7, count=200) -> list[ReportEntry]:
-    """Run the named suites ('all' for every one) and return sorted entries."""
+    """Run the named suites ('all' for every one) and return sorted entries.
+
+    An ``order`` above the maximum of a named suite raises
+    :class:`LimitExceeded` before any suite runs.
+    """
     if isinstance(names, str):
         names = list(SUITES) if names == "all" else [names]
+    for name in names:
+        top = MAX_ORDER.get(name)
+        if order is not None and top is not None and order > top:
+            raise LimitExceeded(f"verify {name} runs up to order {top} (requested {order})")
     entries = []
     for name in names:
         entries.extend(SUITES[name](order=order, seed=seed, count=count))

@@ -1,9 +1,13 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from noncrossing import cli, verify
 from noncrossing.partitions import NCPartition
@@ -63,6 +67,17 @@ def test_limit_overrides():
     proc = run_cli("enumerate", "ncl", "10", "--limit", "ncl=10")
     assert proc.returncode == 2
     assert "--unsafe-limits" in proc.stderr
+    # a --limit naming a kind the command does not cap is rejected, not ignored
+    series = '{"coeffs":["1","2"]}'
+    for args in [
+        ("enumerate", "nc", "3", "--limit", "ncl=1"),
+        ("enumerate", "nc", "3", "--limit", "transform=5"),
+        ("convolve", "--tx", series, "--ty", series, "--limit", "nc=3"),
+        ("convolve", "--mx", series, "--my", series, "--limit", "nc=3"),
+    ]:
+        proc = run_cli(*args)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "which this" in proc.stderr and "does not cap" in proc.stderr
 
 
 def test_env_limits(monkeypatch):
@@ -93,6 +108,32 @@ def test_transform_m2k_and_back():
     assert json.loads(proc.stdout)["coeffs"] == ["1", "1", "1"]
     proc2 = run_cli("transform", "k2m", proc.stdout.strip())
     assert json.loads(proc2.stdout)["coeffs"] == ["1", "2", "5"]
+
+
+def _series(values) -> str:
+    return json.dumps({"order": len(values), "coeffs": [str(v) for v in values]})
+
+
+def test_transform_m2t_order60_catalan():
+    catalan = [comb(2 * n, n) // (n + 1) for n in range(1, 61)]
+    proc = run_cli("transform", "m2t", _series(catalan))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"order": 60, "coeffs": ["1", "1"] + ["0"] * 58}
+
+
+def test_transform_m2k_order13():
+    catalan = [comb(2 * n, n) // (n + 1) for n in range(1, 14)]
+    proc = run_cli("transform", "m2k", _series(catalan))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["coeffs"] == ["1"] * 13
+
+
+@pytest.mark.parametrize("direction", ["m2k", "k2m", "m2t", "t2m"])
+def test_transform_order61_exit2(direction):
+    proc = run_cli("transform", direction, _series([1] * 61))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: transform is capped at 60 (requested 61)\n"
 
 
 def test_transform_m2t_zero_first_moment_exit3():
@@ -173,6 +214,15 @@ def test_bad_json_exit2():
         ("transform", "m2k", '{"coeffs":["1/0"]}'),
         ("transform", "m2k", '{"coeffs":null}'),
         ("render", '{"n":3,"blocks":null}'),
+        ("render", "5"),
+        ("transform", "m2k", "5"),
+        ("transform", "m2k", "null"),
+        ("biject", "theta-inv", "null"),
+        ("render", '{"n":3,"blocks":[null]}'),
+        ("render", '{"n":3,"blocks":["ab"]}'),
+        ("render", '{"children":5}'),
+        ("render", '{"children":[5]}'),
+        ("render", '{"children":[{"tree":5}]}'),
     ],
 )
 def test_malformed_json_exit2(args):
@@ -210,6 +260,18 @@ def test_flags_only_where_read(args):
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert "unrecognized arguments" in proc.stderr
+
+
+def test_verify_order_above_suite_maximum_exit2():
+    proc = run_cli("verify", "prop21", "--order", "20")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: verify prop21 runs up to order 7 (requested 20)\n"
+    # all checks every suite that reads --order; counts reads none
+    assert verify.MAX_ORDER.keys() == set(verify.SUITES) - {"counts"}
+    proc = run_cli("verify", "all", "--order", "7")
+    assert proc.returncode == 2
+    assert "prop22 runs up to order 6" in proc.stderr
 
 
 def test_verify_kreweras_passes():
@@ -313,3 +375,57 @@ def test_fault_injection_reports_witness(
     failed = [e for e in data["entries"] if e["identity"] == identity and not e["pass"]]
     assert failed
     assert all(set(e["witness"]) == witness_keys for e in failed)
+
+
+# bounded JSON values: arbitrary ones, and objects shaped like the inputs
+# (partitions, trees, series) with arbitrary values in some places
+_scalars = (st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-4, 4)
+            | st.sampled_from(["1", "-1/2", "0", "ab", "1/0", ""]))
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["n", "blocks", "coeffs", "order", "children", "tree", "color"]),
+        inner, max_size=4,
+    ),
+    max_leaves=12,
+)
+_partition_objects = st.fixed_dictionaries({
+    "n": st.integers(1, 6) | _json_values,
+    "blocks": st.lists(st.lists(st.integers(1, 6), max_size=3) | _json_values,
+                       max_size=4) | _json_values,
+})
+_tree_objects = st.recursive(
+    st.just({}),
+    lambda sub: st.fixed_dictionaries({
+        "children": st.lists(
+            st.fixed_dictionaries({"tree": sub | _json_values},
+                                  optional={"color": st.integers(0, 1) | _json_values})
+            | _json_values,
+            max_size=3,
+        ) | _json_values,
+    }),
+    max_leaves=8,
+)
+_series_objects = st.fixed_dictionaries(
+    {"coeffs": st.lists(_scalars, max_size=8) | _json_values},
+    optional={"order": st.integers(0, 8) | _json_values},
+)
+_subcommands = st.sampled_from(
+    [["transform", d] for d in ("m2k", "k2m", "m2t", "t2m")]
+    + [["render"]]
+    + [["biject", d] for d in ("theta", "theta-inv", "lambda", "lambda-inv")]
+)
+
+
+@given(_subcommands, _json_values | _partition_objects | _tree_objects | _series_objects)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzz_exit_codes(monkeypatch, capsys, argv, value):
+    # any JSON value ends in a documented exit code, never a traceback
+    monkeypatch.delenv("NCL_LIMITS", raising=False)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(value)))
+    code = cli.main([*argv, "-"])
+    err = capsys.readouterr().err
+    assert code in {0, 2, 3, 4}
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
