@@ -200,7 +200,11 @@ def _cmd_convolve(args) -> int:
     if args.mx is not None and args.my is not None:
         mx = jsonio.parse_moments(_read_data(args.mx))
         my = jsonio.parse_moments(_read_data(args.my))
-        order = args.order or min(mx.order, my.order, DEFAULT_LIMITS["theorem"])
+        order = args.order
+        if order is None:
+            order = min(mx.order, my.order, DEFAULT_LIMITS["theorem"])
+        elif order < 1:
+            raise ValueError(f"--order must be at least 1 (requested {order})")
         limit = _resolve_limit(args, "theorem", order)
         report = verify_t_multiplicativity(mx, my, order, limit=limit)
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
@@ -284,6 +288,11 @@ def main(argv=None) -> int:
         return 4
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # the JSON codec and the tree traversals recurse once per level;
+        # the decoder's own limit bounds the depth of every input tree
+        print("error: the input or result is nested too deeply for JSON", file=sys.stderr)
         return 2
 
 

@@ -21,6 +21,11 @@ from .trees import BicolorPlanarTree, PlanarTree
 
 
 def parse_fraction(text) -> Fraction:
+    """An integer, ``a/b`` or a plain decimal.  A string in exponent notation
+    is refused: ``Fraction`` would expand "1e3000000" into digits before any
+    cap applies.  A JSON number is already bounded by the decoder."""
+    if isinstance(text, str) and ("e" in text or "E" in text):
+        raise ValueError(f"{text!r} is not an integer, a/b or a plain decimal")
     try:
         return Fraction(str(text))
     except ZeroDivisionError:

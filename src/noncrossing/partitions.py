@@ -102,6 +102,15 @@ def _crossing_witness(blocks: Blocks):
     return None
 
 
+def _check_cover(n: int, covered: set[int], exc) -> None:
+    """``covered`` lies inside 1..n, so it covers 1..n exactly when it has
+    n elements; the message names the count and the smallest gap only."""
+    if len(covered) != n:
+        first = next(e for e in range(1, n + 1) if e not in covered)
+        raise exc(f"{n - len(covered)} of the elements 1..{n} are not covered, "
+                  f"the smallest is {first}")
+
+
 def validate_nc(n: int, blocks) -> NCPartition:
     """Validate raw blocks as a non-crossing partition of {1..n}.
 
@@ -118,9 +127,7 @@ def validate_nc(n: int, blocks) -> NCPartition:
             if e in seen:
                 raise NotAPartition(f"element {e} appears in two blocks")
             seen.add(e)
-    if len(seen) != n:
-        missing = sorted(set(range(1, n + 1)) - seen)
-        raise NotAPartition(f"elements {missing} are not covered")
+    _check_cover(n, seen, NotAPartition)
     w = _crossing_witness(canon)
     if w is not None:
         raise Crossing(w)
@@ -138,10 +145,7 @@ def validate_ncl(n: int, blocks) -> NCLPartition:
     if n < 1:
         raise NotACover(f"ground set size must be positive, got {n}")
     canon = _clean_blocks(n, blocks, BadLink)
-    covered = set(chain.from_iterable(canon))
-    if covered != set(range(1, n + 1)):
-        missing = sorted(set(range(1, n + 1)) - covered)
-        raise NotACover(f"elements {missing} are not covered")
+    _check_cover(n, set(chain.from_iterable(canon)), NotACover)
     for a, b in combinations(canon, 2):
         inter = set(a) & set(b)
         if len(inter) > 1:

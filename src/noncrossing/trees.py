@@ -17,13 +17,7 @@ from functools import cache
 
 from .errors import NotConnected, NotNclS
 from .limits import check_limit
-from .partitions import (
-    NCLPartition,
-    connected_components,
-    exterior_blocks,
-    is_ncls,
-    restrict,
-)
+from .partitions import NCLPartition, connected_components, is_ncls
 
 
 @dataclass(frozen=True)
@@ -204,93 +198,42 @@ def connected_from_tree(tree: PlanarTree) -> NCLPartition:
 # parity-split linked partitions <-> bicolor trees
 
 
-def _block_colour(blk) -> int:
-    # parity-pure inside the split family: odd positions are colour 1
-    return blk[0] % 2
-
-
 def bicolor_from_ncls(pi: NCLPartition) -> BicolorPlanarTree:
-    """Fold a parity-split linked partition of {1..2n} into a bicolor tree.
+    """λ: the bicolor tree with n vertices of a parity-split linked
+    partition of {1..2n}.
 
-    The two exterior blocks populate the root: one is odd (colour 1), the
-    other even (colour 0), and their non-minimal elements become the root's
-    children in block order, colour 1 first.  For a consecutive pair
-    (a, b) inside a block, the vertex of b carries the children of the
-    unique exterior block of the interval squeezed between the linked
-    structure growing out of a and the position b, plus the children of the
-    block whose minimum is b when b is a shared element.  Children of
-    colour 1 always precede children of colour 0.
+    The positions are read once, left to right, in the order in which
+    :func:`ncls_from_bicolor` writes them.  Reading a position opens the
+    block that starts there, if any; its other elements are the own
+    positions of the children it lists.  The root reads position 1 for its
+    colour-1 children and then the next position for its colour-0 children.
+    A vertex entered along a colour-c edge first reads the next position
+    for its colour-(1-c) children, and then its own position for its
+    colour-c children.  The paper's construction through exterior blocks is
+    kept as an independent reference in ``tests/oracles.py``.
     """
     if not is_ncls(pi):
         raise NotNclS(f"{pi} is not parity-split")
-    half = pi.n // 2
     min_of = {blk[0]: blk for blk in pi.blocks}
-    used = set()
+    last = 0  # the last position read
 
-    ext = exterior_blocks(pi)
-    if len(ext) != 2:
-        raise NotNclS(f"{pi} has {len(ext)} exterior blocks, expected 2")
-    odd_ext = [b for b in ext if _block_colour(b) == 1]
-    even_ext = [b for b in ext if _block_colour(b) == 0]
-    if len(odd_ext) != 1 or len(even_ext) != 1:
-        raise NotNclS(f"exterior blocks of {pi} are not one of each colour")
+    def children(colour: int) -> tuple[tuple[int, BicolorPlanarTree], ...]:
+        # read the next position; the block starting there lists the own
+        # positions of children entered along ``colour`` edges
+        nonlocal last
+        last += 1
+        out = []
+        for own in min_of.get(last, ())[1:]:
+            opposite = children(1 - colour)
+            assert last + 1 == own, "a vertex reads its own position next"
+            same = children(colour)
+            out.append((colour, BicolorPlanarTree(
+                same + opposite if colour else opposite + same
+            )))
+        return tuple(out)
 
-    def reach(start: int, host) -> int:
-        # largest position linked to ``start`` through blocks rooted at it,
-        # ignoring the host pair's own block
-        top = start
-        stack = [start]
-        seen = {start}
-        while stack:
-            e = stack.pop()
-            d = min_of.get(e)
-            if d is None or d == host:
-                continue
-            for x in d[1:]:
-                if x not in seen:
-                    seen.add(x)
-                    top = max(top, x)
-                    stack.append(x)
-        return top
-
-    def gap_exterior(prev: int, cur: int, host):
-        lo = reach(prev, host)
-        region = tuple(range(lo + 1, cur))
-        assert region, "a vertex interval is never empty"
-        sub = restrict(pi, region)
-        sub_ext = exterior_blocks(sub)
-        if len(sub_ext) != 1:
-            raise NotNclS(f"interval {region} of {pi} lacks a unique exterior block")
-        return tuple(region[e - 1] for e in sub_ext[0])
-
-    def make_vertex(cur: int, prev: int, host) -> BicolorPlanarTree:
-        gap = gap_exterior(prev, cur, host)
-        used.add(gap)
-        linked = min_of.get(cur)
-        if linked is not None:
-            used.add(linked)
-        host_colour = _block_colour(host)
-        gap_children = tuple(
-            (1 - host_colour, make_vertex(b, a, gap)) for a, b in zip(gap, gap[1:])
-        )
-        link_children = tuple(
-            (host_colour, make_vertex(b, a, linked))
-            for a, b in zip(linked, linked[1:])
-        ) if linked is not None else ()
-        if host_colour == 1:
-            children = link_children + gap_children
-        else:
-            children = gap_children + link_children
-        return BicolorPlanarTree(children)
-
-    e1, e0 = odd_ext[0], even_ext[0]
-    used.update((e1, e0))
-    root_children = tuple(
-        (1, make_vertex(b, a, e1)) for a, b in zip(e1, e1[1:])
-    ) + tuple((0, make_vertex(b, a, e0)) for a, b in zip(e0, e0[1:]))
-    tree = BicolorPlanarTree(root_children)
-    assert tree.size == half
-    assert used == set(pi.blocks)
+    tree = BicolorPlanarTree(children(1) + children(0))
+    assert last == pi.n
     return tree
 
 

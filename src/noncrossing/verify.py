@@ -364,13 +364,18 @@ def run_suites(names, *, order=None, seed=7, count=200) -> list[ReportEntry]:
     """Run the named suites ('all' for every one) and return sorted entries.
 
     An ``order`` above the maximum of a named suite raises
-    :class:`LimitExceeded` before any suite runs.
+    :class:`LimitExceeded`, and one below 1 raises :class:`ValueError`,
+    before any suite runs.
     """
     if isinstance(names, str):
         names = list(SUITES) if names == "all" else [names]
     for name in names:
         top = MAX_ORDER.get(name)
-        if order is not None and top is not None and order > top:
+        if order is None or top is None:
+            continue
+        if order < 1:
+            raise ValueError(f"verify {name} needs an order of at least 1 (requested {order})")
+        if order > top:
             raise LimitExceeded(f"verify {name} runs up to order {top} (requested {order})")
     entries = []
     for name in names:

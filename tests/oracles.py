@@ -10,8 +10,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
 
-from noncrossing.errors import BadLink, Crossing, NotACover, NotAPartition
-from noncrossing.partitions import validate_ncl
+from noncrossing.errors import BadLink, Crossing, NotACover, NotAPartition, NotNclS
+from noncrossing.partitions import (
+    NCLPartition,
+    exterior_blocks,
+    is_ncls,
+    restrict,
+    validate_ncl,
+)
+from noncrossing.trees import BicolorPlanarTree
 
 
 def catalan(n: int) -> int:
@@ -128,3 +135,94 @@ def moment_by_nc_sum(k_values, n: int, nc_partitions) -> Fraction:
     for g in nc_partitions:
         total += prod(Fraction(k_values[len(b) - 1]) for b in g.blocks)
     return total
+
+
+def _block_colour(blk) -> int:
+    # parity-pure inside the split family: odd positions are colour 1
+    return blk[0] % 2
+
+
+def bicolor_by_exterior_blocks(pi: NCLPartition) -> BicolorPlanarTree:
+    """λ by the paper's construction: fold a parity-split linked partition
+    of {1..2n} into a bicolor tree through its exterior blocks.
+
+    The two exterior blocks populate the root: one is odd (colour 1), the
+    other even (colour 0), and their non-minimal elements become the root's
+    children in block order, colour 1 first.  For a consecutive pair
+    (a, b) inside a block, the vertex of b carries the children of the
+    unique exterior block of the interval squeezed between the linked
+    structure growing out of a and the position b, plus the children of the
+    block whose minimum is b when b is a shared element.  Children of
+    colour 1 always precede children of colour 0.
+    """
+    if not is_ncls(pi):
+        raise NotNclS(f"{pi} is not parity-split")
+    half = pi.n // 2
+    min_of = {blk[0]: blk for blk in pi.blocks}
+    used = set()
+
+    ext = exterior_blocks(pi)
+    if len(ext) != 2:
+        raise NotNclS(f"{pi} has {len(ext)} exterior blocks, expected 2")
+    odd_ext = [b for b in ext if _block_colour(b) == 1]
+    even_ext = [b for b in ext if _block_colour(b) == 0]
+    if len(odd_ext) != 1 or len(even_ext) != 1:
+        raise NotNclS(f"exterior blocks of {pi} are not one of each colour")
+
+    def reach(start: int, host) -> int:
+        # largest position linked to ``start`` through blocks rooted at it,
+        # ignoring the host pair's own block
+        top = start
+        stack = [start]
+        seen = {start}
+        while stack:
+            e = stack.pop()
+            d = min_of.get(e)
+            if d is None or d == host:
+                continue
+            for x in d[1:]:
+                if x not in seen:
+                    seen.add(x)
+                    top = max(top, x)
+                    stack.append(x)
+        return top
+
+    def gap_exterior(prev: int, cur: int, host):
+        lo = reach(prev, host)
+        region = tuple(range(lo + 1, cur))
+        assert region, "a vertex interval is never empty"
+        sub = restrict(pi, region)
+        sub_ext = exterior_blocks(sub)
+        if len(sub_ext) != 1:
+            raise NotNclS(f"interval {region} of {pi} lacks a unique exterior block")
+        return tuple(region[e - 1] for e in sub_ext[0])
+
+    def make_vertex(cur: int, prev: int, host) -> BicolorPlanarTree:
+        gap = gap_exterior(prev, cur, host)
+        used.add(gap)
+        linked = min_of.get(cur)
+        if linked is not None:
+            used.add(linked)
+        host_colour = _block_colour(host)
+        gap_children = tuple(
+            (1 - host_colour, make_vertex(b, a, gap)) for a, b in zip(gap, gap[1:])
+        )
+        link_children = tuple(
+            (host_colour, make_vertex(b, a, linked))
+            for a, b in zip(linked, linked[1:])
+        ) if linked is not None else ()
+        if host_colour == 1:
+            children = link_children + gap_children
+        else:
+            children = gap_children + link_children
+        return BicolorPlanarTree(children)
+
+    e1, e0 = odd_ext[0], even_ext[0]
+    used.update((e1, e0))
+    root_children = tuple(
+        (1, make_vertex(b, a, e1)) for a, b in zip(e1, e1[1:])
+    ) + tuple((0, make_vertex(b, a, e0)) for a, b in zip(e0, e0[1:]))
+    tree = BicolorPlanarTree(root_children)
+    assert tree.size == half
+    assert used == set(pi.blocks)
+    return tree

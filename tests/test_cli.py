@@ -223,6 +223,8 @@ def test_bad_json_exit2():
         ("render", '{"children":5}'),
         ("render", '{"children":[5]}'),
         ("render", '{"children":[{"tree":5}]}'),
+        ("transform", "m2k", '{"coeffs":["1e5"]}'),
+        ("transform", "m2k", '{"coeffs":["1","2.5E3"]}'),
     ],
 )
 def test_malformed_json_exit2(args):
@@ -272,6 +274,68 @@ def test_verify_order_above_suite_maximum_exit2():
     proc = run_cli("verify", "all", "--order", "7")
     assert proc.returncode == 2
     assert "prop22 runs up to order 6" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "prop21", "--order", "0"),
+        ("verify", "prop21", "--order", "-1"),
+        ("convolve", "--mx", SERIES, "--my", SERIES, "--order", "0"),
+        ("convolve", "--mx", SERIES, "--my", SERIES, "--order", "-1"),
+    ],
+)
+def test_order_below_one_exit2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and "at least 1" in lines[0]
+
+
+def _path_tree_json(depth: int, edge: str) -> str:
+    # built as text: json.dumps itself recurses once per level
+    return edge * depth + TREE + "}]}" * depth
+
+
+def _path_lambda_partition(depth: int) -> str:
+    # the flat partition of a path of ``depth`` colour-1 edges under λ
+    blocks = [[2 * k - 1, 2 * k + 1] for k in range(1, depth + 1)]
+    blocks += [[2 * k] for k in range(1, depth + 1)] + [[2 * depth + 2]]
+    return json.dumps({"n": 2 * depth + 2, "blocks": blocks})
+
+
+PLAIN_EDGE = '{"children":[{"tree":'
+BICOLOR_EDGE = '{"children":[{"color":1,"tree":'
+
+
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        (("render", "-"), _path_tree_json(400, PLAIN_EDGE)),
+        (("biject", "theta-inv", "-"), _path_tree_json(400, PLAIN_EDGE)),
+        (("biject", "lambda-inv", "-"), _path_tree_json(400, BICOLOR_EDGE)),
+        (("transform", "m2k", "-"), _path_tree_json(400, PLAIN_EDGE)),
+        (("biject", "lambda", "-"), _path_lambda_partition(400)),
+        (("biject", "theta", "-"),
+         json.dumps({"n": 401, "blocks": [[k, k + 1] for k in range(1, 401)]})),
+    ],
+    ids=["render", "theta-inv", "lambda-inv", "transform", "lambda", "theta"],
+)
+def test_deep_json_exit2(args, stdin):
+    # a 400-deep input, or a 400-deep result, exceeds the JSON codec's depth
+    proc = run_cli(*args, stdin=stdin)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the input or result is nested too deeply for JSON\n"
+
+
+def test_uncovered_elements_message_is_short():
+    proc = run_cli("render", '{"n":1000000,"blocks":[[1]]}')
+    assert proc.returncode == 4
+    assert proc.stderr == (
+        "error: 999999 of the elements 1..1000000 are not covered, the smallest is 2\n"
+    )
 
 
 def test_verify_kreweras_passes():

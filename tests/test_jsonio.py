@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,17 @@ from noncrossing.trees import (
     enumerate_bicolor,
     enumerate_planar_trees,
 )
+
+
+@pytest.mark.parametrize("text", ["1e5", "1E5", "2.5e-3", "1e3000000"])
+def test_parse_fraction_refuses_exponents(text):
+    with pytest.raises(ValueError, match="is not an integer, a/b or a plain decimal"):
+        jsonio.parse_fraction(text)
+
+
+@pytest.mark.parametrize("text, value", [("-7", -7), ("3/4", 0.75), ("0.125", 0.125), (2, 2), (1e-05, Fraction(1, 100000))])
+def test_parse_fraction_forms(text, value):
+    assert jsonio.parse_fraction(text) == value
 
 
 def test_partition_roundtrip_fixture():

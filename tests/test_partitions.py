@@ -89,6 +89,17 @@ def test_validate_ncl_bad_links():
         ncl(3, [[1, 2]])
 
 
+@pytest.mark.parametrize("validate, exc", [(validate_nc, NotAPartition), (validate_ncl, NotACover)])
+def test_uncovered_message_names_count_and_smallest(validate, exc):
+    # the cover check counts; it neither builds 1..n nor lists every gap
+    with pytest.raises(exc) as err:
+        validate(10**6, [[1]])
+    assert len(str(err.value)) < 200
+    assert "999999 of the elements" in str(err.value)
+    with pytest.raises(exc, match="2 of the elements 1..5 are not covered, the smallest is 3"):
+        validate(5, [[1], [2], [4]])
+
+
 def test_validate_ncl_crossing():
     with pytest.raises(Crossing):
         ncl(4, [[1, 3], [2, 4]])

@@ -22,7 +22,7 @@ from noncrossing.trees import (
     vertex_order,
 )
 
-from oracles import catalan
+from oracles import bicolor_by_exterior_blocks, catalan
 
 LEAF = PlanarTree()
 CHAIN3 = PlanarTree((PlanarTree((LEAF,)),))
@@ -213,11 +213,19 @@ def test_lambda_roundtrip_full_domain(n):
     assert set(images) == set(enumerate_bicolor(n))
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_lambda_inverse_roundtrip(n):
     for tree in enumerate_bicolor(n):
         pi = ncls_from_bicolor(tree)
         assert bicolor_from_ncls(pi) == tree
+
+
+def test_lambda_matches_exterior_block_fold():
+    # the one-pass reading against the paper's exterior-block construction
+    domain = [pi for n in range(1, 6) for pi in enumerate_ncls(n)]
+    domain += [ncls_from_bicolor(t) for t in enumerate_bicolor(6)]
+    for pi in domain:
+        assert bicolor_from_ncls(pi) == bicolor_by_exterior_blocks(pi)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
