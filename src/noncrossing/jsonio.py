@@ -21,9 +21,12 @@ from .trees import BicolorPlanarTree, PlanarTree
 
 
 def parse_fraction(text) -> Fraction:
-    """An integer, ``a/b`` or a plain decimal.  A string in exponent notation
-    is refused: ``Fraction`` would expand "1e3000000" into digits before any
-    cap applies.  A JSON number is already bounded by the decoder."""
+    """A string holding an integer, ``a/b`` or a plain decimal, or a JSON
+    number; other values are refused by type alone.  Exponent strings are
+    refused: ``Fraction`` would expand "1e3000000" into digits before any cap
+    applies, while a JSON number is already bounded by the decoder."""
+    if type(text) not in (str, int, float):
+        raise ValueError(f"a coefficient is a string or a number, not {type(text).__name__}")
     if isinstance(text, str) and ("e" in text or "E" in text):
         raise ValueError(f"{text!r} is not an integer, a/b or a plain decimal")
     try:

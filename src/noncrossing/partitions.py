@@ -12,7 +12,7 @@ least two elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, combinations, product
 
 from .errors import (
@@ -364,7 +364,7 @@ def _bars_joinable(gamma: NCPartition, i: int, j: int) -> bool:
     return True
 
 
-@cache
+@lru_cache(maxsize=4096)  # holds NC(1..8), 2,055 partitions
 def kreweras(gamma: NCPartition) -> NCPartition:
     """The Kreweras complement.
 

@@ -10,7 +10,10 @@ R = sum of k_n z^n and the t-series T = sum of t_n z^n:
 Read off at z^n, each is a triangular system over the powers of z(1 + M)
 or of M, solved one order at a time.  The sums over non-crossing and
 non-crossing linked partitions that these equations encode are what the
-evaluations below and the ``verify`` suites check against them.
+evaluations below and the ``verify`` suites check against them.  Each such
+sum is evaluated on a monomial profile: the objects of one size counted
+once by the coefficient powers they multiply.  The profiles come from the
+enumerations, never from the equations, so the two routes stay independent.
 
 The cumulant generating series adds under free addition; the t-series
 multiplies under free multiplication, which :func:`verify_t_multiplicativity`
@@ -20,9 +23,10 @@ routes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from functools import cache
 from typing import ClassVar
 
 from .errors import (
@@ -240,21 +244,61 @@ def moments_to_tcoeffs(m: MomentSequence) -> TCoeffSequence:
 # evaluations over partitions and trees
 
 
-def _t_partition_weight(pi: NCLPartition, t: TCoeffSequence) -> Fraction:
-    factors = [t.values[len(blk) - 1] for blk in pi.blocks]
-    factors.append(t.values[0] ** (pi.n - len(pi.blocks)))
-    return prod(factors)
+def _profile(objects, statistic) -> tuple:
+    """(monomial, multiplicity) pairs: ``statistic(obj)`` lists the indices of
+    each sequence the object's weight multiplies, and a monomial sorts them
+    into (index, exponent) pairs per sequence."""
+    return tuple(Counter(
+        tuple(tuple(sorted(Counter(indices).items())) for indices in statistic(obj))
+        for obj in objects
+    ).items())
+
+
+def _evaluate(profile, *seqs) -> Fraction:
+    """Sum of multiplicity times the product of seq.values[i] ** e."""
+    total = Fraction(0)
+    for monomial, term in profile:
+        for seq, powers in zip(seqs, monomial):
+            for i, e in powers:
+                if i >= seq.order:
+                    raise OrderTooLow(f"need {seq.kind} of index {i}")
+                term *= seq.values[i] ** e
+        total += term
+    return total
+
+
+@cache
+def _class_profile(n: int) -> tuple:
+    # a member with b blocks has n - b non-minimal positions, each weighing t_0
+    members = class_members(validate_nc(n, [list(range(1, n + 1))]))
+    return _profile(members, lambda pi: (
+        [len(b) - 1 for b in pi.blocks] + [0] * (n - len(pi.blocks)),))
+
+
+@cache
+def _tree_profile(n: int) -> tuple:
+    return _profile(enumerate_planar_trees(n),
+                    lambda tree: ([d for _, d in elementary_decomposition(tree)],))
+
+
+@cache
+def _kreweras_profile(n: int) -> tuple:
+    return _profile(enumerate_nc(n), lambda gamma: (
+        [len(b) - 1 for b in gamma.blocks], [len(b) - 1 for b in kreweras(gamma).blocks]))
+
+
+@cache
+def _bicolor_profile(n: int, elementary: bool) -> tuple:
+    trees = (enumerate_bicolor_elementary(n) if elementary
+             else enumerate_bicolor(n, limit=max(n, 7)))
+    return _profile(trees, lambda tree: tuple(zip(*_colour_counts(tree))))
 
 
 def cumulant_via_classes(t: TCoeffSequence, n: int) -> Fraction:
     """The n-th cumulant as a sum of t-weights over the connected class."""
     if n > t.order:
         raise OrderTooLow(f"need t-coefficients up to index {n - 1}")
-    one_block = validate_nc(n, [list(range(1, n + 1))])
-    return sum(
-        (_t_partition_weight(pi, t) for pi in class_members(one_block)),
-        Fraction(0),
-    )
+    return _evaluate(_class_profile(n), t)
 
 
 def eval_tree(tree: PlanarTree, t: TCoeffSequence) -> Fraction:
@@ -271,9 +315,7 @@ def cumulant_via_trees(t: TCoeffSequence, n: int) -> Fraction:
     """The n-th cumulant as a sum of evaluations over planar trees."""
     if n > t.order:
         raise OrderTooLow(f"need t-coefficients up to index {n - 1}")
-    return sum(
-        (eval_tree(tree, t) for tree in enumerate_planar_trees(n)), Fraction(0)
-    )
+    return _evaluate(_tree_profile(n), t)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +338,7 @@ def free_multiplicative(kx: CumulantSequence, ky: CumulantSequence, n: int) -> F
     """
     if n > kx.order or n > ky.order:
         raise OrderTooLow(f"need cumulants up to order {n}")
-    total = Fraction(0)
-    for gamma in enumerate_nc(n):
-        left = prod(kx.values[len(b) - 1] for b in gamma.blocks)
-        right = prod(ky.values[len(b) - 1] for b in kreweras(gamma).blocks)
-        total += left * right
-    return total
+    return _evaluate(_kreweras_profile(n), kx, ky)
 
 
 def eval_bicolor(
@@ -310,19 +347,19 @@ def eval_bicolor(
     """Product over vertices of t_k(first) t_{d-k}(second), where d counts
     children and k counts colour-1 children."""
     total = Fraction(1)
-
-    def walk(node: BicolorPlanarTree):
-        nonlocal total
-        d = len(node.children)
-        k = sum(1 for col, _ in node.children if col == 1)
-        if k >= tx.order or d - k >= ty.order:
-            raise OrderTooLow(f"need t-coefficients of indices {k} and {d - k}")
-        total *= tx.values[k] * ty.values[d - k]
-        for _, child in node.children:
-            walk(child)
-
-    walk(tree)
+    for k, j in _colour_counts(tree):
+        if k >= tx.order or j >= ty.order:
+            raise OrderTooLow(f"need t-coefficients of indices {k} and {j}")
+        total *= tx.values[k] * ty.values[j]
     return total
+
+
+def _colour_counts(tree: BicolorPlanarTree):
+    """(colour-1, colour-0) child counts per vertex, in preorder."""
+    k = sum(col for col, _ in tree.children)
+    yield k, len(tree.children) - k
+    for _, child in tree.children:
+        yield from _colour_counts(child)
 
 
 def ncls_weight(pi: NCLPartition, tx: TCoeffSequence, ty: TCoeffSequence) -> Fraction:
@@ -444,17 +481,11 @@ def verify_t_multiplicativity(
     for m in range(1, order + 1):
         elementary = PlanarTree((PlanarTree(),) * (m - 1))
         lhs = eval_tree(elementary, t_routed)
-        rhs = sum(
-            (eval_bicolor(b, tx, ty) for b in enumerate_bicolor_elementary(m)),
-            Fraction(0),
-        )
+        rhs = _evaluate(_bicolor_profile(m, elementary=True), tx, ty)
         checks.append(_check("one-level evaluation identity", {"order": m}, lhs, rhs))
     for n in range(1, order + 1):
         tree_sum = cumulant_via_trees(t_routed, n)
-        bicolor_sum = sum(
-            (eval_bicolor(b, tx, ty) for b in enumerate_bicolor(n, limit=max(n, 7))),
-            Fraction(0),
-        )
+        bicolor_sum = _evaluate(_bicolor_profile(n, elementary=False), tx, ty)
         checks.append(
             _check("aggregate tree identity", {"order": n}, tree_sum, bicolor_sum)
         )

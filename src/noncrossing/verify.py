@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from .errors import Crossing, LimitExceeded, NotAPartition
@@ -232,12 +233,17 @@ def _corpus_with_fixtures(seed, count, order):
     return corpus
 
 
+@lru_cache(maxsize=1)  # prop21 and eq5 share one corpus
+def _cumulant_route_targets(seed, count, top) -> tuple:
+    corpus = _corpus_with_fixtures(seed, count, top)
+    return tuple((moments_to_cumulants(m), moments_to_tcoeffs(m)) for m in corpus)
+
+
 def _cumulant_route_suite(suite, identity, cumulant_via, order, seed, count):
     """Check ``cumulant_via(t, n)`` against the cumulants of every corpus
     sequence; both transforms run once per sequence, outside the n loop."""
     top = order or 7
-    corpus = _corpus_with_fixtures(seed, count, top)
-    targets = [(moments_to_cumulants(m), moments_to_tcoeffs(m)) for m in corpus]
+    targets = _cumulant_route_targets(seed, count, top)
     entries = []
     for n in range(1, top + 1):
         bad = None
@@ -248,7 +254,7 @@ def _cumulant_route_suite(suite, identity, cumulant_via, order, seed, count):
                        "expected": str(kappa.values[n - 1])}
                 break
         entries.append(
-            _entry(suite, identity, {"n": n, "sequences": len(corpus)},
+            _entry(suite, identity, {"n": n, "sequences": len(targets)},
                    bad is None, bad)
         )
     return entries
@@ -357,7 +363,7 @@ SUITES = {
 
 
 # the largest order each suite accepts; counts reads no order
-MAX_ORDER = {"kreweras": 8, "prop21": 7, "eq5": 7, "prop22": 6, "bridge": 5, "theorem": 6}
+MAX_ORDER = {"kreweras": 8, "prop21": 10, "eq5": 10, "prop22": 6, "bridge": 5, "theorem": 6}
 
 
 def run_suites(names, *, order=None, seed=7, count=200) -> list[ReportEntry]:

@@ -13,12 +13,14 @@ from math import comb, prod
 from noncrossing.errors import BadLink, Crossing, NotACover, NotAPartition, NotNclS
 from noncrossing.partitions import (
     NCLPartition,
+    class_members,
     exterior_blocks,
     is_ncls,
     restrict,
+    validate_nc,
     validate_ncl,
 )
-from noncrossing.trees import BicolorPlanarTree
+from noncrossing.trees import BicolorPlanarTree, enumerate_planar_trees
 
 
 def catalan(n: int) -> int:
@@ -134,6 +136,58 @@ def moment_by_nc_sum(k_values, n: int, nc_partitions) -> Fraction:
     total = Fraction(0)
     for g in nc_partitions:
         total += prod(Fraction(k_values[len(b) - 1]) for b in g.blocks)
+    return total
+
+
+# Per-object sums: each object's weight multiplied out on its own, the
+# references for the monomial-profile evaluation in ``transforms``.
+
+
+def t_partition_weight(pi: NCLPartition, t_values) -> Fraction:
+    """t_(|B|-1) per block times t_0 per non-minimal position."""
+    factors = [Fraction(t_values[len(blk) - 1]) for blk in pi.blocks]
+    factors.append(Fraction(t_values[0]) ** (pi.n - len(pi.blocks)))
+    return prod(factors)
+
+
+def class_sum(t_values, n: int) -> Fraction:
+    """Sum of t-weights over the linked partitions connecting {1..n}."""
+    one_block = validate_nc(n, [list(range(1, n + 1))])
+    return sum((t_partition_weight(pi, t_values) for pi in class_members(one_block)),
+               Fraction(0))
+
+
+def tree_weight(tree, t_values) -> Fraction:
+    """t_(child count) per vertex, by a direct walk."""
+    return Fraction(t_values[len(tree.children)]) * prod(
+        tree_weight(child, t_values) for child in tree.children)
+
+
+def tree_sum(t_values, n: int) -> Fraction:
+    return sum((tree_weight(tree, t_values) for tree in enumerate_planar_trees(n)),
+               Fraction(0))
+
+
+def bicolor_weight(tree: BicolorPlanarTree, x_values, y_values) -> Fraction:
+    """x_k y_(d-k) per vertex with d children, k of colour 1, by a direct walk."""
+    k = sum(1 for colour, _ in tree.children if colour == 1)
+    own = Fraction(x_values[k]) * Fraction(y_values[len(tree.children) - k])
+    return own * prod(bicolor_weight(child, x_values, y_values)
+                      for _, child in tree.children)
+
+
+def bicolor_sum(trees, x_values, y_values) -> Fraction:
+    return sum((bicolor_weight(tree, x_values, y_values) for tree in trees), Fraction(0))
+
+
+def kreweras_sum(pairs, kx_values, ky_values) -> Fraction:
+    """Sum over (gamma, complement) pairs of k^x over the blocks of gamma
+    times k^y over the blocks of its Kreweras complement."""
+    total = Fraction(0)
+    for gamma, complement in pairs:
+        left = prod(Fraction(kx_values[len(b) - 1]) for b in gamma.blocks)
+        right = prod(Fraction(ky_values[len(b) - 1]) for b in complement.blocks)
+        total += left * right
     return total
 
 

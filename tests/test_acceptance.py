@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each ending in a printed
 pass line.  Every comparison is exact; there are no tolerances anywhere."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -306,4 +307,8 @@ def test_criterion_12_cli():
     assert proc.returncode == 0, proc.stdout[-2000:]
     data = json.loads(proc.stdout)
     assert data["pass"] is True
+    # and prints these exact bytes (seed 7, json); a change must be deliberate
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "4b5d06c765e67a08eb5d802edd2386ae3128c3e466c1ee52e387d1b4c6c93d29"
+    )
     _passed(12, "command-line contract")

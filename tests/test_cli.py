@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from noncrossing import cli, verify
+from noncrossing import cli, transforms, verify
 from noncrossing.partitions import NCPartition
 
 
@@ -225,6 +225,8 @@ def test_bad_json_exit2():
         ("render", '{"children":[{"tree":5}]}'),
         ("transform", "m2k", '{"coeffs":["1e5"]}'),
         ("transform", "m2k", '{"coeffs":["1","2.5E3"]}'),
+        ("transform", "m2k", '{"coeffs":[true]}'),
+        ("transform", "m2k", '{"coeffs":[' + "[" * 400 + "]" * 400 + "]}"),
     ],
 )
 def test_malformed_json_exit2(args):
@@ -234,6 +236,7 @@ def test_malformed_json_exit2(args):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines[0]) < 200
 
 
 SERIES = '{"order":3,"coeffs":["1","1","0"]}'
@@ -268,12 +271,18 @@ def test_verify_order_above_suite_maximum_exit2():
     proc = run_cli("verify", "prop21", "--order", "20")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: verify prop21 runs up to order 7 (requested 20)\n"
+    assert proc.stderr == "error: verify prop21 runs up to order 10 (requested 20)\n"
     # all checks every suite that reads --order; counts reads none
     assert verify.MAX_ORDER.keys() == set(verify.SUITES) - {"counts"}
     proc = run_cli("verify", "all", "--order", "7")
     assert proc.returncode == 2
     assert "prop22 runs up to order 6" in proc.stderr
+
+
+def test_verify_prop21_and_eq5_at_order_10():
+    entries = verify.run_suites(["prop21", "eq5"], order=10)
+    assert len(entries) == 20
+    assert all(e.passed for e in entries)
 
 
 @pytest.mark.parametrize(
@@ -404,7 +413,12 @@ def _singleton_complement(original):
 
 
 def _off_by_one(original):
-    return lambda t, n: original(t, n) + 1
+    return lambda *args: original(*args) + 1
+
+
+def _off_by_one_above_first(original):
+    # a +1 at n = 1 breaks m_1, and the suite then exits 4 before comparing
+    return lambda kx, ky, n: original(kx, ky, n) + (n > 1)
 
 
 def _drop_one(original):
@@ -412,24 +426,29 @@ def _drop_one(original):
 
 
 @pytest.mark.parametrize(
-    "suite, attr, corrupt, identity, witness_keys",
+    "module, suite, attr, corrupt, identity, witness_keys",
     [
-        ("kreweras", "kreweras", _singleton_complement, "block count identity",
+        (verify, "kreweras", "kreweras", _singleton_complement, "block count identity",
          {"partition", "complement"}),
-        ("prop21", "cumulant_via_classes", _off_by_one,
+        (verify, "prop21", "cumulant_via_classes", _off_by_one,
          "cumulant via connected linked classes", {"sequence", "got", "expected"}),
-        ("eq5", "cumulant_via_trees", _off_by_one,
+        (verify, "eq5", "cumulant_via_trees", _off_by_one,
          "cumulant via planar tree sum", {"sequence", "got", "expected"}),
-        ("counts", "enumerate_ncl", _drop_one, "linked partition count",
+        (verify, "counts", "enumerate_ncl", _drop_one, "linked partition count",
          {"got", "expected"}),
+        (transforms, "theorem", "free_multiplicative", _off_by_one_above_first,
+         "t-series multiplicativity", {"identity", "parameters", "lhs", "rhs"}),
+        (verify, "bridge", "ncls_weight", _off_by_one,
+         "split-partition weight equals bicolor evaluation",
+         {"partition", "weight", "tree value"}),
     ],
-    ids=["kreweras", "prop21", "eq5", "counts"],
+    ids=["kreweras", "prop21", "eq5", "counts", "theorem", "bridge"],
 )
 def test_fault_injection_reports_witness(
-    monkeypatch, capsys, suite, attr, corrupt, identity, witness_keys
+    monkeypatch, capsys, module, suite, attr, corrupt, identity, witness_keys
 ):
     # a corrupted computation must turn its suite red and carry a witness
-    monkeypatch.setattr(verify, attr, corrupt(getattr(verify, attr)))
+    monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
     monkeypatch.delenv("NCL_LIMITS", raising=False)
     code = cli.main(["verify", suite, "--order", "4"])
     out = capsys.readouterr().out

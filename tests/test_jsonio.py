@@ -27,6 +27,14 @@ def test_parse_fraction_refuses_exponents(text):
         jsonio.parse_fraction(text)
 
 
+@pytest.mark.parametrize("value, name", [([[1]], "list"), ({"a": 1}, "dict"),
+                                         (True, "bool"), (None, "NoneType")])
+def test_parse_fraction_names_only_the_type(value, name):
+    with pytest.raises(ValueError) as info:
+        jsonio.parse_fraction(value)
+    assert str(info.value) == f"a coefficient is a string or a number, not {name}"
+
+
 @pytest.mark.parametrize("text, value", [("-7", -7), ("3/4", 0.75), ("0.125", 0.125), (2, 2), (1e-05, Fraction(1, 100000))])
 def test_parse_fraction_forms(text, value):
     assert jsonio.parse_fraction(text) == value

@@ -319,6 +319,14 @@ def test_kreweras_examples():
     assert kreweras(validate_nc(3, [[1, 3], [2]])).blocks == ((1, 2), (3,))
 
 
+def test_kreweras_memo_is_bounded():
+    # any validated partition can become a key (is_ncs calls kreweras), so
+    # the memo must not grow with the number of distinct inputs
+    for gamma in enumerate_nc(10)[:4200]:
+        kreweras(gamma)
+    assert kreweras.cache_info().currsize <= 4096
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kreweras_against_exhaustive_search(n):
     for gamma in enumerate_nc(n):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from noncrossing.errors import (
     ZeroFirstMoment,
     ZeroT0,
 )
-from noncrossing.partitions import enumerate_nc, enumerate_ncl, enumerate_ncls
+from noncrossing.partitions import enumerate_nc, enumerate_ncl, enumerate_ncls, kreweras
 from noncrossing.transforms import (
     CumulantSequence,
     MomentSequence,
@@ -33,14 +34,27 @@ from noncrossing.transforms import (
     tcoeffs_to_moments,
     verify_t_multiplicativity,
 )
-from noncrossing.trees import PlanarTree, bicolor_from_ncls, enumerate_bicolor
+from noncrossing.transforms import _bicolor_profile, _evaluate
+from noncrossing.trees import (
+    PlanarTree,
+    bicolor_from_ncls,
+    enumerate_bicolor,
+    enumerate_bicolor_elementary,
+)
 from noncrossing.verify import (
     catalan_moments,
     seeded_moment_corpus,
     shifted_catalan_moments,
 )
 
-from oracles import moment_by_linked_sum, moment_by_nc_sum
+from oracles import (
+    bicolor_sum,
+    class_sum,
+    kreweras_sum,
+    moment_by_linked_sum,
+    moment_by_nc_sum,
+    tree_sum,
+)
 
 LEAF = PlanarTree()
 CHAIN3 = PlanarTree((PlanarTree((LEAF,)),))
@@ -195,6 +209,44 @@ def test_cumulant_routes_agree_on_corpus(n):
         assert cumulant_via_trees(t, n) == kappa
 
 
+def _random_rationals(rng, count):
+    # nonzero first entry, so every list is a valid t-sequence
+    values = [F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))]
+    values += [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(count - 1)]
+    return tuple(values)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_class_and_tree_kernels_equal_per_object_sums(n):
+    rng = random.Random(1000 + n)
+    for _ in range(3):
+        t = TCoeffSequence(_random_rationals(rng, n))
+        assert cumulant_via_classes(t, n) == class_sum(t.values, n)
+        assert cumulant_via_trees(t, n) == tree_sum(t.values, n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_bicolor_kernel_equals_per_object_sums(n):
+    rng = random.Random(2000 + n)
+    for _ in range(3):
+        tx = TCoeffSequence(_random_rationals(rng, n))
+        ty = TCoeffSequence(_random_rationals(rng, n))
+        for elementary, trees in ((False, enumerate_bicolor(n)),
+                                  (True, enumerate_bicolor_elementary(n))):
+            assert _evaluate(_bicolor_profile(n, elementary), tx, ty) == bicolor_sum(
+                trees, tx.values, ty.values)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_kreweras_kernel_equals_per_object_sum(n):
+    rng = random.Random(3000 + n)
+    pairs = [(gamma, kreweras(gamma)) for gamma in enumerate_nc(n)]
+    for _ in range(3):
+        kx = CumulantSequence(_random_rationals(rng, n))
+        ky = CumulantSequence(_random_rationals(rng, n))
+        assert free_multiplicative(kx, ky, n) == kreweras_sum(pairs, kx.values, ky.values)
+
+
 # ---------------------------------------------------------------------------
 # free convolutions
 
@@ -223,8 +275,6 @@ def test_free_multiplicative_small():
 
 
 def test_free_multiplicative_n3_matches_direct_sum():
-    from noncrossing.partitions import kreweras
-
     kx = CumulantSequence((1, 1, 1))
     ky = CumulantSequence((2, 1, 0))
     total = F(0)
