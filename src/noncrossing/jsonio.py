@@ -124,10 +124,15 @@ def parse_tcoeffs(data: dict) -> TCoeffSequence:
 
 
 def parse_scenario(data: dict) -> Scenario:
+    specs = _require(data, "algebras")
+    if not isinstance(specs, dict):
+        raise ValueError("'algebras' must be an object")
     algebras = {}
-    for name, spec in _require(data, "algebras").items():
+    for name, spec in specs.items():
+        if not isinstance(spec, dict):
+            raise ValueError(f"algebra {name!r} must be an object")
         algebras[name] = CumulantSequence(
-            tuple(parse_fraction(c) for c in _require(spec, "cumulants"))
+            tuple(parse_fraction(c) for c in _require_list(spec, "cumulants"))
         )
     return Scenario(algebras)
 

@@ -353,34 +353,20 @@ def restrict(pi: AnyPartition, subset) -> AnyPartition:
 # Kreweras complement and the parity-split families
 
 
-def _bars_joinable(gamma: NCPartition, i: int, j: int) -> bool:
-    # bar i sits just after position i; bars i and j can be joined iff no
-    # block has an element in (i, j] together with one outside of it
-    for blk in gamma.blocks:
-        inside = any(i < c <= j for c in blk)
-        outside = any(c <= i or c > j for c in blk)
-        if inside and outside:
-            return False
-    return True
-
-
 @lru_cache(maxsize=4096)  # holds NC(1..8), 2,055 partitions
 def kreweras(gamma: NCPartition) -> NCPartition:
     """The Kreweras complement.
 
     Interleave a barred copy behind every position; the complement is the
     coarsest partition of the bars whose union with ``gamma`` stays
-    non-crossing.  Block counts of a partition and its complement add up to
-    n + 1.
+    non-crossing.  Its blocks are the cycles of pi^-1 (1 2 ... n), where pi
+    runs through each block of ``gamma`` as an increasing cycle.  Block
+    counts of a partition and its complement add up to n + 1.
     """
     n = gamma.n
-    links = (
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if _bars_joinable(gamma, i, j)
-    )
-    return NCPartition(n, _join(n, links))
+    before = {b: a for blk in gamma.blocks for a, b in zip(blk[-1:] + blk[:-1], blk)}
+    # each e shares a cycle with its image pi^-1(e + 1), read mod n
+    return NCPartition(n, _join(n, ((e, before[e % n + 1]) for e in range(1, n + 1))))
 
 
 def is_ncs(gamma: NCPartition) -> bool:

@@ -362,7 +362,9 @@ SUITES = {
 }
 
 
-# the largest order each suite accepts; counts reads no order
+# the largest order each suite accepts.  Every suite takes order, seed and
+# count, but counts reads none of them, kreweras reads only the order, and
+# bridge and prop22 ignore the count; prop21, eq5 and theorem read all three.
 MAX_ORDER = {"kreweras": 8, "prop21": 10, "eq5": 10, "prop22": 6, "bridge": 5, "theorem": 6}
 
 

@@ -7,6 +7,7 @@ computation path.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb, prod
 
@@ -27,16 +28,20 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def has_crossing(blocks) -> bool:
-    """Four-point crossing test, written independently of the package."""
-    for a, b in combinations(blocks, 2):
-        for i in a:
-            for p in a:
-                for k in b:
-                    for q in b:
-                        if i < k < p < q or k < i < q < p:
-                            return True
+def crosses(a, b) -> bool:
+    """Four-point crossing test of two blocks, written independently of the
+    package."""
+    for i in a:
+        for p in a:
+            for k in b:
+                for q in b:
+                    if i < k < p < q or k < i < q < p:
+                        return True
     return False
+
+
+def has_crossing(blocks) -> bool:
+    return any(crosses(a, b) for a, b in combinations(blocks, 2))
 
 
 def brute_set_partitions(n: int):
@@ -111,14 +116,25 @@ def refines(finer, coarser) -> bool:
     return True
 
 
+@cache
+def _brute_nc_on_evens(n: int) -> tuple:
+    """Each non-crossing partition of {1..n} with its copy on 2, 4, ..., 2n."""
+    return tuple((c, [tuple(2 * e for e in b) for b in c]) for c in brute_nc_blocklists(n))
+
+
 def kreweras_by_search(gamma_blocks, n: int):
-    """The unique coarsest compatible complement, by exhaustive search."""
-    candidates = [c for c in brute_nc_blocklists(n)
-                  if interleaved_union_ok(gamma_blocks, c, n)]
-    maxima = [c for c in candidates
-              if all(refines(other, c) for other in candidates)]
-    assert len(maxima) == 1, (gamma_blocks, maxima)
-    return maxima[0]
+    """The unique coarsest compatible complement, by exhaustive search.
+
+    ``gamma`` and every candidate are non-crossing, so their interleaved
+    union can only cross between one block of each.  The coarsest candidate
+    is the unique maximum when every other candidate refines it.
+    """
+    odd = [tuple(2 * e - 1 for e in b) for b in gamma_blocks]
+    candidates = [c for c, evens in _brute_nc_on_evens(n)
+                  if not any(crosses(a, b) for a in odd for b in evens)]
+    coarsest = min(candidates, key=len)
+    assert all(refines(other, coarsest) for other in candidates), gamma_blocks
+    return coarsest
 
 
 def moment_by_linked_sum(t_values, n: int, linked_partitions) -> Fraction:
@@ -137,6 +153,52 @@ def moment_by_nc_sum(k_values, n: int, nc_partitions) -> Fraction:
     for g in nc_partitions:
         total += prod(Fraction(k_values[len(b) - 1]) for b in g.blocks)
     return total
+
+
+# The series solves in ``Fraction``s, one exact operation per term: the
+# references for the reduced-pair solves in ``transforms``.
+
+
+def power_row_by_fractions(rows, a) -> None:
+    """Append row d = len(rows) of the table [z^d] A^j, j = 0..d, where
+    A = a_1 z + a_2 z^2 + ..."""
+    d = len(rows)
+    row = [Fraction(int(d == 0))]
+    for j in range(1, d + 1):
+        # A^j = A * A^(j-1), and A^(j-1) starts at z^(j-1)
+        row.append(sum(a[i - 1] * rows[d - i][j - 1] for i in range(1, d - j + 2)))
+    rows.append(row)
+
+
+def solve_by_fractions(values, from_moments: bool, a, weights) -> tuple:
+    """Solve m_n = sum over i <= n of x_i w(n, i) for the x's (given the
+    moments) or the moments (given the x's); the weights of order n are
+    ``weights(row)`` for row len(a) of the power table of ``a``, which
+    grows by m_n after step n."""
+    x, m = ([], list(values)) if from_moments else (list(values), [])
+    rows = []
+    for n in range(1, len(values) + 1):
+        while len(rows) <= len(a):
+            power_row_by_fractions(rows, a)
+        w = weights(rows[len(a)])
+        rest = sum(xi * wi for xi, wi in zip(x[: n - 1], w))
+        if from_moments:
+            x.append((m[n - 1] - rest) / w[n - 1])
+        else:
+            m.append(rest + x[n - 1] * w[n - 1])
+        a.append(m[n - 1])
+    return tuple(x if from_moments else m)
+
+
+def cumulant_solve_by_fractions(values, from_moments: bool) -> tuple:
+    """M = R(z(1+M)) read off at z^n."""
+    return solve_by_fractions(values, from_moments, [Fraction(1)], lambda row: row[1:])
+
+
+def tcoeff_solve_by_fractions(values, from_moments: bool) -> tuple:
+    """M = z(1+M) T(M) read off at z^n."""
+    return solve_by_fractions(values, from_moments, [],
+                              lambda row: [p + q for p, q in zip(row, row[1:] + [0])])
 
 
 # Per-object sums: each object's weight multiplied out on its own, the

@@ -114,6 +114,16 @@ def test_scenario_roundtrip():
     assert parsed.algebras == sc.algebras
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"algebras": {"X": {"cumulants": "123"}}}, "'cumulants' must be a list"),
+    ({"algebras": [["X", {"cumulants": ["1"]}]]}, "'algebras' must be an object"),
+    ({"algebras": {"X": ["1", "2"]}}, "algebra 'X' must be an object"),
+])
+def test_malformed_scenario_rejected(data, message):
+    with pytest.raises(ValueError, match=message):
+        jsonio.parse_scenario(data)
+
+
 def test_missing_keys_rejected():
     with pytest.raises(ValueError):
         jsonio.parse_ncl({"blocks": [[1]]})

@@ -327,7 +327,7 @@ def test_kreweras_memo_is_bounded():
     assert kreweras.cache_info().currsize <= 4096
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_kreweras_against_exhaustive_search(n):
     for gamma in enumerate_nc(n):
         want = kreweras_by_search(gamma.blocks, n)

@@ -50,9 +50,11 @@ from noncrossing.verify import (
 from oracles import (
     bicolor_sum,
     class_sum,
+    cumulant_solve_by_fractions,
     kreweras_sum,
     moment_by_linked_sum,
     moment_by_nc_sum,
+    tcoeff_solve_by_fractions,
     tree_sum,
 )
 
@@ -157,6 +159,52 @@ def test_corpus_roundtrips():
 
 
 # ---------------------------------------------------------------------------
+# exactness against the Fraction solve
+
+
+wide_rationals = st.builds(F, st.integers(-50, 50), st.integers(1, 1000))
+wide_nonzero = st.builds(F, st.integers(-50, 50).filter(bool), st.integers(1, 1000))
+
+
+def _assert_exact(result, expected):
+    assert result.values == expected
+    assert all(type(v) is F for v in result.values)
+
+
+@given(st.lists(wide_rationals, min_size=0, max_size=15), wide_nonzero)
+@settings(max_examples=60, deadline=None)
+def test_transforms_equal_fraction_solve(tail, head):
+    values = (head, *tail)
+    _assert_exact(moments_to_cumulants(MomentSequence(values)),
+                  cumulant_solve_by_fractions(values, from_moments=True))
+    _assert_exact(cumulants_to_moments(CumulantSequence(values)),
+                  cumulant_solve_by_fractions(values, from_moments=False))
+    _assert_exact(moments_to_tcoeffs(MomentSequence(values)),
+                  tcoeff_solve_by_fractions(values, from_moments=True))
+    _assert_exact(tcoeffs_to_moments(TCoeffSequence(values)),
+                  tcoeff_solve_by_fractions(values, from_moments=False))
+
+
+def _random_rationals(rng, count, max_den=4):
+    # nonzero first entry, so every list is a valid t-sequence
+    values = [F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, max_den))]
+    values += [F(rng.randint(-5, 5), rng.randint(1, max_den)) for _ in range(count - 1)]
+    return tuple(values)
+
+
+@pytest.mark.parametrize("max_den", [4, 1000])
+def test_order_60_roundtrips(max_den):
+    rng = random.Random(60 + max_den)
+    m = MomentSequence(_random_rationals(rng, 60, max_den))
+    k = moments_to_cumulants(m)
+    assert k.values == cumulant_solve_by_fractions(m.values, from_moments=True)
+    assert cumulants_to_moments(k) == m
+    t = moments_to_tcoeffs(m)
+    assert t.values == tcoeff_solve_by_fractions(m.values, from_moments=True)
+    assert tcoeffs_to_moments(t) == m
+
+
+# ---------------------------------------------------------------------------
 # homogeneity
 
 
@@ -209,18 +257,15 @@ def test_cumulant_routes_agree_on_corpus(n):
         assert cumulant_via_trees(t, n) == kappa
 
 
-def _random_rationals(rng, count):
-    # nonzero first entry, so every list is a valid t-sequence
-    values = [F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))]
-    values += [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(count - 1)]
-    return tuple(values)
+# two draws with small denominators, one with denominators up to 1000
+PROFILE_DENOMINATORS = (4, 4, 1000)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_class_and_tree_kernels_equal_per_object_sums(n):
     rng = random.Random(1000 + n)
-    for _ in range(3):
-        t = TCoeffSequence(_random_rationals(rng, n))
+    for max_den in PROFILE_DENOMINATORS:
+        t = TCoeffSequence(_random_rationals(rng, n, max_den))
         assert cumulant_via_classes(t, n) == class_sum(t.values, n)
         assert cumulant_via_trees(t, n) == tree_sum(t.values, n)
 
@@ -228,9 +273,9 @@ def test_class_and_tree_kernels_equal_per_object_sums(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_bicolor_kernel_equals_per_object_sums(n):
     rng = random.Random(2000 + n)
-    for _ in range(3):
-        tx = TCoeffSequence(_random_rationals(rng, n))
-        ty = TCoeffSequence(_random_rationals(rng, n))
+    for max_den in PROFILE_DENOMINATORS:
+        tx = TCoeffSequence(_random_rationals(rng, n, max_den))
+        ty = TCoeffSequence(_random_rationals(rng, n, max_den))
         for elementary, trees in ((False, enumerate_bicolor(n)),
                                   (True, enumerate_bicolor_elementary(n))):
             assert _evaluate(_bicolor_profile(n, elementary), tx, ty) == bicolor_sum(
@@ -241,9 +286,9 @@ def test_bicolor_kernel_equals_per_object_sums(n):
 def test_kreweras_kernel_equals_per_object_sum(n):
     rng = random.Random(3000 + n)
     pairs = [(gamma, kreweras(gamma)) for gamma in enumerate_nc(n)]
-    for _ in range(3):
-        kx = CumulantSequence(_random_rationals(rng, n))
-        ky = CumulantSequence(_random_rationals(rng, n))
+    for max_den in PROFILE_DENOMINATORS:
+        kx = CumulantSequence(_random_rationals(rng, n, max_den))
+        ky = CumulantSequence(_random_rationals(rng, n, max_den))
         assert free_multiplicative(kx, ky, n) == kreweras_sum(pairs, kx.values, ky.values)
 
 
