@@ -62,7 +62,6 @@ from .transforms import (
     MomentSequence,
     MultiplicativityReport,
     TCoeffSequence,
-    TruncatedSeries,
     cumulant_via_classes,
     cumulant_via_trees,
     cumulants_to_moments,
@@ -73,9 +72,7 @@ from .transforms import (
     moments_to_cumulants,
     moments_to_tcoeffs,
     ncls_weight,
-    r_series,
     t_convolve,
-    t_series,
     tcoeffs_to_moments,
     verify_t_multiplicativity,
 )

@@ -10,13 +10,15 @@ expansion of its moment, recursing into shorter sub-words.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import prod
+from types import MappingProxyType
 
-from .errors import LetterNotInDomain, LimitExceeded, OrderTooLow
-from .limits import DEFAULT_LIMITS
+from .errors import LetterNotInDomain, OrderTooLow
 from .partitions import enumerate_nc, enumerate_ncl, non_minimal_elements
 from .transforms import CumulantSequence, MomentSequence
 
@@ -65,13 +67,17 @@ class Word:
         return cls(tuple(letters))
 
 
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """Mutually free generators, one per algebra id."""
+    """Mutually free generators, one per algebra id, in a read-only mapping.
 
-    def __init__(self, algebras, *, word_limit: int | None = None):
-        self.algebras: dict[str, CumulantSequence] = dict(algebras)
-        self.word_limit = DEFAULT_LIMITS["word"] if word_limit is None else word_limit
-        self._t_memo: dict[tuple, Fraction] = {}
+    Compared and hashed by identity, which keys the t-coefficient memo.
+    """
+
+    algebras: Mapping[str, CumulantSequence]
+
+    def __post_init__(self):
+        object.__setattr__(self, "algebras", MappingProxyType(dict(self.algebras)))
 
     def first_moment(self, letter: Letter) -> Fraction:
         return letter.scale * self.algebras[letter.algebra].values[0]
@@ -98,13 +104,10 @@ def mixed_cumulant(scenario: Scenario, letters) -> Fraction:
 
 def mixed_moment(scenario: Scenario, word) -> Fraction:
     """Moment of the word: sum over non-crossing partitions of products of
-    block cumulants."""
+    block cumulants; the ``nc`` cap bounds the word length."""
     letters = _letters(word)
-    n = len(letters)
-    if n > scenario.word_limit:
-        raise LimitExceeded(f"word length capped at {scenario.word_limit}")
     total = Fraction(0)
-    for gamma in enumerate_nc(n, limit=scenario.word_limit):
+    for gamma in enumerate_nc(len(letters)):
         term = Fraction(1)
         for blk in gamma.blocks:
             term *= mixed_cumulant(scenario, [letters[i - 1] for i in blk])
@@ -114,25 +117,19 @@ def mixed_moment(scenario: Scenario, word) -> Fraction:
     return total
 
 
-def _memo_key(letters) -> tuple:
-    return tuple((l.algebra, l.scale) for l in letters)
-
-
+# one sweep revisits each sub-word from many words; the bound keeps sweeps
+# over many scenarios from growing the memo
+@lru_cache(maxsize=4096)
 def _t_recursive(scenario: Scenario, letters: tuple[Letter, ...]) -> Fraction:
-    if len(letters) == 1:
-        return scenario.first_moment(letters[0])
-    key = _memo_key(letters)
-    cached = scenario._t_memo.get(key)
-    if cached is not None:
-        return cached
-    n = len(letters)
     rest = Fraction(0)
-    for pi in enumerate_ncl(n, limit=scenario.word_limit):
+    for pi in enumerate_ncl(len(letters)):
         if len(pi.blocks) == 1:
             continue  # the full-block term carries the unknown
         term = Fraction(1)
         for blk in pi.blocks:
-            term *= _t_recursive(scenario, tuple(letters[i - 1] for i in blk))
+            # a one-letter word's t-coefficient is its expectation
+            term *= (scenario.first_moment(letters[blk[0] - 1]) if len(blk) == 1 else
+                     _t_recursive(scenario, tuple(letters[i - 1] for i in blk)))
             if term == 0:
                 break
         if term != 0:
@@ -140,9 +137,7 @@ def _t_recursive(scenario: Scenario, letters: tuple[Letter, ...]) -> Fraction:
                 term *= scenario.first_moment(letters[e - 1])
         rest += term
     denom = prod(scenario.first_moment(l) for l in letters[1:])
-    value = (mixed_moment(scenario, letters) - rest) / denom
-    scenario._t_memo[key] = value
-    return value
+    return (mixed_moment(scenario, letters) - rest) / denom
 
 
 def mixed_tcoeff(scenario: Scenario, word) -> Fraction:
@@ -151,10 +146,9 @@ def mixed_tcoeff(scenario: Scenario, word) -> Fraction:
     Solved from the word's moment by subtracting every linked-partition
     term except the full block, then dividing by the product of the
     non-leading letters' expectations; block terms recurse into sub-words.
+    The ``ncl`` cap bounds the word length.
     """
     letters = _letters(word)
-    if len(letters) > scenario.word_limit:
-        raise LimitExceeded(f"word length capped at {scenario.word_limit}")
     for l in letters:
         if scenario.first_moment(l) == 0:
             raise LetterNotInDomain(f"letter {l} has zero expectation")
@@ -195,15 +189,6 @@ class VanishingReport:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    def to_json_dict(self) -> dict:
-        return {
-            "words_checked": self.words_checked,
-            "pass": self.passed,
-            "failures": [
-                {"word": w, "kind": k, "value": v} for w, k, v in self.failures
-            ],
-        }
 
 
 def freeness_vanishing_suite(scenario: Scenario, max_length: int) -> VanishingReport:

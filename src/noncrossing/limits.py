@@ -16,7 +16,6 @@ DEFAULT_LIMITS = {
     "trees": 10,
     "bicolor": 7,
     "theorem": 6,
-    "word": 12,
     "transform": 60,
 }
 

@@ -60,10 +60,6 @@ from .trees import (
 )
 
 
-def _fractions(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class _CoeffSequence:
     """Exact coefficients of one kind; ``kind`` names it in error messages."""
@@ -72,7 +68,7 @@ class _CoeffSequence:
     kind: ClassVar[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _fractions(self.values))
+        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
         if not self.values:
             raise OrderTooLow(f"a {self.kind} sequence needs at least one entry")
 
@@ -110,54 +106,13 @@ class TCoeffSequence(_CoeffSequence):
             raise ZeroT0("the constant t-coefficient must be nonzero")
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """A power-series prefix with exact coefficients, z^0 .. z^order."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", _fractions(self.coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _check_same_order(self, other: "TruncatedSeries") -> None:
-        if len(self.coeffs) != len(other.coeffs):
-            raise SizeMismatch("series truncated at different orders")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_same_order(other)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_same_order(other)
-        n = len(self.coeffs)
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n - i):
-                out[i + j] += a * other.coeffs[j]
-        return TruncatedSeries(tuple(out))
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [str(v) for v in self.coeffs]}
-
-
-def r_series(kappa: CumulantSequence) -> TruncatedSeries:
-    """The cumulant generating series, sum of k_n z^n from n = 1."""
-    return TruncatedSeries((Fraction(0),) + kappa.values)
-
-
-def t_series(t: TCoeffSequence) -> TruncatedSeries:
-    """The t-coefficient generating series, sum of t_n z^n from n = 0."""
-    return TruncatedSeries(t.values)
-
-
 # ---------------------------------------------------------------------------
 # series solves
+
+
+def _pairs(values) -> list[tuple[int, int]]:
+    """The reduced (numerator, denominator) pairs of ``Fraction`` values."""
+    return [(v.numerator, v.denominator) for v in values]
 
 
 def _sum(terms) -> tuple[int, int]:
@@ -199,7 +154,7 @@ def _solve(values, from_moments: bool, a: list, weights) -> tuple:
     are built only for the returned coefficients.
     """
     check_limit("transform", len(values))
-    pairs = [(v.numerator, v.denominator) for v in values]
+    pairs = _pairs(values)
     x, m = ([], pairs) if from_moments else (pairs, [])
     rows: list = []
     for n in range(1, len(pairs) + 1):
@@ -279,15 +234,17 @@ def _profile(objects, statistic) -> tuple:
 def _evaluate(profile, *seqs) -> Fraction:
     """Sum of multiplicity times the product of seq.values[i] ** e, with one
     integer numerator and denominator per monomial."""
+    tables = [_pairs(seq.values) for seq in seqs]
     terms = []
     for monomial, num in profile:
         den = 1
-        for seq, powers in zip(seqs, monomial):
+        for seq, pairs, powers in zip(seqs, tables, monomial):
             for i, e in powers:
                 if i >= seq.order:
                     raise OrderTooLow(f"need {seq.kind} of index {i}")
-                num *= seq.values[i].numerator ** e
-                den *= seq.values[i].denominator ** e
+                p, q = pairs[i]
+                num *= p ** e
+                den *= q ** e
         terms.append((num, den))
     return Fraction(*_sum(terms))
 
@@ -408,10 +365,12 @@ def ncls_weight(pi: NCLPartition, tx: TCoeffSequence, ty: TCoeffSequence) -> Fra
 
 
 def t_convolve(tx: TCoeffSequence, ty: TCoeffSequence) -> TCoeffSequence:
-    """Cauchy product of the two t-series prefixes."""
+    """Cauchy product of the two t-series prefixes, on reduced pairs."""
     if tx.order != ty.order:
         raise SizeMismatch("t-coefficient sequences of different orders")
-    return TCoeffSequence((t_series(tx) * t_series(ty)).coeffs)
+    x, y = _pairs(tx.values), _pairs(ty.values)
+    return TCoeffSequence(tuple(
+        Fraction(*_dot(x[: i + 1], y[i::-1])) for i in range(len(x))))
 
 
 # ---------------------------------------------------------------------------

@@ -97,17 +97,16 @@ def _entry(suite, identity, parameters, passed, witness=None) -> ReportEntry:
 # seeded corpora
 
 
-def seeded_moment_corpus(
-    seed: int, count: int, order: int, *, nonzero_first: bool = True
-) -> list[MomentSequence]:
-    """Deterministic random rational moment sequences."""
+def seeded_moment_corpus(seed: int, count: int, order: int) -> list[MomentSequence]:
+    """Deterministic random rational moment sequences with a nonzero first
+    moment."""
     rng = random.Random(seed)
     nonzero = [x for x in range(-6, 7) if x != 0]
     out = []
     for _ in range(count):
         values = []
         for i in range(order):
-            num = rng.choice(nonzero) if i == 0 and nonzero_first else rng.randint(-6, 6)
+            num = rng.choice(nonzero) if i == 0 else rng.randint(-6, 6)
             values.append(Fraction(num, rng.randint(1, 4)))
         out.append(MomentSequence(tuple(values)))
     return out
@@ -127,7 +126,7 @@ def shifted_catalan_moments(order: int) -> MomentSequence:
 # suites
 
 
-def counts_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
+def counts_suite(order=None, seed=7) -> list[ReportEntry]:
     # identity, largest n, enumerator per witness key, expected count
     table = (
         ("non-crossing partition count", 10, {"got": enumerate_nc}, catalan),
@@ -192,7 +191,7 @@ def _interleaved_compatible(gamma, bars) -> bool:
     return True
 
 
-def kreweras_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
+def kreweras_suite(order=None, seed=7) -> list[ReportEntry]:
     entries = []
     top = order or 8
     for n in range(1, top + 1):
@@ -226,6 +225,10 @@ def kreweras_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
     return entries
 
 
+# how many random sequences prop21, eq5 and theorem draw from the seed
+CORPUS_SIZE = 200
+
+
 def _corpus_with_fixtures(seed, count, order):
     corpus = seeded_moment_corpus(seed, count, order)
     corpus.append(catalan_moments(order))
@@ -234,16 +237,16 @@ def _corpus_with_fixtures(seed, count, order):
 
 
 @lru_cache(maxsize=1)  # prop21 and eq5 share one corpus
-def _cumulant_route_targets(seed, count, top) -> tuple:
-    corpus = _corpus_with_fixtures(seed, count, top)
+def _cumulant_route_targets(seed, top) -> tuple:
+    corpus = _corpus_with_fixtures(seed, CORPUS_SIZE, top)
     return tuple((moments_to_cumulants(m), moments_to_tcoeffs(m)) for m in corpus)
 
 
-def _cumulant_route_suite(suite, identity, cumulant_via, order, seed, count):
+def _cumulant_route_suite(suite, identity, cumulant_via, order, seed):
     """Check ``cumulant_via(t, n)`` against the cumulants of every corpus
     sequence; both transforms run once per sequence, outside the n loop."""
     top = order or 7
-    targets = _cumulant_route_targets(seed, count, top)
+    targets = _cumulant_route_targets(seed, top)
     entries = []
     for n in range(1, top + 1):
         bad = None
@@ -260,17 +263,17 @@ def _cumulant_route_suite(suite, identity, cumulant_via, order, seed, count):
     return entries
 
 
-def prop21_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
+def prop21_suite(order=None, seed=7) -> list[ReportEntry]:
     return _cumulant_route_suite("prop21", "cumulant via connected linked classes",
-                                 cumulant_via_classes, order, seed, count)
+                                 cumulant_via_classes, order, seed)
 
 
-def eq5_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
+def eq5_suite(order=None, seed=7) -> list[ReportEntry]:
     return _cumulant_route_suite("eq5", "cumulant via planar tree sum",
-                                 cumulant_via_trees, order, seed, count)
+                                 cumulant_via_trees, order, seed)
 
 
-def prop22_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
+def prop22_suite(order=None, seed=7) -> list[ReportEntry]:
     top = order or 6
     rng_corpus = seeded_moment_corpus(seed, 2, top)
     scenario = Scenario(
@@ -291,7 +294,7 @@ def prop22_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
     ]
 
 
-def bridge_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
+def bridge_suite(order=None, seed=7) -> list[ReportEntry]:
     top = order or 5
     corpus = _corpus_with_fixtures(seed, 2, max(top, 2))
     pairs = [(corpus[-2], corpus[-1]), (corpus[0], corpus[1])]
@@ -329,9 +332,9 @@ def bridge_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
     return entries
 
 
-def theorem_suite(order=None, seed=7, count=200) -> list[ReportEntry]:
+def theorem_suite(order=None, seed=7) -> list[ReportEntry]:
     top = order or 5
-    corpus = seeded_moment_corpus(seed, count, top)
+    corpus = seeded_moment_corpus(seed, CORPUS_SIZE, top)
     pairs = list(zip(corpus[0::2], corpus[1::2]))
     pairs.insert(0, (catalan_moments(top), shifted_catalan_moments(top)))
     entries = []
@@ -362,13 +365,12 @@ SUITES = {
 }
 
 
-# the largest order each suite accepts.  Every suite takes order, seed and
-# count, but counts reads none of them, kreweras reads only the order, and
-# bridge and prop22 ignore the count; prop21, eq5 and theorem read all three.
+# the largest order each suite accepts.  Every suite takes order and seed, but
+# counts reads neither and kreweras reads only the order; the others read both.
 MAX_ORDER = {"kreweras": 8, "prop21": 10, "eq5": 10, "prop22": 6, "bridge": 5, "theorem": 6}
 
 
-def run_suites(names, *, order=None, seed=7, count=200) -> list[ReportEntry]:
+def run_suites(names, *, order=None, seed=7) -> list[ReportEntry]:
     """Run the named suites ('all' for every one) and return sorted entries.
 
     An ``order`` above the maximum of a named suite raises
@@ -387,6 +389,6 @@ def run_suites(names, *, order=None, seed=7, count=200) -> list[ReportEntry]:
             raise LimitExceeded(f"verify {name} runs up to order {top} (requested {order})")
     entries = []
     for name in names:
-        entries.extend(SUITES[name](order=order, seed=seed, count=count))
+        entries.extend(SUITES[name](order=order, seed=seed))
     entries.sort(key=lambda e: (e.suite, e.identity, str(sorted(e.parameters.items()))))
     return entries

@@ -201,6 +201,17 @@ def tcoeff_solve_by_fractions(values, from_moments: bool) -> tuple:
                               lambda row: [p + q for p, q in zip(row, row[1:] + [0])])
 
 
+def cauchy_product_by_fractions(x_values, y_values) -> tuple:
+    """The product of two series prefixes of one length, one ``Fraction``
+    operation per term: the reference for ``t_convolve``."""
+    n = len(x_values)
+    out = [Fraction(0)] * n
+    for i, a in enumerate(x_values):
+        for j in range(n - i):
+            out[i + j] += a * y_values[j]
+    return tuple(out)
+
+
 # Per-object sums: each object's weight multiplied out on its own, the
 # references for the monomial-profile evaluation in ``transforms``.
 

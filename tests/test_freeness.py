@@ -1,3 +1,5 @@
+import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from itertools import product
 
@@ -14,6 +16,7 @@ from noncrossing.freeness import (
     mixed_tcoeff,
     product_moments,
     sum_moments,
+    _t_recursive,
 )
 from noncrossing.transforms import (
     CumulantSequence,
@@ -123,12 +126,32 @@ def test_mixed_tcoeff_rejects_zero_expectation():
         mixed_tcoeff(sc, [Letter("Y", 0), Letter("Y")])
 
 
-def test_word_limit():
-    sc = Scenario({"X": CumulantSequence((1,) * 6)}, word_limit=4)
+@pytest.mark.parametrize("word_fn, length", [(mixed_tcoeff, 10), (mixed_moment, 13)])
+def test_long_words_hit_the_partition_caps(word_fn, length):
+    # mixed_tcoeff enumerates NCL(n), capped at 9; mixed_moment NC(n), at 12
+    sc = Scenario({"X": CumulantSequence((1,) * length)})
+    start = time.perf_counter()
     with pytest.raises(LimitExceeded):
-        mixed_moment(sc, Word(tuple(Letter("X") for _ in range(5))))
-    with pytest.raises(LimitExceeded):
-        mixed_tcoeff(sc, Word(tuple(Letter("X") for _ in range(5))))
+        word_fn(sc, Word((Letter("X"),) * length))
+    assert time.perf_counter() - start < 1
+
+
+def test_scenario_is_immutable(scenario):
+    with pytest.raises(FrozenInstanceError):
+        scenario.algebras = {}
+    with pytest.raises(TypeError):
+        scenario.algebras["Z"] = CumulantSequence((1,))
+
+
+def test_t_memo_stays_bounded():
+    bound = _t_recursive.cache_info().maxsize
+    for seed in range(30):
+        corpus = seeded_moment_corpus(seed, 5, 3)
+        sc = Scenario({a: CumulantSequence(m.values) for a, m in zip("ABCDE", corpus)})
+        assert freeness_vanishing_suite(sc, 3).passed
+        assert _t_recursive.cache_info().currsize <= bound
+    # each of the 30 sweeps memoises 25 two-letter and 120 three-letter words
+    assert _t_recursive.cache_info().currsize == bound
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,35 @@
+"""Guards on the package's shape that the functional tests do not see."""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_layers_name_existing_functions():
+    # the benchmark wraps these names; a deleted one breaks only the benchmark
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for modname, table in spans.LAYERS.items():
+        mod = importlib.import_module(f"noncrossing.{modname}")
+        for attr in table:
+            fn = getattr(mod, attr, None)
+            assert fn is not None and inspect.isfunction(inspect.unwrap(fn)), f"{modname}.{attr}"
+
+
+def test_runtime_imports_are_stdlib():
+    for path in sorted((ROOT / "src" / "noncrossing").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"

@@ -17,7 +17,6 @@ from noncrossing.transforms import (
     CumulantSequence,
     MomentSequence,
     TCoeffSequence,
-    TruncatedSeries,
     cumulant_via_classes,
     cumulant_via_trees,
     cumulants_to_moments,
@@ -28,9 +27,7 @@ from noncrossing.transforms import (
     moments_to_cumulants,
     moments_to_tcoeffs,
     ncls_weight,
-    r_series,
     t_convolve,
-    t_series,
     tcoeffs_to_moments,
     verify_t_multiplicativity,
 )
@@ -49,6 +46,7 @@ from noncrossing.verify import (
 
 from oracles import (
     bicolor_sum,
+    cauchy_product_by_fractions,
     class_sum,
     cumulant_solve_by_fractions,
     kreweras_sum,
@@ -306,12 +304,6 @@ def test_free_additive():
         free_additive(a, CumulantSequence((1, 2)))
 
 
-def test_r_series_addition_matches_free_additive():
-    a = CumulantSequence((1, F(1, 2), 3))
-    b = CumulantSequence((F(-2, 3), 1, 0))
-    assert (r_series(a) + r_series(b)).coeffs[1:] == free_additive(a, b).values
-
-
 def test_free_multiplicative_small():
     kx = CumulantSequence((1, 1))
     ky = CumulantSequence((2, 1))
@@ -382,13 +374,6 @@ def test_bridge_identity(n):
 # series algebra and the product rule
 
 
-def test_truncated_series_mul():
-    a = TruncatedSeries((1, 1, 0))
-    b = TruncatedSeries((2, F(1, 2), F(-1, 8)))
-    assert (a * b).coeffs == (2, F(5, 2), F(3, 8))
-    assert (a * b).coeffs == (b * a).coeffs
-
-
 def test_t_convolve_examples():
     tx = TCoeffSequence((1, 1, 0))
     ty = TCoeffSequence((2, F(1, 2), F(-1, 8)))
@@ -400,9 +385,15 @@ def test_t_convolve_examples():
         t_convolve(tx, TCoeffSequence((1, 1)))
 
 
-def test_t_series_helper():
-    t = TCoeffSequence((2, 3))
-    assert t_series(t).coeffs == (2, 3)
+@given(st.data(), st.integers(1, 20))
+@settings(max_examples=60, deadline=None)
+def test_t_convolve_equals_fraction_product(data, order):
+    def draw():
+        tail = data.draw(st.lists(wide_rationals, min_size=order - 1, max_size=order - 1))
+        return TCoeffSequence((data.draw(wide_nonzero), *tail))
+
+    tx, ty = draw(), draw()
+    _assert_exact(t_convolve(tx, ty), cauchy_product_by_fractions(tx.values, ty.values))
 
 
 def test_verify_multiplicativity_fixture():
