@@ -191,25 +191,33 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
-    if args.tx is not None and args.ty is not None:
+    t_mode = args.tx is not None and args.ty is not None
+    if not t_mode and (args.mx is None or args.my is None):
+        raise ValueError("convolve needs either --tx/--ty or --mx/--my")
+    # each mode refuses the flags that only the other mode reads
+    mode, foreign = (("--tx/--ty", ("mx", "my", "order", "unsafe_limits")) if t_mode
+                     else ("--mx/--my", ("tx", "ty")))
+    stray = [a for a in foreign
+             if getattr(args, a) is not None and getattr(args, a) is not False]
+    if stray:
+        raise ValueError(f"--{stray[0].replace('_', '-')} is not read by convolve {mode}")
+    if t_mode:
         _flag_limits(args, None)
         tx = jsonio.parse_tcoeffs(_read_data(args.tx))
         ty = jsonio.parse_tcoeffs(_read_data(args.ty))
         print(_dump(t_convolve(tx, ty).to_json_dict()))
         return 0
-    if args.mx is not None and args.my is not None:
-        mx = jsonio.parse_moments(_read_data(args.mx))
-        my = jsonio.parse_moments(_read_data(args.my))
-        order = args.order
-        if order is None:
-            order = min(mx.order, my.order, DEFAULT_LIMITS["theorem"])
-        elif order < 1:
-            raise ValueError(f"--order must be at least 1 (requested {order})")
-        limit = _resolve_limit(args, "theorem", order)
-        report = verify_t_multiplicativity(mx, my, order, limit=limit)
-        print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
-        return 0 if report.passed else 1
-    raise ValueError("convolve needs either --tx/--ty or --mx/--my")
+    mx = jsonio.parse_moments(_read_data(args.mx))
+    my = jsonio.parse_moments(_read_data(args.my))
+    order = args.order
+    if order is None:
+        order = min(mx.order, my.order, DEFAULT_LIMITS["theorem"])
+    elif order < 1:
+        raise ValueError(f"--order must be at least 1 (requested {order})")
+    limit = _resolve_limit(args, "theorem", order)
+    report = verify_t_multiplicativity(mx, my, order, limit=limit)
+    print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
+    return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,7 @@ sequence; distinct algebras are mutually free.  A word is a sequence of
 letters, each a scaled generator.  Mixed cumulants vanish across
 algebras and are multilinear, which determines every mixed moment.  The
 multivariate t-coefficient of a word is solved from the linked-partition
-expansion of its moment, recursing into shorter sub-words.
+expansion of its moment, solving its shorter sub-words first.
 """
 
 from __future__ import annotations
@@ -13,12 +13,12 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from itertools import chain, combinations, product
 from math import prod
 from types import MappingProxyType
 
 from .errors import LetterNotInDomain, OrderTooLow
+from .limits import check_limit
 from .partitions import enumerate_nc, enumerate_ncl, non_minimal_elements
 from .transforms import CumulantSequence, MomentSequence
 
@@ -67,12 +67,9 @@ class Word:
         return cls(tuple(letters))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Scenario:
-    """Mutually free generators, one per algebra id, in a read-only mapping.
-
-    Compared and hashed by identity, which keys the t-coefficient memo.
-    """
+    """Mutually free generators, one per algebra id, in a read-only mapping."""
 
     algebras: Mapping[str, CumulantSequence]
 
@@ -117,42 +114,50 @@ def mixed_moment(scenario: Scenario, word) -> Fraction:
     return total
 
 
-# one sweep revisits each sub-word from many words; the bound keeps sweeps
-# over many scenarios from growing the memo
-@lru_cache(maxsize=4096)
-def _t_recursive(scenario: Scenario, letters: tuple[Letter, ...]) -> Fraction:
-    rest = Fraction(0)
-    for pi in enumerate_ncl(len(letters)):
-        if len(pi.blocks) == 1:
-            continue  # the full-block term carries the unknown
-        term = Fraction(1)
-        for blk in pi.blocks:
-            # a one-letter word's t-coefficient is its expectation
-            term *= (scenario.first_moment(letters[blk[0] - 1]) if len(blk) == 1 else
-                     _t_recursive(scenario, tuple(letters[i - 1] for i in blk)))
-            if term == 0:
-                break
-        if term != 0:
-            for e in non_minimal_elements(pi):
-                term *= scenario.first_moment(letters[e - 1])
-        rest += term
-    denom = prod(scenario.first_moment(l) for l in letters[1:])
-    return (mixed_moment(scenario, letters) - rest) / denom
+def _tcoeffs(scenario: Scenario, words) -> dict:
+    """The t-coefficients of the words, from one table of all their sub-words
+    (letters at increasing positions) solved shortest first: the moment less
+    every linked-partition term but the full block, over the non-leading
+    letters' expectations.  The ``ncl`` cap bounds the word length."""
+    words = [_letters(w) for w in words]
+    letters = list(dict.fromkeys(chain.from_iterable(words)))
+    first = []
+    for l in letters:
+        first.append(scenario.first_moment(l))
+        if first[-1] == 0:
+            raise LetterNotInDomain(f"letter {l} has zero expectation")
+    for word in words:
+        check_limit("ncl", len(word))
+    # sub-words as int tuples hash fast; a dict, not a set, fixes the solve order
+    code = {l: i for i, l in enumerate(letters)}
+    coded = [tuple(code[l] for l in w) for w in words]
+    subwords = dict.fromkeys(tuple(w[i] for i in idx) for w in coded for k in range(len(w))
+                             for idx in combinations(range(len(w)), k + 1))
+    table: dict = {}
+    for sub in sorted(subwords, key=len):
+        rest = Fraction(0)
+        for pi in enumerate_ncl(len(sub)):
+            if len(pi.blocks) == 1:
+                continue  # the full-block term carries the unknown
+            term = Fraction(1)
+            for blk in pi.blocks:
+                term *= table[tuple(sub[i - 1] for i in blk)]
+                if term == 0:
+                    break
+            if term != 0:
+                for e in non_minimal_elements(pi):
+                    term *= first[sub[e - 1]]
+            rest += term
+        moment = mixed_moment(scenario, [letters[i] for i in sub])
+        table[sub] = (moment - rest) / prod(first[i] for i in sub[1:])
+    return {w: table[c] for w, c in zip(words, coded)}
 
 
 def mixed_tcoeff(scenario: Scenario, word) -> Fraction:
-    """The multivariate t-coefficient of the word.
-
-    Solved from the word's moment by subtracting every linked-partition
-    term except the full block, then dividing by the product of the
-    non-leading letters' expectations; block terms recurse into sub-words.
-    The ``ncl`` cap bounds the word length.
-    """
+    """The multivariate t-coefficient of the word, defined by the
+    linked-partition expansion of its moment (see :func:`_tcoeffs`)."""
     letters = _letters(word)
-    for l in letters:
-        if scenario.first_moment(l) == 0:
-            raise LetterNotInDomain(f"letter {l} has zero expectation")
-    return _t_recursive(scenario, letters)
+    return _tcoeffs(scenario, [letters])[letters]
 
 
 def sum_moments(scenario: Scenario, x_id: str, y_id: str, order: int) -> MomentSequence:
@@ -167,9 +172,7 @@ def sum_moments(scenario: Scenario, x_id: str, y_id: str, order: int) -> MomentS
     return MomentSequence(tuple(values))
 
 
-def product_moments(
-    scenario: Scenario, x_id: str, y_id: str, order: int
-) -> MomentSequence:
+def product_moments(scenario: Scenario, x_id: str, y_id: str, order: int) -> MomentSequence:
     """Moments of the product of two free generators, read off alternating
     words."""
     values = []
@@ -198,18 +201,14 @@ def freeness_vanishing_suite(scenario: Scenario, max_length: int) -> VanishingRe
     algebras that use at least two of them, and records any counterexample.
     """
     ids = sorted(scenario.algebras)
-    checked = 0
+    words = [Word(tuple(Letter(a) for a in combo))
+             for n in range(2, max_length + 1) for combo in product(ids, repeat=n)
+             if len(set(combo)) > 1]
+    table = _tcoeffs(scenario, words)
     failures = []
-    for n in range(2, max_length + 1):
-        for combo in product(ids, repeat=n):
-            if len(set(combo)) < 2:
-                continue
-            word = Word(tuple(Letter(a) for a in combo))
-            checked += 1
-            kappa = mixed_cumulant(scenario, word)
-            if kappa != 0:
-                failures.append((str(word), "cumulant", str(kappa)))
-            t = mixed_tcoeff(scenario, word)
-            if t != 0:
-                failures.append((str(word), "t-coefficient", str(t)))
-    return VanishingReport(checked, tuple(failures))
+    for word in words:
+        for kind, value in (("cumulant", mixed_cumulant(scenario, word)),
+                            ("t-coefficient", table[word.letters])):
+            if value != 0:
+                failures.append((str(word), kind, str(value)))
+    return VanishingReport(len(words), tuple(failures))

@@ -21,7 +21,10 @@ DEFAULT_LIMITS = {
 
 
 def check_limit(kind: str, n: int, limit: int | None = None) -> None:
-    """Raise :class:`LimitExceeded` when ``n`` exceeds the cap for ``kind``."""
+    """Raise :class:`ValueError` when ``n`` is below 1, whatever the cap, and
+    :class:`LimitExceeded` when it exceeds the cap for ``kind``."""
+    if n < 1:
+        raise ValueError(f"{kind} needs a size of at least 1 (requested {n})")
     cap = DEFAULT_LIMITS[kind] if limit is None else limit
     if n > cap:
         raise LimitExceeded(f"{kind} is capped at {cap} (requested {n})")

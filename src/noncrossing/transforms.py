@@ -249,18 +249,30 @@ def _evaluate(profile, *seqs) -> Fraction:
     return Fraction(*_sum(terms))
 
 
+def _linked_indices(pi: NCLPartition) -> list[tuple[int, int]]:
+    """(position, t-index) pairs of a linked partition's t-weight: |B| - 1 at
+    each block's minimum and 0 at each non-minimal position."""
+    return ([(b[0], len(b) - 1) for b in pi.blocks]
+            + [(e, 0) for e in non_minimal_elements(pi)])
+
+
+def _tree_indices(tree: PlanarTree) -> tuple:
+    return ([d for _, d in elementary_decomposition(tree)],)
+
+
+def _bicolor_indices(tree: BicolorPlanarTree) -> tuple:
+    return tuple(zip(*_colour_counts(tree)))
+
+
 @cache
 def _class_profile(n: int) -> tuple:
-    # a member with b blocks has n - b non-minimal positions, each weighing t_0
     members = class_members(validate_nc(n, [list(range(1, n + 1))]))
-    return _profile(members, lambda pi: (
-        [len(b) - 1 for b in pi.blocks] + [0] * (n - len(pi.blocks)),))
+    return _profile(members, lambda pi: ([i for _, i in _linked_indices(pi)],))
 
 
 @cache
 def _tree_profile(n: int) -> tuple:
-    return _profile(enumerate_planar_trees(n),
-                    lambda tree: ([d for _, d in elementary_decomposition(tree)],))
+    return _profile(enumerate_planar_trees(n), _tree_indices)
 
 
 @cache
@@ -273,7 +285,7 @@ def _kreweras_profile(n: int) -> tuple:
 def _bicolor_profile(n: int, elementary: bool) -> tuple:
     trees = (enumerate_bicolor_elementary(n) if elementary
              else enumerate_bicolor(n, limit=max(n, 7)))
-    return _profile(trees, lambda tree: tuple(zip(*_colour_counts(tree))))
+    return _profile(trees, _bicolor_indices)
 
 
 def cumulant_via_classes(t: TCoeffSequence, n: int) -> Fraction:
@@ -285,12 +297,7 @@ def cumulant_via_classes(t: TCoeffSequence, n: int) -> Fraction:
 
 def eval_tree(tree: PlanarTree, t: TCoeffSequence) -> Fraction:
     """Product over the tree's elementary pieces of t_(child count)."""
-    total = Fraction(1)
-    for _, d in elementary_decomposition(tree):
-        if d >= t.order:
-            raise OrderTooLow(f"need t-coefficient of index {d}")
-        total *= t.values[d]
-    return total
+    return _evaluate(_profile((tree,), _tree_indices), t)
 
 
 def cumulant_via_trees(t: TCoeffSequence, n: int) -> Fraction:
@@ -328,12 +335,7 @@ def eval_bicolor(
 ) -> Fraction:
     """Product over vertices of t_k(first) t_{d-k}(second), where d counts
     children and k counts colour-1 children."""
-    total = Fraction(1)
-    for k, j in _colour_counts(tree):
-        if k >= tx.order or j >= ty.order:
-            raise OrderTooLow(f"need t-coefficients of indices {k} and {j}")
-        total *= tx.values[k] * ty.values[j]
-    return total
+    return _evaluate(_profile((tree,), _bicolor_indices), tx, ty)
 
 
 def _colour_counts(tree: BicolorPlanarTree):
@@ -353,15 +355,8 @@ def ncls_weight(pi: NCLPartition, tx: TCoeffSequence, ty: TCoeffSequence) -> Fra
     """
     if not is_ncls(pi):
         raise NotNclS(f"{pi} is not parity-split")
-    total = Fraction(1)
-    for blk in pi.blocks:
-        seq = tx if blk[0] % 2 else ty
-        if len(blk) - 1 >= seq.order:
-            raise OrderTooLow(f"need t-coefficient of index {len(blk) - 1}")
-        total *= seq.values[len(blk) - 1]
-    for e in non_minimal_elements(pi):
-        total *= tx.values[0] if e % 2 else ty.values[0]
-    return total
+    return _evaluate(_profile((pi,), lambda p: tuple(
+        [i for e, i in _linked_indices(p) if e % 2 == odd] for odd in (1, 0))), tx, ty)
 
 
 def t_convolve(tx: TCoeffSequence, ty: TCoeffSequence) -> TCoeffSequence:

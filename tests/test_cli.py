@@ -292,6 +292,10 @@ def test_verify_prop21_and_eq5_at_order_10():
         ("verify", "prop21", "--order", "-1"),
         ("convolve", "--mx", SERIES, "--my", SERIES, "--order", "0"),
         ("convolve", "--mx", SERIES, "--my", SERIES, "--order", "-1"),
+        ("enumerate", "nc", "-3"),
+        ("enumerate", "nc", "-3", "--unsafe-limits"),
+        ("enumerate", "ncs", "0"),
+        ("enumerate", "trees", "0"),
     ],
 )
 def test_order_below_one_exit2(args):
@@ -403,6 +407,27 @@ def test_convolve_theorem_mode():
 def test_convolve_requires_arguments():
     proc = run_cli("convolve")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("--tx", SERIES, "--ty", SERIES, "--order", "2"), "--order"),
+        (("--tx", SERIES, "--ty", SERIES, "--unsafe-limits"), "--unsafe-limits"),
+        (("--tx", SERIES, "--ty", SERIES, "--mx", SERIES), "--mx"),
+        (("--tx", SERIES, "--ty", SERIES, "--my", SERIES, "--mx", SERIES), "--mx"),
+        (("--tx", SERIES, "--mx", SERIES, "--my", SERIES), "--tx"),
+        (("--ty", SERIES, "--mx", SERIES, "--my", SERIES), "--ty"),
+    ],
+)
+def test_convolve_refuses_the_other_modes_flags(monkeypatch, capsys, args, flag):
+    # a flag that only the other mode reads is a usage error, not ignored
+    monkeypatch.delenv("NCL_LIMITS", raising=False)
+    code = cli.main(["convolve", *args])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} ")
 
 
 def _singleton_complement(original):

@@ -1,7 +1,10 @@
+import random
 import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from functools import cache
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -16,7 +19,6 @@ from noncrossing.freeness import (
     mixed_tcoeff,
     product_moments,
     sum_moments,
-    _t_recursive,
 )
 from noncrossing.transforms import (
     CumulantSequence,
@@ -27,6 +29,8 @@ from noncrossing.transforms import (
     moments_to_tcoeffs,
 )
 from noncrossing.verify import seeded_moment_corpus
+
+from oracles import brute_ncl
 
 
 @pytest.fixture
@@ -141,17 +145,28 @@ def test_scenario_is_immutable(scenario):
         scenario.algebras = {}
     with pytest.raises(TypeError):
         scenario.algebras["Z"] = CumulantSequence((1,))
+    assert Scenario(dict(scenario.algebras)) == scenario  # compared by value
 
 
-def test_t_memo_stays_bounded():
-    bound = _t_recursive.cache_info().maxsize
-    for seed in range(30):
-        corpus = seeded_moment_corpus(seed, 5, 3)
-        sc = Scenario({a: CumulantSequence(m.values) for a, m in zip("ABCDE", corpus)})
-        assert freeness_vanishing_suite(sc, 3).passed
-        assert _t_recursive.cache_info().currsize <= bound
-    # each of the 30 sweeps memoises 25 two-letter and 120 three-letter words
-    assert _t_recursive.cache_info().currsize == bound
+@pytest.mark.parametrize("length", [3, 4, 5, 6])
+@pytest.mark.parametrize("which", ["scenario", "seeded_scenario"])
+def test_mixed_tcoeff_defining_equation(request, which, length):
+    # phi(a_1 ... a_n) = sum over NCL(n) of the product of block t-coefficients
+    # and of the expectations at the non-minimal positions
+    sc = request.getfixturevalue(which)
+    rng = random.Random(1000 * length + len(which))
+    t = cache(lambda letters: mixed_tcoeff(sc, letters))
+    ids = sorted(sc.algebras)[: 1 + length % 2]  # one algebra at even lengths
+    word = tuple(Letter(rng.choice(ids), F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+                 for _ in range(length))
+    total = F(0)
+    for pi in brute_ncl(length):
+        term = prod(t(tuple(word[i - 1] for i in blk)) for blk in pi.blocks)
+        minima = {blk[0] for blk in pi.blocks}
+        for e in set(range(1, length + 1)) - minima:
+            term *= sc.first_moment(word[e - 1])
+        total += term
+    assert total == mixed_moment(sc, word)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,10 @@ def test_enumerate_limits():
     with pytest.raises(LimitExceeded):
         enumerate_ncl(10)
     assert len(enumerate_ncl(5, limit=5)) == 90
+    # a size below 1 is refused whatever the cap
+    for n, limit in ((0, None), (-3, None), (-3, -3), (0, 100)):
+        with pytest.raises(ValueError, match="at least 1"):
+            enumerate_nc(n, limit=limit)
 
 
 # ---------------------------------------------------------------------------

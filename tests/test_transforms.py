@@ -434,6 +434,11 @@ def test_verify_multiplicativity_rejects_bad_input():
         verify_t_multiplicativity(catalan_moments(8), catalan_moments(8), 7)
     with pytest.raises(OrderTooLow):
         verify_t_multiplicativity(catalan_moments(3), catalan_moments(3), 5)
+    with pytest.raises(ValueError, match="at least 1"):
+        verify_t_multiplicativity(catalan_moments(3), catalan_moments(3), 0)
+    kappa = CumulantSequence((1, 1))
+    with pytest.raises(ValueError, match="at least 1"):
+        free_multiplicative(kappa, kappa, 0)
 
 
 def test_report_json_shape():
