@@ -49,10 +49,11 @@ def _require_list(data: dict, key: str) -> list:
 
 
 def _require_int(data: dict, key: str) -> int:
-    try:
-        return int(_require(data, key))
-    except (TypeError, OverflowError):
-        raise ValueError(f"{key!r} must be an integer") from None
+    """A JSON integer: no float, bool or string is rounded or converted."""
+    value = _require(data, key)
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, not {type(value).__name__}")
+    return value
 
 
 def _blocks(data: dict) -> list:

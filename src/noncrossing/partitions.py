@@ -11,6 +11,7 @@ least two elements.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain, combinations, product
@@ -83,32 +84,47 @@ def _clean_blocks(n: int, raw, exc) -> Blocks:
     return tuple(sorted(cleaned))
 
 
-def _pair_crossing(a: Block, b: Block):
-    """Witness (i, k, p, q) of a crossing between blocks ``a`` and ``b``."""
-    for i, p in combinations(a, 2):
-        for k, q in combinations(b, 2):
-            if i < k < p < q:
-                return (i, k, p, q)
-            if k < i < q < p:
-                return (k, i, q, p)
-    return None
-
-
-def _crossing_witness(blocks: Blocks):
-    for a, b in combinations(blocks, 2):
-        w = _pair_crossing(a, b)
-        if w is not None:
-            return w
-    return None
-
-
-def _check_cover(n: int, covered: set[int], exc) -> None:
+def _check_cover(n: int, covered: Collection[int], exc) -> None:
     """``covered`` lies inside 1..n, so it covers 1..n exactly when it has
     n elements; the message names the count and the smallest gap only."""
     if len(covered) != n:
         first = next(e for e in range(1, n + 1) if e not in covered)
         raise exc(f"{n - len(covered)} of the elements 1..{n} are not covered, "
                   f"the smallest is {first}")
+
+
+def block_parents(n: int, blocks: Blocks) -> tuple[int | None, ...]:
+    """The parent of each block, by index, from one left-to-right scan.
+
+    ``blocks`` are canonical, and each position starts at most one block and
+    continues at most one other, as in every validated partition.  A block
+    hangs from the block whose non-minimal element it starts at, otherwise
+    from the innermost block open there, otherwise from none.  A block that
+    resumes under another open block crosses it: :class:`Crossing`.
+    """
+    starts: list[int | None] = [None] * (n + 1)
+    resumes: list[int | None] = [None] * (n + 1)
+    for i, blk in enumerate(blocks):
+        starts[blk[0]] = i
+        for e in blk[1:]:
+            resumes[e] = i
+    parents: list[int | None] = [None] * len(blocks)
+    stack: list[int] = []
+    for e in range(1, n + 1):
+        x = resumes[e]
+        if x is not None:
+            if stack[-1] != x:
+                # the block on top started after min x and ends after e
+                top = blocks[stack[-1]]
+                raise Crossing((blocks[x][0], top[0], e, top[-1]))
+            if blocks[x][-1] == e:
+                stack.pop()
+        s = starts[e]
+        if s is not None:
+            parents[s] = x if x is not None else (stack[-1] if stack else None)
+            if len(blocks[s]) > 1:
+                stack.append(s)
+    return tuple(parents)
 
 
 def validate_nc(n: int, blocks) -> NCPartition:
@@ -122,15 +138,12 @@ def validate_nc(n: int, blocks) -> NCPartition:
         raise NotAPartition(f"ground set size must be positive, got {n}")
     canon = _clean_blocks(n, blocks, NotAPartition)
     seen: set[int] = set()
-    for blk in canon:
-        for e in blk:
-            if e in seen:
-                raise NotAPartition(f"element {e} appears in two blocks")
-            seen.add(e)
+    for e in chain.from_iterable(canon):
+        if e in seen:
+            raise NotAPartition(f"element {e} appears in two blocks")
+        seen.add(e)
     _check_cover(n, seen, NotAPartition)
-    w = _crossing_witness(canon)
-    if w is not None:
-        raise Crossing(w)
+    block_parents(n, canon)
     return NCPartition(n, canon)
 
 
@@ -138,32 +151,24 @@ def validate_ncl(n: int, blocks) -> NCLPartition:
     """Validate raw blocks as a non-crossing linked partition of {1..n}.
 
     Raises :class:`NotACover` when the union misses part of the ground set,
-    :class:`Crossing` when two blocks interleave, and :class:`BadLink` when
-    an intersection has two elements, involves a singleton, or the shared
-    element is minimal in both or neither block.
+    :class:`BadLink` when a shared element breaks the linking rule of the
+    module docstring, and :class:`Crossing` when two blocks interleave.
     """
     if n < 1:
         raise NotACover(f"ground set size must be positive, got {n}")
     canon = _clean_blocks(n, blocks, BadLink)
-    _check_cover(n, set(chain.from_iterable(canon)), NotACover)
-    for a, b in combinations(canon, 2):
-        inter = set(a) & set(b)
-        if len(inter) > 1:
-            raise BadLink(f"blocks {a} and {b} share {sorted(inter)}")
-        if len(inter) == 1:
-            j = inter.pop()
-            if len(a) < 2 or len(b) < 2:
-                raise BadLink(f"singleton block shares element {j}")
-            if (a[0] == j) == (b[0] == j):
-                raise BadLink(
-                    f"shared element {j} is minimal in "
-                    f"{'both' if a[0] == j else 'neither'} of {a} and {b}"
-                )
-    w = _crossing_witness(canon)
-    if w is not None:
-        raise Crossing(w)
-    minima = [blk[0] for blk in canon]
-    assert len(set(minima)) == len(minima)
+    owners: dict[int, list[Block]] = {}
+    for blk in canon:
+        for e in blk:
+            owners.setdefault(e, []).append(blk)
+    _check_cover(n, owners.keys(), NotACover)
+    for e, held in owners.items():
+        if len(held) > 1:
+            minimal = sum(blk[0] == e for blk in held)
+            if len(held) > 2 or minimal != 1 or min(map(len, held)) < 2:
+                raise BadLink(f"element {e} lies in {len(held)} blocks, minimal in {minimal}: "
+                              "a link joins two blocks of two or more at the minimum of one")
+    block_parents(n, canon)
     return NCLPartition(n, canon)
 
 
@@ -307,23 +312,9 @@ def connected_components(pi: NCLPartition) -> NCPartition:
 
 def exterior_blocks(pi: NCLPartition) -> Blocks:
     """Blocks that are neither nested below another block nor share their
-    minimum with one."""
-    out = []
-    for blk in pi.blocks:
-        lo, hi = blk[0], blk[-1]
-        exterior = True
-        for other in pi.blocks:
-            if other == blk:
-                continue
-            if lo in other:
-                exterior = False
-                break
-            if other[0] < lo and other[-1] > hi:
-                exterior = False
-                break
-        if exterior:
-            out.append(blk)
-    return tuple(out)
+    minimum with one: the blocks without a parent."""
+    parents = block_parents(pi.n, pi.blocks)
+    return tuple(blk for blk, p in zip(pi.blocks, parents) if p is None)
 
 
 def non_minimal_elements(pi: NCLPartition) -> frozenset[int]:

@@ -8,54 +8,43 @@ per line; solid ``|-`` edges are colour 1, dashed ``:-`` edges colour 0.
 
 from __future__ import annotations
 
-from .partitions import NCLPartition, NCPartition
+from .partitions import NCLPartition, NCPartition, block_parents
 from .trees import BicolorPlanarTree, PlanarTree
+
+# rows times columns of the largest partition diagram drawn
+MAX_CELLS = 10_000_000
 
 
 def render_partition(pi: NCPartition | NCLPartition) -> str:
     blocks = pi.blocks
-    spans = {blk: (blk[0], blk[-1]) for blk in blocks}
-
-    def sits_under(inner, outer) -> bool:
-        if inner == outer:
-            return False
-        ilo, ihi = spans[inner]
-        olo, ohi = spans[outer]
-        if olo <= ilo and ihi <= ohi:
-            return True
-        # a linked block hangs below the block that shares its minimum
-        return inner[0] in outer and inner[0] != outer[0]
-
-    heights: dict[tuple, int] = {}
-
-    def height(blk) -> int:
-        if blk not in heights:
-            heights[blk] = 1 + max(
-                (height(b) for b in blocks if sits_under(b, blk)), default=0
-            )
-        return heights[blk]
-
-    for blk in blocks:
-        height(blk)
+    # a block sits one row above its tallest child; children start after
+    # their parent, so one reverse pass sees every child first
+    heights = [1] * len(blocks)
+    parents = block_parents(pi.n, blocks)
+    for i in reversed(range(len(blocks))):
+        p = parents[i]
+        if p is not None:
+            heights[p] = max(heights[p], heights[i] + 1)
 
     col_w = max(3, len(str(pi.n)) + 1)
     width = pi.n * col_w
-    top = max(heights.values())
+    top = max(heights)
+    if top * width > MAX_CELLS:
+        raise ValueError(f"the diagram needs {top} rows of {width} columns, "
+                         f"more than {MAX_CELLS} cells")
     grid = [[" "] * width for _ in range(top)]
 
     def col(e: int) -> int:
         return (e - 1) * col_w + 1
 
-    for blk in blocks:
-        h = heights[blk]
+    for blk, h in zip(blocks, heights):
         row = top - h
         if len(blk) > 1:
             for c in range(col(blk[0]) + 1, col(blk[-1])):
                 grid[row][c] = "_"
         for e in blk:
             for r in range(row, top):
-                if grid[r][col(e)] == " " or grid[r][col(e)] == "_":
-                    grid[r][col(e)] = "|"
+                grid[r][col(e)] = "|"
 
     labels = "".join(str(e).center(col_w) for e in range(1, pi.n + 1))
     lines = ["".join(row).rstrip() for row in grid]

@@ -137,6 +137,96 @@ def kreweras_by_search(gamma_blocks, n: int):
     return coarsest
 
 
+# Block structure rule by rule over pairs of blocks: the references for the
+# one-scan ``partitions.block_parents`` behind validation, exterior blocks
+# and render.
+
+
+def _sorted_blocks(n: int, blocks):
+    """Raw blocks as sorted lists, or None when one is empty, repeats an
+    element or leaves 1..n."""
+    out = [sorted(b) for b in blocks]
+    if any(not b or len(set(b)) != len(b) or b[0] < 1 or b[-1] > n for b in out):
+        return None
+    return out
+
+
+def nc_error_by_pairs(n: int, blocks):
+    """The error class of validating raw blocks as a non-crossing partition
+    of {1..n}, or None when they are one."""
+    out = _sorted_blocks(n, blocks) if n >= 1 else None
+    if out is None or any(set(a) & set(b) for a, b in combinations(out, 2)):
+        return NotAPartition
+    if set().union(*out) != set(range(1, n + 1)):
+        return NotAPartition
+    return Crossing if has_crossing(out) else None
+
+
+def ncl_error_by_pairs(n: int, blocks):
+    """The error class of validating raw blocks as a non-crossing linked
+    partition of {1..n}, or None when they are one: two blocks may share one
+    element, the minimum of exactly one of them, and neither a singleton."""
+    if n < 1:
+        return NotACover
+    out = _sorted_blocks(n, blocks)
+    if out is None:
+        return BadLink
+    if set().union(*out) != set(range(1, n + 1)):
+        return NotACover
+    for a, b in combinations(out, 2):
+        shared = set(a) & set(b)
+        if len(shared) > 1:
+            return BadLink
+        if shared:
+            (j,) = shared
+            if len(a) < 2 or len(b) < 2 or (a[0] == j) == (b[0] == j):
+                return BadLink
+    return Crossing if has_crossing(out) else None
+
+
+def exterior_by_pairs(pi: NCLPartition):
+    """Blocks whose minimum lies in no other block and whose span no other
+    block encloses."""
+    return tuple(
+        blk for blk in pi.blocks
+        if not any(o != blk and (blk[0] in o or o[0] < blk[0] and blk[-1] < o[-1])
+                   for o in pi.blocks)
+    )
+
+
+def render_by_pairs(pi) -> str:
+    """The arc diagram with each block's height found from every block below
+    it: those inside its span, or hanging from one of its non-minimal
+    elements."""
+    blocks = pi.blocks
+
+    def sits_under(inner, outer) -> bool:
+        if inner == outer:
+            return False
+        if outer[0] <= inner[0] and inner[-1] <= outer[-1]:
+            return True
+        return inner[0] in outer and inner[0] != outer[0]
+
+    @cache
+    def height(blk) -> int:
+        return 1 + max((height(b) for b in blocks if sits_under(b, blk)), default=0)
+
+    col_w = max(3, len(str(pi.n)) + 1)
+    top = max(height(blk) for blk in blocks)
+    grid = [[" "] * (pi.n * col_w) for _ in range(top)]
+    for blk in blocks:
+        row = top - height(blk)
+        for c in range((blk[0] - 1) * col_w + 2, (blk[-1] - 1) * col_w + 1):
+            grid[row][c] = "_"
+        for e in blk:
+            for r in range(row, top):
+                if grid[r][(e - 1) * col_w + 1] in " _":
+                    grid[r][(e - 1) * col_w + 1] = "|"
+    lines = ["".join(row).rstrip() for row in grid]
+    lines.append("".join(str(e).center(col_w) for e in range(1, pi.n + 1)).rstrip())
+    return "\n".join(lines)
+
+
 def moment_by_linked_sum(t_values, n: int, linked_partitions) -> Fraction:
     """Direct evaluation of a moment as a linked-partition sum."""
     total = Fraction(0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from noncrossing import cli, transforms, verify
+from noncrossing import cli, freeness, transforms, verify
 from noncrossing.partitions import NCPartition
 
 
@@ -227,6 +227,11 @@ def test_bad_json_exit2():
         ("transform", "m2k", '{"coeffs":["1","2.5E3"]}'),
         ("transform", "m2k", '{"coeffs":[true]}'),
         ("transform", "m2k", '{"coeffs":[' + "[" * 400 + "]" * 400 + "]}"),
+        ("render", '{"n":3.7,"blocks":[[1,2,3]]}'),
+        ("render", '{"n":true,"blocks":[[1]]}'),
+        ("render", '{"n":"3","blocks":[[1,2,3]]}'),
+        ("render", '{"children":[{"color":true,"tree":{}}]}'),
+        ("transform", "m2k", '{"order":true,"coeffs":["1"]}'),
     ],
 )
 def test_malformed_json_exit2(args):
@@ -450,6 +455,14 @@ def _drop_one(original):
     return lambda n, **kwargs: original(n, **kwargs)[1:]
 
 
+def _off_by_one_on_mixed_words(original):
+    def broken(scenario, word):
+        letters = getattr(word, "letters", word)
+        return original(scenario, word) + (len({l.algebra for l in letters}) > 1)
+
+    return broken
+
+
 @pytest.mark.parametrize(
     "module, suite, attr, corrupt, identity, witness_keys",
     [
@@ -466,8 +479,11 @@ def _drop_one(original):
         (verify, "bridge", "ncls_weight", _off_by_one,
          "split-partition weight equals bicolor evaluation",
          {"partition", "weight", "tree value"}),
+        (freeness, "prop22", "mixed_moment", _off_by_one_on_mixed_words,
+         "mixed words have vanishing cumulants and t-coefficients",
+         {"word", "kind", "value"}),
     ],
-    ids=["kreweras", "prop21", "eq5", "counts", "theorem", "bridge"],
+    ids=["kreweras", "prop21", "eq5", "counts", "theorem", "bridge", "prop22"],
 )
 def test_fault_injection_reports_witness(
     monkeypatch, capsys, module, suite, attr, corrupt, identity, witness_keys

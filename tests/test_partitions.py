@@ -1,3 +1,8 @@
+import random
+import time
+from collections import Counter
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +12,7 @@ from noncrossing.errors import (
     BlockStraddlesSet,
     Crossing,
     LimitExceeded,
+    NonCrossingError,
     NotACover,
     NotAPartition,
     OddGroundSet,
@@ -35,8 +41,11 @@ from oracles import (
     brute_nc_blocklists,
     brute_ncl,
     catalan,
+    exterior_by_pairs,
     interleaved_union_ok,
     kreweras_by_search,
+    nc_error_by_pairs,
+    ncl_error_by_pairs,
 )
 
 EXAMPLE_12 = [[1, 4, 6, 9], [2, 3], [4, 5], [6, 7, 8], [10, 11], [11, 12]]
@@ -109,6 +118,77 @@ def test_canonical_order_input_insensitive():
     a = ncl(4, [[2, 3], [1, 4]])
     b = ncl(4, [[1, 4], [3, 2]])
     assert a == b
+
+
+def _random_block_lists(seed: int, count: int):
+    """Raw block lists of three kinds: arbitrary subsets, set partitions
+    (mostly crossing), and linked partitions with one element added to a
+    block, and sometimes taken from the others."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        kind = rng.randrange(3)
+        if kind == 0:
+            blocks = [rng.sample(range(1, n + 1), rng.randint(1, min(n, 4)))
+                      for _ in range(rng.randint(1, 4))]
+        elif kind == 1:
+            n, k = rng.randint(4, 8), rng.randint(2, 3)
+            labels = [rng.randrange(k) for _ in range(n)]
+            blocks = [[e for e, lab in enumerate(labels, 1) if lab == b] for b in set(labels)]
+        else:
+            blocks = [list(b) for b in rng.choice(enumerate_ncl(n)).blocks]
+            e = rng.randint(1, n)
+            target = rng.choice(blocks)
+            if rng.random() < 0.5:
+                for blk in blocks:
+                    if e in blk and len(blk) > 1:
+                        blk.remove(e)
+            if e not in target:
+                target.append(e)
+        rng.shuffle(blocks)
+        # now and then a ground set one short, so a block leaves it
+        yield (n - 1 if rng.random() < 0.05 else n), blocks
+
+
+def _is_crossing_witness(w, blocks) -> bool:
+    i, k, p, q = w
+    return i < k < p < q and any({i, p} <= set(a) and {k, q} <= set(b)
+                                 for a, b in permutations(blocks, 2))
+
+
+@pytest.mark.parametrize("validate, oracle, outcomes", [
+    (validate_nc, nc_error_by_pairs, {None, NotAPartition, Crossing}),
+    (validate_ncl, ncl_error_by_pairs, {None, NotACover, BadLink, Crossing}),
+])
+def test_validators_agree_with_pairwise_rules(validate, oracle, outcomes):
+    # the scan raises what the rules checked over every pair of blocks raise,
+    # and each crossing it reports is one
+    seen = Counter()
+    for n, blocks in _random_block_lists(seed=11, count=6000):
+        try:
+            validate(n, blocks)
+            got = None
+        except NonCrossingError as exc:
+            got = type(exc)
+            if got is Crossing:
+                assert _is_crossing_witness(exc.witness, blocks), (n, blocks, exc.witness)
+        assert got is oracle(n, blocks), (n, blocks)
+        seen[got] += 1
+    assert set(seen) == outcomes and min(seen.values()) >= 100, seen
+
+
+def test_validation_time_is_linear_in_block_size():
+    # a search over element quadruples took 32 s on two 200-element blocks
+    side_by_side = [list(range(1, 2001)), list(range(2001, 4001))]
+    interleaved = [list(range(1, 4001, 2)), list(range(2, 4001, 2))]
+    singletons = [[e] for e in range(1, 4001)]
+    start = time.perf_counter()
+    for validate in (validate_nc, validate_ncl):
+        validate(4000, side_by_side)
+        validate(4000, singletons)
+        with pytest.raises(Crossing):
+            validate(4000, interleaved)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +356,12 @@ def test_exterior_blocks_simple():
     assert exterior_blocks(ncl(4, [[1, 2, 3, 4]])) == ((1, 2, 3, 4),)
     got = exterior_blocks(ncl(6, [[1, 3], [5], [2], [4, 6]]))
     assert got == ((1, 3), (4, 6))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_exterior_blocks_match_pairwise_rule(n):
+    for pi in enumerate_ncl(n):
+        assert exterior_blocks(pi) == exterior_by_pairs(pi), pi
 
 
 def test_non_minimal_elements():

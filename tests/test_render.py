@@ -1,6 +1,16 @@
-from noncrossing.partitions import validate_ncl, validate_nc
-from noncrossing.render import render, render_partition, render_tree
+import json
+import subprocess
+import sys
+import time
+
+import pytest
+
+from noncrossing import cli
+from noncrossing.partitions import enumerate_ncl, validate_ncl, validate_nc
+from noncrossing.render import MAX_CELLS, render, render_partition, render_tree
 from noncrossing.trees import BicolorPlanarTree, PlanarTree
+
+from oracles import render_by_pairs
 
 
 def test_render_isolated_points():
@@ -24,6 +34,41 @@ def test_render_paper_example_topology():
 def test_render_partition_deterministic():
     pi = validate_ncl(6, [[1, 3], [3, 5], [2], [4], [6]])
     assert render_partition(pi) == render_partition(pi)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_render_matches_pairwise_heights(n):
+    for pi in enumerate_ncl(n):
+        assert render_partition(pi) == render_by_pairs(pi), pi
+
+
+def test_render_many_blocks_quickly():
+    pi = validate_ncl(4000, [[e] for e in range(1, 4001)])
+    start = time.perf_counter()
+    art = render_partition(pi)
+    assert time.perf_counter() - start < 1
+    assert art.count("|") == 4000
+
+
+def test_render_deep_nesting_through_cli():
+    # 400 nested pairs: 400 rows of 3,200 columns, drawn without recursion
+    data = {"n": 800, "blocks": [[i, 801 - i] for i in range(1, 401)]}
+    proc = subprocess.run([sys.executable, "-m", "noncrossing", "render", json.dumps(data)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 401
+
+
+def test_render_refuses_diagram_above_max_cells(capsys):
+    # 2,000 nested pairs need 2,000 rows of 20,000 columns
+    data = {"n": 4000, "blocks": [[i, 4001 - i] for i in range(1, 2001)]}
+    assert 2000 * 20000 > MAX_CELLS
+    with pytest.raises(ValueError, match="2000 rows of 20000 columns"):
+        render_partition(validate_nc(data["n"], data["blocks"]))
+    code = cli.main(["render", json.dumps(data)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: the diagram needs")
 
 
 def test_render_tree_plain():
