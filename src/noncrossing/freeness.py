@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations, product
 from math import prod
 from types import MappingProxyType
@@ -20,7 +21,7 @@ from types import MappingProxyType
 from .errors import LetterNotInDomain, OrderTooLow
 from .limits import check_limit
 from .partitions import enumerate_nc, enumerate_ncl, non_minimal_elements
-from .transforms import CumulantSequence, MomentSequence
+from .transforms import CumulantSequence, MomentSequence, _dot, _pairs, _sum
 
 
 @dataclass(frozen=True)
@@ -103,15 +104,19 @@ def mixed_moment(scenario: Scenario, word) -> Fraction:
     """Moment of the word: sum over non-crossing partitions of products of
     block cumulants; the ``nc`` cap bounds the word length."""
     letters = _letters(word)
-    total = Fraction(0)
+    kappa = cache(lambda blk: mixed_cumulant(
+        scenario, [letters[i - 1] for i in blk]).as_integer_ratio())
+    terms = []
     for gamma in enumerate_nc(len(letters)):
-        term = Fraction(1)
+        p = q = 1
         for blk in gamma.blocks:
-            term *= mixed_cumulant(scenario, [letters[i - 1] for i in blk])
-            if term == 0:
+            r, s = kappa(blk)
+            p, q = p * r, q * s
+            if not p:
                 break
-        total += term
-    return total
+        else:
+            terms.append((p, q))
+    return Fraction(*_sum(terms))
 
 
 def _tcoeffs(scenario: Scenario, words) -> dict:
@@ -121,10 +126,9 @@ def _tcoeffs(scenario: Scenario, words) -> dict:
     letters' expectations.  The ``ncl`` cap bounds the word length."""
     words = [_letters(w) for w in words]
     letters = list(dict.fromkeys(chain.from_iterable(words)))
-    first = []
-    for l in letters:
-        first.append(scenario.first_moment(l))
-        if first[-1] == 0:
+    first = _pairs(map(scenario.first_moment, letters))
+    for l, (p, _) in zip(letters, first):
+        if p == 0:
             raise LetterNotInDomain(f"letter {l} has zero expectation")
     for word in words:
         check_limit("ncl", len(word))
@@ -133,24 +137,26 @@ def _tcoeffs(scenario: Scenario, words) -> dict:
     coded = [tuple(code[l] for l in w) for w in words]
     subwords = dict.fromkeys(tuple(w[i] for i in idx) for w in coded for k in range(len(w))
                              for idx in combinations(range(len(w)), k + 1))
+    # per length, every linked partition but the full block, which carries the unknown
+    shapes = {k: [(pi.blocks, non_minimal_elements(pi)) for pi in enumerate_ncl(k)
+                  if len(pi.blocks) > 1] for k in set(map(len, subwords))}
     table: dict = {}
     for sub in sorted(subwords, key=len):
-        rest = Fraction(0)
-        for pi in enumerate_ncl(len(sub)):
-            if len(pi.blocks) == 1:
-                continue  # the full-block term carries the unknown
-            term = Fraction(1)
-            for blk in pi.blocks:
-                term *= table[tuple(sub[i - 1] for i in blk)]
-                if term == 0:
+        terms = [mixed_moment(scenario, [letters[i] for i in sub]).as_integer_ratio()]
+        for blocks, nonminimal in shapes[len(sub)]:
+            p, q = -1, 1
+            for blk in blocks:
+                r, s = table[tuple(sub[i - 1] for i in blk)]
+                p, q = p * r, q * s
+                if not p:
                     break
-            if term != 0:
-                for e in non_minimal_elements(pi):
-                    term *= first[sub[e - 1]]
-            rest += term
-        moment = mixed_moment(scenario, [letters[i] for i in sub])
-        table[sub] = (moment - rest) / prod(first[i] for i in sub[1:])
-    return {w: table[c] for w, c in zip(words, coded)}
+            else:
+                for e in nonminimal:
+                    p, q = p * first[sub[e - 1]][0], q * first[sub[e - 1]][1]
+                terms.append((p, q))
+        r, s = prod(first[i][0] for i in sub[1:]), prod(first[i][1] for i in sub[1:])
+        table[sub] = _dot([_sum(terms)], [(s, r)])
+    return {w: Fraction(*table[c]) for w, c in zip(words, coded)}
 
 
 def mixed_tcoeff(scenario: Scenario, word) -> Fraction:

@@ -210,16 +210,26 @@ def enumerate_nc(n: int, *, limit: int | None = None) -> tuple[NCPartition, ...]
 
 
 @cache
-def _connected_class(k: int) -> tuple[NCLPartition, ...]:
-    """All linked partitions of {1..k} with a single connected component."""
+def _connected_class(k: int) -> tuple[Blocks, ...]:
+    """The blocks of every linked partition of {1..k} with one component."""
     from . import trees  # deferred: trees also imports this module
 
-    members = [
-        trees.connected_from_tree(t)
-        for t in trees.enumerate_planar_trees(k, limit=k)
-    ]
-    members.sort(key=lambda p: p.blocks)
-    return tuple(members)
+    return tuple(trees.connected_from_tree(t).blocks
+                 for t in trees.enumerate_planar_trees(k, limit=k))
+
+
+@lru_cache(maxsize=1024)  # NCL(1..9) and NCLS(1..5) have 527 distinct blocks
+def _block_class(blk: Block) -> tuple[Blocks, ...]:
+    """The connected class relabelled onto ``blk``, shared by its partitions."""
+    return tuple(tuple(tuple(blk[e - 1] for e in b) for b in member)
+                 for member in _connected_class(len(blk)))
+
+
+def _class_union(n: int, gammas) -> tuple[NCLPartition, ...]:
+    """The class members of every partition in ``gammas``, sorted once."""
+    out = sorted(tuple(sorted(chain.from_iterable(combo)))
+                 for g in gammas for combo in product(*map(_block_class, g.blocks)))
+    return tuple(NCLPartition(n, blocks) for blocks in out)
 
 
 def class_members(gamma: NCPartition, *, limit: int | None = None) -> tuple[NCLPartition, ...]:
@@ -229,28 +239,16 @@ def class_members(gamma: NCPartition, *, limit: int | None = None) -> tuple[NCLP
     carries an independent copy of the connected class on {1..k}, realised
     on the block's elements by the order isomorphism.  The class size is
     the product of Catalan(k - 1) over block sizes k.  Block sizes are
-    capped like planar-tree enumeration.
+    capped like planar-tree enumeration, before any member is built.
     """
-    per_block = []
     for blk in gamma.blocks:
         check_limit("trees", len(blk), limit)
-        rel = []
-        for member in _connected_class(len(blk)):
-            rel.append(tuple(tuple(blk[e - 1] for e in b) for b in member.blocks))
-        per_block.append(rel)
-    out = []
-    for combo in product(*per_block):
-        blocks = tuple(sorted(chain.from_iterable(combo)))
-        out.append(NCLPartition(gamma.n, blocks))
-    out.sort(key=lambda p: p.blocks)
-    return tuple(out)
+    return _class_union(gamma.n, (gamma,))
 
 
 @cache
 def _ncl_all(n: int) -> tuple[NCLPartition, ...]:
-    out = list(chain.from_iterable(class_members(g, limit=n) for g in _nc_all(n)))
-    out.sort(key=lambda p: p.blocks)
-    return tuple(out)
+    return _class_union(n, _nc_all(n))
 
 
 def enumerate_ncl(n: int, *, limit: int | None = None) -> tuple[NCLPartition, ...]:
@@ -408,11 +406,7 @@ def enumerate_ncs(n: int, *, limit: int | None = None) -> tuple[NCPartition, ...
 
 @cache
 def _ncls_all(n: int) -> tuple[NCLPartition, ...]:
-    out = list(
-        chain.from_iterable(class_members(g, limit=2 * n) for g in _ncs_all(n))
-    )
-    out.sort(key=lambda p: p.blocks)
-    return tuple(out)
+    return _class_union(2 * n, _ncs_all(n))
 
 
 def enumerate_ncls(n: int, *, limit: int | None = None) -> tuple[NCLPartition, ...]:

@@ -8,20 +8,25 @@ computation path.
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import chain, combinations, product
 from math import comb, prod
 
 from noncrossing.errors import BadLink, Crossing, NotACover, NotAPartition, NotNclS
+from noncrossing.freeness import mixed_cumulant
 from noncrossing.partitions import (
     NCLPartition,
     class_members,
+    enumerate_nc,
+    enumerate_ncl,
+    enumerate_ncs,
     exterior_blocks,
     is_ncls,
+    non_minimal_elements,
     restrict,
     validate_nc,
     validate_ncl,
 )
-from noncrossing.trees import BicolorPlanarTree, enumerate_planar_trees
+from noncrossing.trees import BicolorPlanarTree, connected_from_tree, enumerate_planar_trees
 
 
 def catalan(n: int) -> int:
@@ -135,6 +140,20 @@ def kreweras_by_search(gamma_blocks, n: int):
     coarsest = min(candidates, key=len)
     assert all(refines(other, coarsest) for other in candidates), gamma_blocks
     return coarsest
+
+
+def interleaved_compatible_by_validation(gamma, bars) -> bool:
+    """Is ``gamma`` on the odd slots 2e - 1 together with ``bars`` on the even
+    slots 2e a non-crossing partition of 2n points?  Builds the interleaved
+    block list and runs the full validator: the reference for the bitmask
+    crossing test of the Kreweras maximality check."""
+    blocks = [tuple(2 * e - 1 for e in b) for b in gamma.blocks]
+    blocks += [tuple(2 * e for e in b) for b in bars.blocks]
+    try:
+        validate_nc(2 * gamma.n, blocks)
+    except (Crossing, NotAPartition):
+        return False
+    return True
 
 
 # Block structure rule by rule over pairs of blocks: the references for the
@@ -443,3 +462,77 @@ def bicolor_by_exterior_blocks(pi: NCLPartition) -> BicolorPlanarTree:
     assert tree.size == half
     assert used == set(pi.blocks)
     return tree
+
+
+# Linked partitions class by class: every member relabelled on its own and
+# each class sorted, then everything sorted again; the reference for the
+# shared block relabels behind ``enumerate_ncl``/``enumerate_ncls``.
+
+
+def class_members_by_relabel(gamma):
+    per_block = []
+    for blk in gamma.blocks:
+        k = len(blk)
+        members = [connected_from_tree(t) for t in enumerate_planar_trees(k, limit=k)]
+        per_block.append([tuple(tuple(blk[e - 1] for e in b) for b in m.blocks)
+                          for m in members])
+    out = [NCLPartition(gamma.n, tuple(sorted(chain.from_iterable(combo))))
+           for combo in product(*per_block)]
+    out.sort(key=lambda p: p.blocks)
+    return out
+
+
+def ncl_by_classes(n: int) -> tuple:
+    out = list(chain.from_iterable(class_members_by_relabel(g) for g in enumerate_nc(n)))
+    out.sort(key=lambda p: p.blocks)
+    return tuple(out)
+
+
+def ncls_by_classes(n: int) -> tuple:
+    out = list(chain.from_iterable(class_members_by_relabel(g) for g in enumerate_ncs(n)))
+    out.sort(key=lambda p: p.blocks)
+    return tuple(out)
+
+
+# The freeness recursion with one ``Fraction`` operation per term: the
+# references for the reduced-pair ``freeness.mixed_moment`` and ``_tcoeffs``.
+
+
+def mixed_moment_by_fractions(scenario, letters) -> Fraction:
+    """Sum over NC(n) of the product of the block cumulants."""
+    total = Fraction(0)
+    for gamma in enumerate_nc(len(letters)):
+        term = Fraction(1)
+        for blk in gamma.blocks:
+            term *= mixed_cumulant(scenario, [letters[i - 1] for i in blk])
+            if term == 0:
+                break
+        total += term
+    return total
+
+
+def tcoeffs_by_fractions(scenario, words) -> dict:
+    """The t-coefficient of every word (a tuple of letters), each sub-word
+    solved shortest first from its moment less every linked-partition term
+    but the full block, over the non-leading letters' expectations."""
+    first = {l: scenario.first_moment(l) for w in words for l in w}
+    subs = {tuple(w[i] for i in idx) for w in words for k in range(1, len(w) + 1)
+            for idx in combinations(range(len(w)), k)}
+    table = {}
+    for sub in sorted(subs, key=len):
+        rest = Fraction(0)
+        for pi in enumerate_ncl(len(sub)):
+            if len(pi.blocks) == 1:
+                continue  # the full-block term carries the unknown
+            term = Fraction(1)
+            for blk in pi.blocks:
+                term *= table[tuple(sub[i - 1] for i in blk)]
+                if term == 0:
+                    break
+            if term != 0:
+                for e in non_minimal_elements(pi):
+                    term *= first[sub[e - 1]]
+            rest += term
+        moment = mixed_moment_by_fractions(scenario, sub)
+        table[sub] = (moment - rest) / prod(first[l] for l in sub[1:])
+    return {w: table[w] for w in words}

@@ -442,6 +442,20 @@ def _singleton_complement(original):
     return broken
 
 
+def _mirrored_complement(original):
+    # e -> n + 1 - e keeps the block sizes, so only maximality can see it
+    def broken(gamma):
+        n = gamma.n
+        return NCPartition(n, tuple(sorted(tuple(sorted(n + 1 - e for e in b))
+                                           for b in original(gamma).blocks)))
+
+    return broken
+
+
+def _always_compatible(original):
+    return lambda gaps, bars: True
+
+
 def _off_by_one(original):
     return lambda *args: original(*args) + 1
 
@@ -468,6 +482,10 @@ def _off_by_one_on_mixed_words(original):
     [
         (verify, "kreweras", "kreweras", _singleton_complement, "block count identity",
          {"partition", "complement"}),
+        (verify, "kreweras", "kreweras", _mirrored_complement, "complement maximality",
+         {"partition", "complement", "reason"}),
+        (verify, "kreweras", "_compatible", _always_compatible, "complement maximality",
+         {"partition", "complement", "coarser"}),
         (verify, "prop21", "cumulant_via_classes", _off_by_one,
          "cumulant via connected linked classes", {"sequence", "got", "expected"}),
         (verify, "eq5", "cumulant_via_trees", _off_by_one,
@@ -483,7 +501,8 @@ def _off_by_one_on_mixed_words(original):
          "mixed words have vanishing cumulants and t-coefficients",
          {"word", "kind", "value"}),
     ],
-    ids=["kreweras", "prop21", "eq5", "counts", "theorem", "bridge", "prop22"],
+    ids=["kreweras", "maximality-mirrored", "maximality-no-crossings", "prop21", "eq5",
+         "counts", "theorem", "bridge", "prop22"],
 )
 def test_fault_injection_reports_witness(
     monkeypatch, capsys, module, suite, attr, corrupt, identity, witness_keys

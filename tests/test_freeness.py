@@ -8,6 +8,7 @@ from math import prod
 
 import pytest
 
+from noncrossing import freeness
 from noncrossing.errors import LetterNotInDomain, LimitExceeded, OrderTooLow
 from noncrossing.freeness import (
     Letter,
@@ -30,7 +31,7 @@ from noncrossing.transforms import (
 )
 from noncrossing.verify import seeded_moment_corpus
 
-from oracles import brute_ncl
+from oracles import brute_ncl, mixed_moment_by_fractions, tcoeffs_by_fractions
 
 
 @pytest.fixture
@@ -167,6 +168,36 @@ def test_mixed_tcoeff_defining_equation(request, which, length):
             term *= sc.first_moment(word[e - 1])
         total += term
     assert total == mixed_moment(sc, word)
+
+
+def _three_algebra_words(seed):
+    """A seeded scenario over three algebras, some with a negative first
+    cumulant, and words of length 1..6 with negative and non-unit scales."""
+    rng = random.Random(seed)
+    sc = Scenario({
+        name: CumulantSequence(tuple(
+            F(rng.choice([-3, -2, -1, 1, 2, 3]) if i == 0 else rng.randint(-3, 3),
+              rng.randint(1, 4))
+            for i in range(6)))
+        for name in ("A", "B", "C")
+    })
+    scales = [F(1), F(-1), F(2), F(-3, 2), F(1, 3)]
+    words = [tuple(Letter(rng.choice(ids), rng.choice(scales)) for _ in range(length))
+             for length in (1, 2, 3, 4, 5, 6) for ids in ("ABC", rng.choice("ABC"))]
+    return sc, words
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tcoeffs_agree_with_the_fraction_recursion(seed):
+    sc, words = _three_algebra_words(seed)
+    assert any(sc.first_moment(l) < 0 for w in words for l in w)
+    got = freeness._tcoeffs(sc, words)
+    want = tcoeffs_by_fractions(sc, words)
+    assert got == want
+    assert all(type(v) is F for v in got.values())
+    assert any(got[w] != 0 for w in words if len(w) > 1)
+    for w in words:
+        assert mixed_moment(sc, w) == mixed_moment_by_fractions(sc, w)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noncrossing import partitions, verify
 from noncrossing.errors import (
     BadLink,
     BlockStraddlesSet,
@@ -42,10 +43,13 @@ from oracles import (
     brute_ncl,
     catalan,
     exterior_by_pairs,
+    interleaved_compatible_by_validation,
     interleaved_union_ok,
     kreweras_by_search,
     nc_error_by_pairs,
+    ncl_by_classes,
     ncl_error_by_pairs,
+    ncls_by_classes,
 )
 
 EXAMPLE_12 = [[1, 4, 6, 9], [2, 3], [4, 5], [6, 7, 8], [10, 11], [11, 12]]
@@ -344,6 +348,30 @@ def test_class_members_partition_ncl(n):
     assert sorted(total, key=lambda p: p.blocks) == list(enumerate_ncl(n))
 
 
+def test_class_members_checks_the_cap_before_building(monkeypatch):
+    # a block over the cap raises before any block class is relabelled or
+    # any member built, even when an earlier block is within the cap
+    def refuse(*args):
+        raise AssertionError("built before the cap was checked")
+
+    monkeypatch.setattr(partitions, "_block_class", refuse)
+    monkeypatch.setattr(partitions, "_connected_class", refuse)
+    monkeypatch.setattr(partitions, "NCLPartition", refuse)
+    gamma = validate_nc(7, [[1], [2, 3, 4, 5], [6, 7]])
+    with pytest.raises(LimitExceeded, match="trees is capped at 3"):
+        class_members(gamma, limit=3)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_ncl_equals_class_by_class_route(n):
+    assert enumerate_ncl(n) == ncl_by_classes(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_enumerate_ncls_equals_class_by_class_route(n):
+    assert enumerate_ncls(n) == ncls_by_classes(n)
+
+
 # ---------------------------------------------------------------------------
 # exterior blocks, non-minimal elements, restriction
 
@@ -434,6 +462,31 @@ def test_kreweras_union_non_crossing():
     for n in range(1, 7):
         for gamma in enumerate_nc(n):
             assert interleaved_union_ok(gamma.blocks, kreweras(gamma).blocks, n)
+
+
+def _crossing_test(gamma, sigma) -> bool:
+    return verify._compatible(verify._interleaving(gamma)[0], verify._interleaving(sigma)[1])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_maximality_crossing_test_agrees_with_validation(n):
+    for gamma in enumerate_nc(n):
+        for sigma in enumerate_nc(n):
+            assert _crossing_test(gamma, sigma) is interleaved_compatible_by_validation(
+                gamma, sigma), (gamma, sigma)
+
+
+def test_maximality_crossing_test_agrees_with_validation_six():
+    nc6 = enumerate_nc(6)
+    rng = random.Random(611)
+    pairs = [(gamma, kreweras(gamma)) for gamma in nc6]
+    pairs += [(rng.choice(nc6), rng.choice(nc6)) for _ in range(500)]
+    outcomes = Counter()
+    for gamma, sigma in pairs:
+        got = _crossing_test(gamma, sigma)
+        assert got is interleaved_compatible_by_validation(gamma, sigma), (gamma, sigma)
+        outcomes[got] += 1
+    assert outcomes[True] >= len(nc6) and outcomes[False] > 0
 
 
 # ---------------------------------------------------------------------------
