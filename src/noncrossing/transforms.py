@@ -1,11 +1,16 @@
 """Exact transforms between moments, free cumulants, and t-coefficients.
 
-All arithmetic is exact rational.  The series solves and the profile sums
-run on reduced (numerator, denominator) integer pairs, with one lcm and one
-gcd per sum; ``Fraction``s appear only at the API boundary, as the values
-that go in and come out.  The transforms solve the functional
-equations of the generating series M = sum of m_n z^n, the R-series
-R = sum of k_n z^n and the t-series T = sum of t_n z^n:
+All arithmetic is exact rational, on integers; ``Fraction``s appear only
+at the API boundary, as the values that go in and come out.  The series
+solves run on power-table rows that each share one reduced denominator:
+a row's integer numerators are built with one lcm and reduced with one
+gcd, and each solved coefficient is one integer dot over them, kept as a
+reduced (numerator, denominator) pair.  The profile sums run on reduced
+pairs, with one lcm and one gcd per sum.
+
+The transforms solve the functional equations of the generating series
+M = sum of m_n z^n, the R-series R = sum of k_n z^n and the t-series
+T = sum of t_n z^n:
 
     M = R(z(1 + M))        (free cumulants)
     M = z(1 + M) T(M)      (t-coefficients)
@@ -68,7 +73,9 @@ class _CoeffSequence:
     kind: ClassVar[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        # a value that is already a Fraction is kept, not built again
+        object.__setattr__(self, "values", tuple(
+            v if type(v) is Fraction else Fraction(v) for v in self.values))
         if not self.values:
             raise OrderTooLow(f"a {self.kind} sequence needs at least one entry")
 
@@ -117,7 +124,8 @@ def _pairs(values) -> list[tuple[int, int]]:
 
 def _sum(terms) -> tuple[int, int]:
     """The reduced pair of a sum of (numerator, denominator) terms: one lcm
-    over the denominators, integer multiply-adds, one gcd."""
+    over the denominators, integer multiply-adds, one gcd.  The profile
+    sums (:func:`_evaluate`), :func:`t_convolve` and ``freeness`` use it."""
     # a list: lcm(*generator) left 1.5 MiB more peak RSS on CPython 3.11
     den = lcm(*[q for _, q in terms])
     num = sum(p * (den // q) for p, q in terms)
@@ -126,21 +134,36 @@ def _sum(terms) -> tuple[int, int]:
 
 
 def _dot(xs, ys) -> tuple[int, int]:
+    """The reduced pair of the dot product of two lists of pairs, through
+    :func:`_sum`; :func:`t_convolve` and ``freeness`` use it."""
     return _sum([(p * r, q * s) for (p, q), (r, s) in zip(xs, ys) if p and r])
 
 
 def _power_row(rows: list, a: list) -> None:
     """Append row d = len(rows) of the power table of A = a_1 z + a_2 z^2 + ...
 
-    Row d holds [z^d] A^j for j = 0..d (the coefficient is 0 for j > d).
-    It reads only a_1..a_d, so a solve may extend ``a`` between rows.
+    Row d is one (nums, den) pair with [z^d] A^j = nums[j] / den for
+    j = 0..d (the coefficient is 0 for j > d), in lowest terms as a whole:
+    den > 0 and gcd(den, *nums) == 1.  The a_i are reduced pairs.  Row d
+    reads only a_1..a_d, so a solve may extend ``a`` between rows.
     """
     d = len(rows)
-    # A^j = A * A^(j-1), and A^(j-1) starts at z^(j-1)
-    rows.append([(int(d == 0), 1)] + [
-        _dot(a[: d - j + 1], [rows[d - i][j - 1] for i in range(1, d - j + 2)])
-        for j in range(1, d + 1)
-    ])
+    if d == 0:
+        rows.append(([1], 1))
+        return
+    # A^j = A * A^(j-1), and A^(j-1) starts at z^(j-1): entry j sums
+    # a_i [z^(d-i)] A^(j-1) over i, each a_i times row d-i shifted by one
+    terms = [(p, q * rows[d - i][1], rows[d - i][0])
+             for i, (p, q) in enumerate(a[:d], 1) if p]
+    den = lcm(*[s for _, s, _ in terms])
+    nums = [0] * (d + 1)
+    for p, s, src in terms:
+        f = p * (den // s)
+        for k, v in enumerate(src):
+            if v:
+                nums[k + 1] += f * v
+    g = gcd(den, *nums)
+    rows.append(([v // g for v in nums], den // g))
 
 
 def _solve(values, from_moments: bool, a: list, weights) -> tuple:
@@ -149,9 +172,11 @@ def _solve(values, from_moments: bool, a: list, weights) -> tuple:
     Given the moments it returns the x's; given the x's, the moments.  The
     weights of order n are ``weights(row)`` for row len(a) of the power
     table of the series with coefficients ``a``, which grows by m_n after
-    step n.  Only the diagonal weight w(n, n) is ever a divisor.  The table
-    and the sums hold reduced (numerator, denominator) pairs; ``Fraction``s
-    are built only for the returned coefficients.
+    step n: integer numerators over the row's one reduced denominator.
+    Only the diagonal weight w(n, n) is ever a divisor.  Each unknown costs
+    one lcm over the x denominators it meets, one integer dot with the
+    weight numerators and one gcd; the x's and m's are reduced pairs, and
+    ``Fraction``s are built only for the returned coefficients.
     """
     check_limit("transform", len(values))
     pairs = _pairs(values)
@@ -160,27 +185,33 @@ def _solve(values, from_moments: bool, a: list, weights) -> tuple:
     for n in range(1, len(pairs) + 1):
         while len(rows) <= len(a):
             _power_row(rows, a)
-        w = weights(rows[len(a)])
+        w, wden = weights(rows[len(a)])
+        # the known x's: x_1..x_(n-1) when solving for x_n, else x_1..x_n
+        known = x[: n - 1] if from_moments else x[:n]
+        xden = lcm(*[q for _, q in known])
+        dot = sum(p * (xden // q) * wi for (p, q), wi in zip(known, w) if p)
         if from_moments:
-            # x_n = (m_n - rest) / w(n, n), with x holding x_1..x_(n-1)
-            r, s = w[n - 1]
-            x.append(_dot([m[n - 1], _dot(x, w)], [(s, r), (-s, r)]))
+            # x_n = (m_n - dot / (xden wden)) / (w(n, n) / wden)
+            p, q = m[n - 1]
+            num, den = p * xden * wden - q * dot, q * xden * w[n - 1]
         else:
-            m.append(_dot(x[:n], w))
+            num, den = dot, xden * wden
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        (x if from_moments else m).append((num // g, den // g))
         a.append(m[n - 1])
     return tuple(Fraction(p, q) for p, q in (x if from_moments else m))
 
 
 def _cumulant_solve(values, from_moments: bool) -> tuple:
     # M = R(z(1+M)): m_n = sum_k k_k [z^n](z(1+M))^k, and [z^n](z(1+M))^n = 1
-    return _solve(values, from_moments, [(1, 1)], lambda row: row[1:])
+    return _solve(values, from_moments, [(1, 1)], lambda row: (row[0][1:], row[1]))
 
 
 def _tcoeff_solve(values, from_moments: bool) -> tuple:
     # M = z(1+M) T(M): m_n = sum_j t_j [z^(n-1)](M^j + M^(j+1)), whose
     # j = n-1 term is t_(n-1) m_1^(n-1)
-    return _solve(values, from_moments, [],
-                  lambda row: [_sum(pair) for pair in zip(row, row[1:] + [(0, 1)])])
+    return _solve(values, from_moments, [], lambda row: (
+        [r + s for r, s in zip(row[0], row[0][1:] + [0])], row[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import count
 
 from .errors import NotConnected, NotNclS
 from .limits import check_limit
@@ -75,18 +76,18 @@ class BicolorPlanarTree:
 def vertex_order(tree: PlanarTree) -> tuple[tuple[int, ...], ...]:
     """Preorder numbering: entry k-1 lists the numbers of vertex k's children."""
     result: list[tuple[int, ...]] = []
-    counter = [0]
-
-    def walk(node: PlanarTree) -> int:
-        counter[0] += 1
-        num = counter[0]
-        slot = len(result)
-        result.append(())
-        result[slot] = tuple(walk(c) for c in node.children)
-        return num
-
-    walk(tree)
+    _number(tree, result)
     return tuple(result)
+
+
+def _number(node: PlanarTree, result: list) -> int:
+    """Give ``node`` the next preorder number, len(result) + 1, and its
+    subtree the numbers after it; slot number - 1 of ``result`` lists the
+    numbers of its children."""
+    slot = len(result)
+    result.append(())
+    result[slot] = tuple(_number(c, result) for c in node.children)
+    return slot + 1
 
 
 def elementary_decomposition(tree: PlanarTree) -> tuple[tuple[int, int], ...]:
@@ -167,17 +168,18 @@ def tree_from_connected(pi: NCLPartition) -> PlanarTree:
     """
     if len(connected_components(pi).blocks) != 1:
         raise NotConnected(f"{pi} has more than one connected component")
-    min_of = {blk[0]: blk for blk in pi.blocks}
-
-    def build(e: int) -> PlanarTree:
-        blk = min_of.get(e)
-        if blk is None:
-            return PlanarTree()
-        return PlanarTree(tuple(build(x) for x in blk[1:]))
-
-    tree = build(1)
+    tree = _subtree_at(1, {blk[0]: blk for blk in pi.blocks})
     assert tree.size == pi.n
     return tree
+
+
+def _subtree_at(e: int, min_of: dict) -> PlanarTree:
+    """The subtree of vertex e: its children are the other elements of the
+    block with minimum e, if there is one."""
+    blk = min_of.get(e)
+    if blk is None:
+        return PlanarTree()
+    return PlanarTree(tuple(_subtree_at(x, min_of) for x in blk[1:]))
 
 
 def connected_from_tree(tree: PlanarTree) -> NCLPartition:
@@ -215,26 +217,26 @@ def bicolor_from_ncls(pi: NCLPartition) -> BicolorPlanarTree:
     if not is_ncls(pi):
         raise NotNclS(f"{pi} is not parity-split")
     min_of = {blk[0]: blk for blk in pi.blocks}
-    last = 0  # the last position read
-
-    def children(colour: int) -> tuple[tuple[int, BicolorPlanarTree], ...]:
-        # read the next position; the block starting there lists the own
-        # positions of children entered along ``colour`` edges
-        nonlocal last
-        last += 1
-        out = []
-        for own in min_of.get(last, ())[1:]:
-            opposite = children(1 - colour)
-            assert last + 1 == own, "a vertex reads its own position next"
-            same = children(colour)
-            out.append((colour, BicolorPlanarTree(
-                same + opposite if colour else opposite + same
-            )))
-        return tuple(out)
-
-    tree = BicolorPlanarTree(children(1) + children(0))
+    colour1, last = _read_children(1, min_of, 0)
+    colour0, last = _read_children(0, min_of, last)
     assert last == pi.n
-    return tree
+    return BicolorPlanarTree(colour1 + colour0)
+
+
+def _read_children(colour: int, min_of: dict, last: int) -> tuple:
+    """Read position last + 1: the block starting there lists the own
+    positions of children entered along ``colour`` edges.  Returns those
+    (colour, child) pairs and the last position read."""
+    last += 1
+    out = []
+    for own in min_of.get(last, ())[1:]:
+        opposite, last = _read_children(1 - colour, min_of, last)
+        assert last + 1 == own, "a vertex reads its own position next"
+        same, last = _read_children(colour, min_of, last)
+        out.append((colour, BicolorPlanarTree(
+            same + opposite if colour else opposite + same
+        )))
+    return tuple(out), last
 
 
 def ncls_from_bicolor(tree: BicolorPlanarTree) -> NCLPartition:
@@ -246,36 +248,35 @@ def ncls_from_bicolor(tree: BicolorPlanarTree) -> NCLPartition:
     of its own colour.  Each vertex then contributes its opposite-colour
     block, and its own-colour block when it has own-colour children.
     """
-    counter = [0]
+    positions = count(1)
     blocks: list[tuple[int, ...]] = []
-
-    def next_pos() -> int:
-        counter[0] += 1
-        return counter[0]
-
-    def visit(node: BicolorPlanarTree, incoming: int) -> int:
-        opposite = [c for col, c in node.children if col != incoming]
-        same = [c for col, c in node.children if col == incoming]
-        other_pos = next_pos()
-        opposite_owns = [visit(c, 1 - incoming) for c in opposite]
-        own_pos = next_pos()
-        same_owns = [visit(c, incoming) for c in same]
-        blocks.append((other_pos, *opposite_owns))
-        if same_owns:
-            blocks.append((own_pos, *same_owns))
-        return own_pos
-
-    odd_root = next_pos()
+    odd_root = next(positions)
     colour1 = [c for col, c in tree.children if col == 1]
     colour0 = [c for col, c in tree.children if col == 0]
-    colour1_owns = [visit(c, 1) for c in colour1]
-    even_root = next_pos()
-    colour0_owns = [visit(c, 0) for c in colour0]
+    colour1_owns = [_unfold(c, 1, positions, blocks) for c in colour1]
+    even_root = next(positions)
+    colour0_owns = [_unfold(c, 0, positions, blocks) for c in colour0]
     blocks.append((odd_root, *colour1_owns))
     blocks.append((even_root, *colour0_owns))
 
-    n2 = counter[0]
+    n2 = next(positions) - 1
     assert n2 == 2 * tree.size
     result = NCLPartition(n2, tuple(sorted(blocks)))
     assert is_ncls(result)
     return result
+
+
+def _unfold(node: BicolorPlanarTree, incoming: int, positions, blocks: list) -> int:
+    """Assign positions to ``node``, entered along an ``incoming`` edge, and
+    its subtrees, taking them from ``positions``; append their blocks to
+    ``blocks`` and return the node's own position."""
+    opposite = [c for col, c in node.children if col != incoming]
+    same = [c for col, c in node.children if col == incoming]
+    other_pos = next(positions)
+    opposite_owns = [_unfold(c, 1 - incoming, positions, blocks) for c in opposite]
+    own_pos = next(positions)
+    same_owns = [_unfold(c, incoming, positions, blocks) for c in same]
+    blocks.append((other_pos, *opposite_owns))
+    if same_owns:
+        blocks.append((own_pos, *same_owns))
+    return own_pos

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from noncrossing.transforms import (
     tcoeffs_to_moments,
     verify_t_multiplicativity,
 )
-from noncrossing.transforms import _bicolor_profile, _evaluate
+from noncrossing.transforms import _bicolor_profile, _evaluate, _power_row
 from noncrossing.trees import (
     PlanarTree,
     bicolor_from_ncls,
@@ -52,6 +53,7 @@ from oracles import (
     kreweras_sum,
     moment_by_linked_sum,
     moment_by_nc_sum,
+    power_row_by_fractions,
     tcoeff_solve_by_fractions,
     tree_sum,
 )
@@ -200,6 +202,54 @@ def test_order_60_roundtrips(max_den):
     t = moments_to_tcoeffs(m)
     assert t.values == tcoeff_solve_by_fractions(m.values, from_moments=True)
     assert tcoeffs_to_moments(t) == m
+
+
+def _edge_inputs(order):
+    """Inputs that stress the row kernel: runs of zeros, a negative first
+    entry (so the t-diagonal m_1^(n-1) changes sign with n) and integers
+    with common factors (so a row's gcd exceeds 1 before it is reduced)."""
+    return {
+        "unit-then-zeros": (1,) + (0,) * (order - 1),
+        "alternating-zeros": tuple(-2 if i == 0 else 3 * (i % 2 == 0)
+                                   for i in range(order)),
+        "negative-first": tuple(F(-1, 2) if i == 0 else F(i % 5 - 2, i % 3 + 1)
+                                for i in range(order)),
+        "common-factors": tuple(6 * (i + 1) for i in range(order)),
+        "negative-common-factors": tuple(-4 if i == 0 else 10 * (i % 4)
+                                         for i in range(order)),
+    }
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 12, 13, 60])
+def test_row_kernel_edge_cases_equal_fraction_solve(order):
+    for name, values in _edge_inputs(order).items():
+        values = tuple(F(v) for v in values)
+        assert moments_to_cumulants(MomentSequence(values)).values == \
+            cumulant_solve_by_fractions(values, from_moments=True), name
+        assert cumulants_to_moments(CumulantSequence(values)).values == \
+            cumulant_solve_by_fractions(values, from_moments=False), name
+        assert moments_to_tcoeffs(MomentSequence(values)).values == \
+            tcoeff_solve_by_fractions(values, from_moments=True), name
+        assert tcoeffs_to_moments(TCoeffSequence(values)).values == \
+            tcoeff_solve_by_fractions(values, from_moments=False), name
+
+
+def test_power_rows_are_in_lowest_terms():
+    # the integer sizes of the kernel rest on every row being reduced as a
+    # whole; each row must also equal the Fraction table row
+    rng = random.Random(30)
+    inputs = [_random_rationals(rng, 30, 1000), _random_rationals(rng, 30, 4),
+              tuple(F(v) for v in _edge_inputs(30)["common-factors"])]
+    for values in inputs:
+        # the t-solve's series M and the cumulant solve's z(1 + M)
+        for a in (list(values), [F(1), *values]):
+            rows, expected = [], []
+            for _ in range(len(a) + 1):
+                _power_row(rows, [(v.numerator, v.denominator) for v in a])
+                power_row_by_fractions(expected, a)
+            for (nums, den), row in zip(rows, expected):
+                assert den > 0 and gcd(den, *nums) == 1
+                assert [F(v, den) for v in nums] == row
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +228,23 @@ def test_lambda_matches_exterior_block_fold():
     domain += [ncls_from_bicolor(t) for t in enumerate_bicolor(6)]
     for pi in domain:
         assert bicolor_from_ncls(pi) == bicolor_by_exterior_blocks(pi)
+
+
+def test_bijections_leave_no_reference_cycles():
+    # everything a θ or λ round trip allocates is freed by reference
+    # counting, so nothing is left for the cyclic collector
+    trees = [t for n in range(1, 8) for t in enumerate_planar_trees(n)]
+    bicolor = [t for n in range(1, 6) for t in enumerate_bicolor(n)]
+    gc.collect()
+    gc.disable()
+    try:
+        for tree in trees:
+            assert tree_from_connected(connected_from_tree(tree)) == tree
+        for tree in bicolor:
+            assert bicolor_from_ncls(ncls_from_bicolor(tree)) == tree
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", range(1, 6))
