@@ -80,8 +80,9 @@ def _parse_limit_specs(specs) -> dict[str, int]:
     overrides: dict[str, int] = {}
     for spec in specs:
         kind, _, value = spec.partition("=")
-        kind = kind.strip()
-        if kind not in DEFAULT_LIMITS or not value.strip().isdigit():
+        kind, value = kind.strip(), value.strip()
+        # str.isdigit alone also passes other scripts' digits and superscripts
+        if kind not in DEFAULT_LIMITS or not (value.isascii() and value.isdigit()):
             raise LimitExceeded(f"bad limit spec {spec!r}; use KIND=N")
         overrides[kind] = int(value)
     return overrides

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, product
 
 from .errors import (
     BadLink,
@@ -177,36 +177,78 @@ def validate_ncl(n: int, blocks) -> NCLPartition:
 
 
 @cache
-def _nc_range(lo: int, hi: int) -> tuple[Blocks, ...]:
-    """All non-crossing partitions of the interval {lo..hi} (block lists)."""
+def _first_tails(prev: int, hi: int) -> tuple[Block, ...]:
+    """Every increasing tuple over {prev+1..hi}, depth first: (), (prev+1,),
+    (prev+1, prev+2), ..., (prev+2,), ...; the lexicographic order of the
+    first blocks that continue after ``prev``."""
+    return ((),) + tuple((a,) + t for a in range(prev + 1, hi + 1)
+                         for t in _first_tails(a, hi))
+
+
+@cache
+def _interval(lo: int, hi: int, linked: bool) -> tuple[Blocks, ...]:
+    """Every partition of {lo..hi} (NCL when ``linked``, else NC) as its
+    canonical block tuple, in lexicographic order.
+
+    The first block (lo, a_1, ..., a_k) runs through its tails depth first.
+    The gap between lo and a_1 (or hi + 1) holds any partition of its own;
+    the gap after each a_i comes from :func:`_gap`.  Every gap lies wholly
+    after the one before it, so joining one filling of each gap in position
+    order is canonical, and running the earlier gaps slowest keeps the
+    output sorted.
+    """
     if lo > hi:
         return ((),)
     out = []
-    span = tuple(range(lo + 1, hi + 1))
-    for r in range(len(span) + 1):
-        for tail in combinations(span, r):
-            first = (lo,) + tail
-            # everything between two consecutive chosen points, or after the
-            # last one, must be partitioned within its own gap
-            edges = (lo,) + tail
-            gaps = [(edges[i] + 1, edges[i + 1] - 1) for i in range(len(edges) - 1)]
-            gaps.append((edges[-1] + 1, hi))
-            for combo in product(*(_nc_range(a, b) for a, b in gaps)):
-                out.append((first,) + tuple(chain.from_iterable(combo)))
+    for tail in _first_tails(lo, hi):
+        ends = tail + (hi + 1,)
+        gaps = [_interval(lo + 1, ends[0] - 1, linked)]
+        gaps += [_gap(a, b - 1, linked) for a, b in zip(tail, ends[1:])]
+        combos = [((lo,) + tail,)]
+        for gap in gaps:
+            combos = [c + g for c in combos for g in gap]
+        out += combos
     return tuple(out)
 
 
 @cache
+def _gap(a: int, end: int, linked: bool) -> tuple[Blocks, ...]:
+    """The fillings of {a+1..end} after an element ``a`` of a first block.
+
+    In NCL a block of two or more may also start at ``a`` itself, linked to
+    the first block there; those fillings of {a..end} sort first.
+    """
+    rest = _interval(a + 1, end, linked)
+    if not linked:
+        return rest
+    return tuple(p for p in _interval(a, end, linked) if len(p[0]) > 1) + rest
+
+
+@cache
 def _nc_all(n: int) -> tuple[NCPartition, ...]:
-    parts = [NCPartition(n, tuple(sorted(bl))) for bl in _nc_range(1, n)]
-    parts.sort(key=lambda p: p.blocks)
-    return tuple(parts)
+    return tuple(NCPartition(n, blocks) for blocks in _interval(1, n, False))
 
 
 def enumerate_nc(n: int, *, limit: int | None = None) -> tuple[NCPartition, ...]:
     """All non-crossing partitions of {1..n}, lexicographically sorted."""
     check_limit("nc", n, limit)
     return _nc_all(n)
+
+
+@cache
+def _ncl_all(n: int) -> tuple[NCLPartition, ...]:
+    return tuple(NCLPartition(n, blocks) for blocks in _interval(1, n, True))
+
+
+def enumerate_ncl(n: int, *, limit: int | None = None) -> tuple[NCLPartition, ...]:
+    """All non-crossing linked partitions of {1..n}, lexicographically sorted.
+
+    Generated in order by the interval recursion of NC(n), in which the gap
+    after each later element of a first block may also open a block of two
+    or more linked there; counted by the large Schroeder numbers.
+    """
+    check_limit("ncl", n, limit)
+    return _ncl_all(n)
 
 
 @cache
@@ -218,7 +260,7 @@ def _connected_class(k: int) -> tuple[Blocks, ...]:
                  for t in trees.enumerate_planar_trees(k, limit=k))
 
 
-@lru_cache(maxsize=1024)  # NCL(1..9) and NCLS(1..5) have 527 distinct blocks
+@lru_cache(maxsize=1024)  # verify all leaves 68: NCS(1..5) and class-sum blocks
 def _block_class(blk: Block) -> tuple[Blocks, ...]:
     """The connected class relabelled onto ``blk``, shared by its partitions."""
     return tuple(tuple(tuple(blk[e - 1] for e in b) for b in member)
@@ -244,21 +286,6 @@ def class_members(gamma: NCPartition, *, limit: int | None = None) -> tuple[NCLP
     for blk in gamma.blocks:
         check_limit("trees", len(blk), limit)
     return _class_union(gamma.n, (gamma,))
-
-
-@cache
-def _ncl_all(n: int) -> tuple[NCLPartition, ...]:
-    return _class_union(n, _nc_all(n))
-
-
-def enumerate_ncl(n: int, *, limit: int | None = None) -> tuple[NCLPartition, ...]:
-    """All non-crossing linked partitions of {1..n}, sorted.
-
-    Generated by expanding every non-crossing partition into its class of
-    linked refinements; counted by the large Schroeder numbers.
-    """
-    check_limit("ncl", n, limit)
-    return _ncl_all(n)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from noncrossing.errors import BadLink, Crossing, NotACover, NotAPartition, NotN
 from noncrossing.freeness import mixed_cumulant
 from noncrossing.partitions import (
     NCLPartition,
+    NCPartition,
     class_members,
     enumerate_nc,
     enumerate_ncl,
@@ -464,9 +465,37 @@ def bicolor_by_exterior_blocks(pi: NCLPartition) -> BicolorPlanarTree:
     return tree
 
 
+# Non-crossing partitions by first blocks in order of size, each block list
+# sorted and then the whole family sorted; the reference for the interval
+# recursion behind ``enumerate_nc``.
+
+
+@cache
+def _nc_range_by_size(lo: int, hi: int):
+    if lo > hi:
+        return ((),)
+    out = []
+    span = tuple(range(lo + 1, hi + 1))
+    for r in range(len(span) + 1):
+        for tail in combinations(span, r):
+            edges = (lo,) + tail
+            gaps = [(edges[i] + 1, edges[i + 1] - 1) for i in range(len(edges) - 1)]
+            gaps.append((edges[-1] + 1, hi))
+            for combo in product(*(_nc_range_by_size(a, b) for a, b in gaps)):
+                out.append((edges,) + tuple(chain.from_iterable(combo)))
+    return tuple(out)
+
+
+def nc_by_first_block_size(n: int) -> tuple:
+    parts = [NCPartition(n, tuple(sorted(bl))) for bl in _nc_range_by_size(1, n)]
+    parts.sort(key=lambda p: p.blocks)
+    return tuple(parts)
+
+
 # Linked partitions class by class: every member relabelled on its own and
 # each class sorted, then everything sorted again; the reference for the
-# shared block relabels behind ``enumerate_ncl``/``enumerate_ncls``.
+# interval recursion behind ``enumerate_ncl`` and the shared block relabels
+# behind ``enumerate_ncls``.
 
 
 def class_members_by_relabel(gamma):

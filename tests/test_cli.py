@@ -80,6 +80,15 @@ def test_limit_overrides():
         assert "which this" in proc.stderr and "does not cap" in proc.stderr
 
 
+@pytest.mark.parametrize("spec", ["nc=\u0663", "nc=\u00b2", "nc=", "nc=-1", "bogus=3"])
+def test_limit_overrides_reject_malformed_specs(spec):
+    # only ASCII digits count: int() would read the Arabic-Indic three as 3
+    # and reject the superscript two with a message of its own
+    proc = run_cli("enumerate", "nc", "2", "--limit", spec)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"bad limit spec {spec!r}; use KIND=N" in proc.stderr
+
+
 def test_env_limits(monkeypatch):
     # the child inherits the whole environment (PYTHONPATH included) plus the cap
     monkeypatch.setenv("NCL_LIMITS", "nc=3")

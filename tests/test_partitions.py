@@ -1,13 +1,15 @@
+import gc
 import random
 import time
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncrossing import partitions, verify
+from noncrossing import partitions, trees, verify
 from noncrossing.errors import (
     BadLink,
     BlockStraddlesSet,
@@ -46,6 +48,7 @@ from oracles import (
     interleaved_compatible_by_validation,
     interleaved_union_ok,
     kreweras_by_search,
+    nc_by_first_block_size,
     nc_error_by_pairs,
     ncl_by_classes,
     ncl_error_by_pairs,
@@ -215,10 +218,53 @@ def test_enumerate_nc_matches_brute_filter(n):
 
 
 def test_enumerate_nc_sorted_and_unique():
-    for n in (3, 5, 6):
-        seq = [p.blocks for p in enumerate_nc(n)]
+    families = [enumerate_nc(n) for n in range(1, 11)]
+    families += [enumerate_ncl(n) for n in range(1, 10)]
+    for family in families:
+        seq = [p.blocks for p in family]
         assert seq == sorted(seq)
         assert len(seq) == len(set(seq))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_enumerate_nc_equals_first_block_size_route(n):
+    assert enumerate_nc(n) == nc_by_first_block_size(n)
+
+
+@pytest.fixture
+def fresh_caches(monkeypatch):
+    # every memoised function of the module starts empty; the originals,
+    # caches intact, come back when the test ends
+    for name, fn in list(vars(partitions).items()):
+        if hasattr(fn, "cache_clear"):
+            fresh = lru_cache(maxsize=fn.cache_parameters()["maxsize"])(fn.__wrapped__)
+            monkeypatch.setattr(partitions, name, fresh)
+
+
+def test_enumerate_ncl_needs_no_planar_trees(fresh_caches, monkeypatch):
+    # the linked partition count must not rest on the tree bijection θ
+    def refuse(*args, **kwargs):
+        raise AssertionError("NCL(n) was built through planar trees")
+
+    monkeypatch.setattr(trees, "enumerate_planar_trees", refuse)
+    monkeypatch.setattr(trees, "connected_from_tree", refuse)
+    for n in range(1, 8):
+        assert set(enumerate_ncl(n)) == brute_ncl(n)
+
+
+def test_enumeration_leaves_no_reference_cycles(fresh_caches):
+    # everything the recursion allocates is freed or cached by reference
+    # counting, so nothing is left for the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(1, 9):
+            enumerate_nc(n)
+        for n in range(1, 8):
+            enumerate_ncl(n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 6), (4, 22), (5, 90)])
@@ -362,7 +408,7 @@ def test_class_members_checks_the_cap_before_building(monkeypatch):
         class_members(gamma, limit=3)
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_enumerate_ncl_equals_class_by_class_route(n):
     assert enumerate_ncl(n) == ncl_by_classes(n)
 
