@@ -251,20 +251,26 @@ def enumerate_ncl(n: int, *, limit: int | None = None) -> tuple[NCLPartition, ..
     return _ncl_all(n)
 
 
-@cache
-def _connected_class(k: int) -> tuple[Blocks, ...]:
-    """The blocks of every linked partition of {1..k} with one component."""
-    from . import trees  # deferred: trees also imports this module
-
-    return tuple(trees.connected_from_tree(t).blocks
-                 for t in trees.enumerate_planar_trees(k, limit=k))
-
-
-@lru_cache(maxsize=1024)  # verify all leaves 68: NCS(1..5) and class-sum blocks
+@lru_cache(maxsize=1024)  # verify all leaves 83: NCS(1..5) blocks, class-sum blocks, their runs
 def _block_class(blk: Block) -> tuple[Blocks, ...]:
-    """The connected class relabelled onto ``blk``, shared by its partitions."""
-    return tuple(tuple(tuple(blk[e - 1] for e in b) for b in member)
-                 for member in _connected_class(len(blk)))
+    """Every linked partition of the elements of ``blk`` with one component,
+    as canonical block tuples.
+
+    The first block holds blk[0] and blk[1], since nothing between them
+    could link to it, and any later positions.  The run from each later
+    position up to the next (or the end) is connected on its own, linked to
+    the first block at the run's first element.  The runs lie in position
+    order, so joining one member of each after the first block is canonical.
+    """
+    if len(blk) == 1:
+        return ((blk,),)
+    out = []
+    for tail in _first_tails(1, len(blk) - 1):
+        cuts = (1,) + tail + (len(blk),)
+        runs = [_block_class(blk[i:j]) for i, j in zip(cuts, cuts[1:]) if j - i > 1]
+        first = ((blk[0],) + tuple(blk[i] for i in cuts[:-1]),)
+        out += [first + tuple(chain.from_iterable(combo)) for combo in product(*runs)]
+    return tuple(out)
 
 
 def _class_union(n: int, gammas) -> tuple[NCLPartition, ...]:
@@ -277,11 +283,11 @@ def _class_union(n: int, gammas) -> tuple[NCLPartition, ...]:
 def class_members(gamma: NCPartition, *, limit: int | None = None) -> tuple[NCLPartition, ...]:
     """All linked partitions whose connected components are ``gamma``.
 
-    The class factors over the blocks of ``gamma``: each block of size k
-    carries an independent copy of the connected class on {1..k}, realised
-    on the block's elements by the order isomorphism.  The class size is
-    the product of Catalan(k - 1) over block sizes k.  Block sizes are
-    capped like planar-tree enumeration, before any member is built.
+    The class factors over the blocks of ``gamma``: each block carries an
+    independent connected class, built by recursion on the block's own
+    elements.  The class size is the product of Catalan(k - 1) over block
+    sizes k.  Block sizes are capped like planar-tree enumeration, before
+    any member is built.
     """
     for blk in gamma.blocks:
         check_limit("trees", len(blk), limit)

@@ -54,27 +54,29 @@ def render_partition(pi: NCPartition | NCLPartition) -> str:
 
 def render_tree(tree: PlanarTree | BicolorPlanarTree) -> str:
     lines = ["o"]
-
-    def colored_children(node):
-        if isinstance(node, BicolorPlanarTree):
-            return list(node.children)
-        return [(1, c) for c in node.children]
-
-    def walk(node, prefix: str):
-        kids = colored_children(node)
-        for i, (colour, child) in enumerate(kids):
-            edge = "|-" if colour == 1 else ":-"
-            lines.append(prefix + edge + "o")
-            last = i == len(kids) - 1
-            if last:
-                continuation = "  "
-            else:
-                rest = kids[i + 1 :]
-                continuation = "| " if any(c == 1 for c, _ in rest) else ": "
-            walk(child, prefix + continuation)
-
-    walk(tree, "")
+    _walk(tree, "", lines)
     return "\n".join(lines)
+
+
+def _colored_children(node) -> list:
+    if isinstance(node, BicolorPlanarTree):
+        return list(node.children)
+    return [(1, c) for c in node.children]
+
+
+def _walk(node, prefix: str, lines: list) -> None:
+    """Append one line per descendant of ``node``, each under ``prefix``."""
+    kids = _colored_children(node)
+    for i, (colour, child) in enumerate(kids):
+        edge = "|-" if colour == 1 else ":-"
+        lines.append(prefix + edge + "o")
+        last = i == len(kids) - 1
+        if last:
+            continuation = "  "
+        else:
+            rest = kids[i + 1 :]
+            continuation = "| " if any(c == 1 for c, _ in rest) else ": "
+        _walk(child, prefix + continuation, lines)
 
 
 def render(obj) -> str:

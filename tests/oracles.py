@@ -492,19 +492,22 @@ def nc_by_first_block_size(n: int) -> tuple:
     return tuple(parts)
 
 
-# Linked partitions class by class: every member relabelled on its own and
-# each class sorted, then everything sorted again; the reference for the
-# interval recursion behind ``enumerate_ncl`` and the shared block relabels
-# behind ``enumerate_ncls``.
+# Linked partitions class by class: each block's connected class read off
+# the planar trees through θ and relabelled onto the block by the order
+# isomorphism, every member sorted, then everything sorted again; the
+# reference for the recursion on a block's elements behind
+# ``partitions._block_class``, and so for ``class_members``,
+# ``enumerate_ncls`` and the interval recursion behind ``enumerate_ncl``.
+
+
+def block_class_by_relabel(blk):
+    k = len(blk)
+    return [tuple(tuple(blk[e - 1] for e in b) for b in connected_from_tree(t).blocks)
+            for t in enumerate_planar_trees(k, limit=k)]
 
 
 def class_members_by_relabel(gamma):
-    per_block = []
-    for blk in gamma.blocks:
-        k = len(blk)
-        members = [connected_from_tree(t) for t in enumerate_planar_trees(k, limit=k)]
-        per_block.append([tuple(tuple(blk[e - 1] for e in b) for b in m.blocks)
-                          for m in members])
+    per_block = [block_class_by_relabel(blk) for blk in gamma.blocks]
     out = [NCLPartition(gamma.n, tuple(sorted(chain.from_iterable(combo))))
            for combo in product(*per_block)]
     out.sort(key=lambda p: p.blocks)

@@ -2,14 +2,14 @@ import gc
 import random
 import time
 from collections import Counter
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncrossing import partitions, trees, verify
+from noncrossing import partitions, transforms, trees, verify
 from noncrossing.errors import (
     BadLink,
     BlockStraddlesSet,
@@ -41,9 +41,11 @@ from noncrossing.partitions import (
 )
 
 from oracles import (
+    block_class_by_relabel,
     brute_nc_blocklists,
     brute_ncl,
     catalan,
+    class_members_by_relabel,
     exterior_by_pairs,
     interleaved_compatible_by_validation,
     interleaved_union_ok,
@@ -252,6 +254,27 @@ def test_enumerate_ncl_needs_no_planar_trees(fresh_caches, monkeypatch):
         assert set(enumerate_ncl(n)) == brute_ncl(n)
 
 
+def test_linked_families_need_no_planar_trees(fresh_caches, monkeypatch):
+    # the classes behind NCLS(n) and the prop21 class sums must not rest on
+    # θ, so that prop21 shares no enumeration with the eq5 tree sums
+    classes = {g: class_members_by_relabel(g) for n in range(1, 8) for g in enumerate_nc(n)}
+    ncls = {n: ncls_by_classes(n) for n in range(1, 6)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a linked family was built through planar trees")
+
+    for name in ("enumerate_planar_trees", "connected_from_tree", "vertex_order"):
+        monkeypatch.setattr(trees, name, refuse)
+    monkeypatch.setattr(transforms, "_class_profile", cache(transforms._class_profile.__wrapped__))
+    for gamma, members in classes.items():
+        assert list(class_members(gamma)) == members
+    for n, family in ncls.items():
+        assert enumerate_ncls(n) == family
+    t = transforms.moments_to_tcoeffs(verify.catalan_moments(8))
+    for n in range(1, 9):
+        assert transforms.cumulant_via_classes(t, n) == 1
+
+
 def test_enumeration_leaves_no_reference_cycles(fresh_caches):
     # everything the recursion allocates is freed or cached by reference
     # counting, so nothing is left for the cyclic collector
@@ -401,11 +424,28 @@ def test_class_members_checks_the_cap_before_building(monkeypatch):
         raise AssertionError("built before the cap was checked")
 
     monkeypatch.setattr(partitions, "_block_class", refuse)
-    monkeypatch.setattr(partitions, "_connected_class", refuse)
     monkeypatch.setattr(partitions, "NCLPartition", refuse)
     gamma = validate_nc(7, [[1], [2, 3, 4, 5], [6, 7]])
     with pytest.raises(LimitExceeded, match="trees is capped at 3"):
         class_members(gamma, limit=3)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_block_class_equals_tree_relabel(k):
+    # the block (1..k), and for k <= 8 seeded blocks with gaps between them
+    rng = random.Random(140 + k)
+    blocks = [tuple(range(1, k + 1))]
+    if k <= 8:
+        blocks += [tuple(sorted(rng.sample(range(1, 3 * k + 3), k))) for _ in range(6)]
+    for blk in blocks:
+        got = partitions._block_class(blk)
+        assert len(got) == len(set(got)) == catalan(k - 1)
+        assert set(got) == set(block_class_by_relabel(blk))
+        n = blk[-1]
+        rest = tuple((e,) for e in range(1, n + 1) if e not in blk)
+        for member in got:
+            pi = validate_ncl(n, member + rest)
+            assert connected_components(pi).blocks == tuple(sorted((blk,) + rest))
 
 
 @pytest.mark.parametrize("n", range(1, 10))

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -8,7 +9,12 @@ import pytest
 from noncrossing import cli
 from noncrossing.partitions import enumerate_ncl, validate_ncl, validate_nc
 from noncrossing.render import MAX_CELLS, render, render_partition, render_tree
-from noncrossing.trees import BicolorPlanarTree, PlanarTree
+from noncrossing.trees import (
+    BicolorPlanarTree,
+    PlanarTree,
+    enumerate_bicolor,
+    enumerate_planar_trees,
+)
 
 from oracles import render_by_pairs
 
@@ -89,6 +95,22 @@ def test_render_tree_sibling_edges():
     tree = BicolorPlanarTree(((1, leaf), (0, leaf)))
     art = render_tree(tree)
     assert art.splitlines() == ["o", "|-o", ":-o"]
+
+
+def test_render_leaves_no_reference_cycles():
+    # every line a render allocates is freed by reference counting, so
+    # nothing is left for the cyclic collector
+    objs = [t for n in range(1, 8) for t in enumerate_planar_trees(n)]
+    objs += [t for n in range(1, 6) for t in enumerate_bicolor(n)]
+    objs += enumerate_ncl(5)
+    gc.collect()
+    gc.disable()
+    try:
+        for obj in objs:
+            render(obj)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_render_dispatch():

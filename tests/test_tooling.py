@@ -33,3 +33,21 @@ def test_runtime_imports_are_stdlib():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+# each module may import only from the modules before it, so the package has
+# no import cycle and no import deferred into a function to dodge one
+IMPORT_ORDER = ("errors", "limits", "partitions", "trees", "transforms", "freeness",
+                "jsonio", "render", "verify", "cli")
+
+
+def test_package_imports_follow_one_order():
+    src = ROOT / "src" / "noncrossing"
+    assert {p.stem for p in src.glob("*.py")} - {"__init__", "__main__"} == set(IMPORT_ORDER)
+    for rank, name in enumerate(IMPORT_ORDER):
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+                continue
+            targets = [node.module] if node.module else [alias.name for alias in node.names]
+            for target in targets:
+                assert IMPORT_ORDER.index(target) < rank, f"{name} imports {target}"
