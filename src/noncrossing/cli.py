@@ -99,7 +99,7 @@ def _flag_limits(args, kind: str | None) -> dict[str, int]:
     return flags
 
 
-def _resolve_limit(args, kind: str, n: int) -> int | None:
+def _resolve_limit(args, kind: str, n: int | None) -> int | None:
     # NCL_LIMITS is shell-wide, so only its entry for ``kind`` applies
     env = os.environ.get("NCL_LIMITS", "")
     overrides = _parse_limit_specs(s for s in env.split(",") if s.strip())
@@ -211,11 +211,12 @@ def _cmd_convolve(args) -> int:
     mx = jsonio.parse_moments(_read_data(args.mx))
     my = jsonio.parse_moments(_read_data(args.my))
     order = args.order
-    if order is None:
-        order = min(mx.order, my.order, DEFAULT_LIMITS["theorem"])
-    elif order < 1:
+    if order is not None and order < 1:
         raise ValueError(f"--order must be at least 1 (requested {order})")
     limit = _resolve_limit(args, "theorem", order)
+    if order is None:
+        # the cap in force, from --limit or NCL_LIMITS, bounds the default order
+        order = min(mx.order, my.order, DEFAULT_LIMITS["theorem"] if limit is None else limit)
     report = verify_t_multiplicativity(mx, my, order, limit=limit)
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     return 0 if report.passed else 1

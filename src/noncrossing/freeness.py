@@ -193,7 +193,7 @@ class VanishingReport:
     """Outcome of the mixed-word vanishing sweep."""
 
     words_checked: int
-    failures: tuple[tuple[str, str, str], ...]  # (word, kind, value)
+    failures: tuple[dict, ...]  # witnesses {"word", "kind", "value"}
 
     @property
     def passed(self) -> bool:
@@ -216,5 +216,5 @@ def freeness_vanishing_suite(scenario: Scenario, max_length: int) -> VanishingRe
         for kind, value in (("cumulant", mixed_cumulant(scenario, word)),
                             ("t-coefficient", table[word.letters])):
             if value != 0:
-                failures.append((str(word), kind, str(value)))
+                failures.append({"word": str(word), "kind": kind, "value": str(value)})
     return VanishingReport(len(words), tuple(failures))

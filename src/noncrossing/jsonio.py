@@ -136,12 +136,3 @@ def parse_scenario(data: dict) -> Scenario:
             tuple(parse_fraction(c) for c in _require_list(spec, "cumulants"))
         )
     return Scenario(algebras)
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "algebras": {
-            name: {"cumulants": [str(v) for v in seq.values]}
-            for name, seq in sorted(scenario.algebras.items())
-        }
-    }

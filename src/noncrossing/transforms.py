@@ -405,13 +405,17 @@ def t_convolve(tx: TCoeffSequence, ty: TCoeffSequence) -> TCoeffSequence:
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """One verified identity: a name, its parameters, and both sides."""
+    """One checked identity: a name, its parameters, and a witness that is
+    present exactly when the identity failed.  A failure cannot be stored
+    without its witness, so it always says what went wrong."""
 
     identity: str
     parameters: dict
-    passed: bool
-    lhs: str
-    rhs: str
+    witness: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
     def to_json_dict(self) -> dict:
         entry = {
@@ -419,8 +423,8 @@ class IdentityCheck:
             "parameters": dict(self.parameters),
             "pass": self.passed,
         }
-        if not self.passed:
-            entry["witness"] = {"lhs": self.lhs, "rhs": self.rhs}
+        if self.witness is not None:
+            entry["witness"] = dict(self.witness)
         return entry
 
 
@@ -442,7 +446,9 @@ class MultiplicativityReport:
 
 
 def _check(identity: str, parameters: dict, lhs, rhs) -> IdentityCheck:
-    return IdentityCheck(identity, parameters, lhs == rhs, str(lhs), str(rhs))
+    # a passing check formats neither side
+    return IdentityCheck(identity, parameters,
+                         None if lhs == rhs else {"lhs": str(lhs), "rhs": str(rhs)})
 
 
 def verify_t_multiplicativity(

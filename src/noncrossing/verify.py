@@ -1,14 +1,16 @@
 """Verification suites: identities checked over seeded corpora and fixtures.
 
-Each suite returns report entries; an entry records the identity checked,
-its parameters, a pass flag, and a reproducible witness on failure.  The
-same suites back the CLI ``verify`` command and the acceptance tests.
+Each suite returns report entries.  An entry is a checked identity
+(:class:`~noncrossing.transforms.IdentityCheck`) tagged with its suite: the
+identity, its parameters, and a witness that is present exactly when the
+identity failed, reproducible from the seed and parameters.  The same
+suites back the CLI ``verify`` command and the acceptance tests.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -30,6 +32,7 @@ from .partitions import (
 )
 from .transforms import (
     CumulantSequence,
+    IdentityCheck,
     MomentSequence,
     cumulant_via_classes,
     cumulant_via_trees,
@@ -60,23 +63,14 @@ def catalan(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class ReportEntry:
-    suite: str
-    identity: str
-    parameters: dict
-    passed: bool
-    witness: dict | None = None
+class ReportEntry(IdentityCheck):
+    """A checked identity tagged with the suite that checked it; its JSON
+    form is the identity's plus ``"suite"``."""
+
+    suite: str = field(kw_only=True)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "suite": self.suite,
-            "identity": self.identity,
-            "parameters": dict(self.parameters),
-            "pass": self.passed,
-        }
-        if self.witness is not None:
-            out["witness"] = dict(self.witness)
-        return out
+        return {**super().to_json_dict(), "suite": self.suite}
 
     def text_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -89,8 +83,8 @@ class ReportEntry:
         return line
 
 
-def _entry(suite, identity, parameters, passed, witness=None) -> ReportEntry:
-    return ReportEntry(suite, identity, dict(parameters), passed, witness)
+def _entry(suite, identity, parameters, witness=None) -> ReportEntry:
+    return ReportEntry(identity, dict(parameters), witness, suite=suite)
 
 
 # ---------------------------------------------------------------------------
@@ -146,38 +140,28 @@ def counts_suite(order=None, seed=7) -> list[ReportEntry]:
         for n in range(1, top + 1):
             got = {key: len(enumerate_(n)) for key, enumerate_ in enumerators.items()}
             want = expected(n)
-            ok = all(v == want for v in got.values())
-            entries.append(
-                _entry("counts", identity, {"n": n}, ok,
-                       None if ok else {**got, "expected": want})
-            )
+            entries.append(_entry(
+                "counts", identity, {"n": n},
+                None if all(v == want for v in got.values()) else {**got, "expected": want}))
 
-    # fixed fixtures
     fixture = validate_ncl(12, LINKED_12_BLOCKS)
     comp = connected_components(fixture)
-    want_comp = ((1, 4, 5, 6, 7, 8, 9), (2, 3), (10, 11, 12))
-    entries.append(
-        _entry("counts", "fixture connected components", {"n": 12},
-               comp.blocks == want_comp,
-               None if comp.blocks == want_comp else {"got": str(comp)})
-    )
     ext = exterior_blocks(fixture)
-    want_ext = ((1, 4, 6, 9), (10, 11))
-    entries.append(
-        _entry("counts", "fixture exterior blocks", {"n": 12}, ext == want_ext,
-               None if ext == want_ext else {"got": str(ext)})
-    )
     smin = non_minimal_elements(fixture)
-    want_smin = frozenset({3, 5, 7, 8, 9, 12})
-    entries.append(
-        _entry("counts", "fixture non-minimal positions", {"n": 12}, smin == want_smin,
-               None if smin == want_smin else {"got": sorted(smin)})
-    )
     ten = validate_nc(10, PLAIN_10_BLOCKS)
-    entries.append(
-        _entry("counts", "fixture ten-point partition validates", {"n": 10},
-               ten.blocks == PLAIN_10_BLOCKS, None)
+    # identity, n, computed value, expected value, witness form
+    fixtures = (
+        ("fixture connected components", 12, comp.blocks,
+         ((1, 4, 5, 6, 7, 8, 9), (2, 3), (10, 11, 12)), str(comp)),
+        ("fixture exterior blocks", 12, ext, ((1, 4, 6, 9), (10, 11)), str(ext)),
+        ("fixture non-minimal positions", 12, smin, frozenset({3, 5, 7, 8, 9, 12}),
+         sorted(smin)),
+        ("fixture ten-point partition validates", 10, ten.blocks, PLAIN_10_BLOCKS,
+         str(ten)),
     )
+    for identity, n, got, want, shown in fixtures:
+        entries.append(
+            _entry("counts", identity, {"n": n}, None if got == want else {"got": shown}))
     return entries
 
 
@@ -211,7 +195,7 @@ def kreweras_suite(order=None, seed=7) -> list[ReportEntry]:
                 bad = {"partition": str(gamma), "complement": str(kreweras(gamma))}
                 break
         entries.append(
-            _entry("kreweras", "block count identity", {"n": n}, bad is None, bad)
+            _entry("kreweras", "block count identity", {"n": n}, bad)
         )
     for n in range(1, min(top, 6) + 1):
         bad = None
@@ -230,7 +214,7 @@ def kreweras_suite(order=None, seed=7) -> list[ReportEntry]:
             if bad:
                 break
         entries.append(
-            _entry("kreweras", "complement maximality", {"n": n}, bad is None, bad)
+            _entry("kreweras", "complement maximality", {"n": n}, bad)
         )
     return entries
 
@@ -266,10 +250,7 @@ def _cumulant_route_suite(suite, identity, cumulant_via, order, seed):
                 bad = {"sequence": idx, "got": str(got),
                        "expected": str(kappa.values[n - 1])}
                 break
-        entries.append(
-            _entry(suite, identity, {"n": n, "sequences": len(targets)},
-                   bad is None, bad)
-        )
+        entries.append(_entry(suite, identity, {"n": n, "sequences": len(targets)}, bad))
     return entries
 
 
@@ -293,14 +274,10 @@ def prop22_suite(order=None, seed=7) -> list[ReportEntry]:
         }
     )
     report = freeness_vanishing_suite(scenario, top)
-    witness = None
-    if report.failures:
-        word, kind, value = report.failures[0]
-        witness = {"word": word, "kind": kind, "value": value}
     return [
         _entry("prop22", "mixed words have vanishing cumulants and t-coefficients",
                {"max_length": top, "words": report.words_checked},
-               report.passed, witness)
+               report.failures[0] if report.failures else None)
     ]
 
 
@@ -326,18 +303,17 @@ def bridge_suite(order=None, seed=7) -> list[ReportEntry]:
                            "tree value": str(via_tree)}
             entries.append(
                 _entry("bridge", "split-partition weight equals bicolor evaluation",
-                       {"n": n, "pair": pair_idx}, bad is None, bad)
+                       {"n": n, "pair": pair_idx}, bad)
             )
             tree_total = sum(
                 (eval_bicolor(b, tx, ty) for b in enumerate_bicolor(n)), Fraction(0)
             )
             km = free_multiplicative(kx, ky, n)
-            ok = total == tree_total == km
             entries.append(
                 _entry("bridge", "aggregate split weights give the product cumulant",
-                       {"n": n, "pair": pair_idx}, ok,
-                       None if ok else {"weights": str(total), "trees": str(tree_total),
-                                        "cumulant": str(km)})
+                       {"n": n, "pair": pair_idx},
+                       None if total == tree_total == km else
+                       {"weights": str(total), "trees": str(tree_total), "cumulant": str(km)})
             )
     return entries
 
@@ -350,16 +326,13 @@ def theorem_suite(order=None, seed=7) -> list[ReportEntry]:
     entries = []
     for pair_idx, (ma, mb) in enumerate(pairs):
         report = verify_t_multiplicativity(ma, mb, top)
-        failures = [c for c in report.checks if not c.passed]
-        witness = None
-        if failures:
-            first = failures[0]
-            witness = {"identity": first.identity, "parameters": first.parameters,
-                       "lhs": first.lhs, "rhs": first.rhs}
+        first = next((c for c in report.checks if not c.passed), None)
         entries.append(
             _entry("theorem", "t-series multiplicativity",
                    {"order": top, "pair": pair_idx, "checks": len(report.checks)},
-                   report.passed, witness)
+                   None if first is None else {"identity": first.identity,
+                                               "parameters": first.parameters,
+                                               **first.witness})
         )
     return entries
 

@@ -418,6 +418,31 @@ def test_convolve_theorem_mode():
     assert data["pass"] is True
 
 
+@pytest.mark.parametrize(
+    "inputs, env, flags, order",
+    [
+        (6, "theorem=4", (), 4),
+        (6, None, ("--limit", "theorem=4"), 4),
+        (7, None, ("--limit", "theorem=7", "--unsafe-limits"), 7),
+        (8, None, ("--unsafe-limits",), 6),
+    ],
+    ids=["env-lowered", "flag-lowered", "flag-raised", "bare-unsafe"],
+)
+def test_convolve_default_order_follows_the_cap(monkeypatch, capsys, inputs, env, flags,
+                                                order):
+    # without --order, the run goes as far as both inputs and the theorem cap in force
+    catalan = _series([comb(2 * n, n) // (n + 1) for n in range(1, inputs + 1)])
+    if env is None:
+        monkeypatch.delenv("NCL_LIMITS", raising=False)
+    else:
+        monkeypatch.setenv("NCL_LIMITS", env)
+    code = cli.main(["convolve", "--mx", catalan, "--my", catalan, *flags])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["order"] == order and data["pass"] is True
+
+
 def test_convolve_requires_arguments():
     proc = run_cli("convolve")
     assert proc.returncode == 2
@@ -478,6 +503,14 @@ def _drop_one(original):
     return lambda n, **kwargs: original(n, **kwargs)[1:]
 
 
+def _with_one(original):
+    return lambda pi: original(pi) | {1}
+
+
+def _all_singletons(original):
+    return lambda n, blocks: original(n, [[i] for i in range(1, n + 1)])
+
+
 def _off_by_one_on_mixed_words(original):
     def broken(scenario, word):
         letters = getattr(word, "letters", word)
@@ -509,22 +542,38 @@ def _off_by_one_on_mixed_words(original):
         (freeness, "prop22", "mixed_moment", _off_by_one_on_mixed_words,
          "mixed words have vanishing cumulants and t-coefficients",
          {"word", "kind", "value"}),
+        (verify, "counts", "connected_components", _singleton_complement,
+         "fixture connected components", {"got"}),
+        (verify, "counts", "exterior_blocks", _drop_one, "fixture exterior blocks", {"got"}),
+        (verify, "counts", "non_minimal_elements", _with_one,
+         "fixture non-minimal positions", {"got"}),
+        (verify, "counts", "validate_nc", _all_singletons,
+         "fixture ten-point partition validates", {"got"}),
+        (transforms, "convolve", "free_multiplicative", _off_by_one_above_first,
+         "t-coefficient product rule", {"lhs", "rhs"}),
     ],
     ids=["kreweras", "maximality-mirrored", "maximality-no-crossings", "prop21", "eq5",
-         "counts", "theorem", "bridge", "prop22"],
+         "counts", "theorem", "bridge", "prop22", "fixture-components", "fixture-exterior",
+         "fixture-non-minimal", "fixture-ten-point", "convolve"],
 )
 def test_fault_injection_reports_witness(
     monkeypatch, capsys, module, suite, attr, corrupt, identity, witness_keys
 ):
-    # a corrupted computation must turn its suite red and carry a witness
+    # a corrupted computation must turn its suite red, and an entry (a convolve
+    # check) carries a witness exactly when it fails
     monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
     monkeypatch.delenv("NCL_LIMITS", raising=False)
-    code = cli.main(["verify", suite, "--order", "4"])
+    catalan = _series([comb(2 * n, n) // (n + 1) for n in range(1, 7)])
+    argv = (["convolve", "--mx", catalan, "--my", catalan] if suite == "convolve"
+            else ["verify", suite, "--order", "4"])
+    code = cli.main(argv)
     out = capsys.readouterr().out
     assert code == 1
     data = json.loads(out)
     assert data["pass"] is False
-    failed = [e for e in data["entries"] if e["identity"] == identity and not e["pass"]]
+    entries = data["checks" if suite == "convolve" else "entries"]
+    assert all(("witness" in e) != e["pass"] for e in entries)
+    failed = [e for e in entries if e["identity"] == identity and not e["pass"]]
     assert failed
     assert all(set(e["witness"]) == witness_keys for e in failed)
 

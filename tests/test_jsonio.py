@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncrossing import jsonio
-from noncrossing.freeness import Scenario
 from noncrossing.partitions import enumerate_ncl, validate_ncl
 from noncrossing.transforms import (
     CumulantSequence,
@@ -100,18 +99,16 @@ def test_series_order_mismatch_rejected():
 
 
 def test_scenario_roundtrip():
-    sc = Scenario(
-        {"X": CumulantSequence((1, 1, 1)), "Y": CumulantSequence((2, 1, 0))}
-    )
-    data = jsonio.scenario_to_dict(sc)
-    assert data == {
+    data = {
         "algebras": {
             "X": {"cumulants": ["1", "1", "1"]},
-            "Y": {"cumulants": ["2", "1", "0"]},
+            "Y": {"cumulants": ["2", "1/2", "0"]},
         }
     }
     parsed = jsonio.parse_scenario(data)
-    assert parsed.algebras == sc.algebras
+    assert parsed.algebras == {
+        "X": CumulantSequence((1, 1, 1)), "Y": CumulantSequence((2, Fraction(1, 2), 0))
+    }
 
 
 @pytest.mark.parametrize("data, message", [
