@@ -81,8 +81,8 @@ def _parse_limit_specs(specs) -> dict[str, int]:
     for spec in specs:
         kind, _, value = spec.partition("=")
         kind, value = kind.strip(), value.strip()
-        # str.isdigit alone also passes other scripts' digits and superscripts
-        if kind not in DEFAULT_LIMITS or not (value.isascii() and value.isdigit()):
+        # str.isdigit alone also passes other scripts' digits; no size fits a cap of 0
+        if kind not in DEFAULT_LIMITS or not (value.isascii() and value.isdigit() and int(value)):
             raise LimitExceeded(f"bad limit spec {spec!r}; use KIND=N")
         overrides[kind] = int(value)
     return overrides

@@ -391,28 +391,29 @@ def kreweras(gamma: NCPartition) -> NCPartition:
     return NCPartition(n, _join(n, ((e, before[e % n + 1]) for e in range(1, n + 1))))
 
 
-def is_ncs(gamma: NCPartition) -> bool:
-    """Membership in the parity-split family on an even ground set.
+def _parity_pure(blocks: Blocks) -> bool:
+    return all(len({e % 2 for e in blk}) == 1 for blk in blocks)
 
-    Every block must be parity-pure and the even part, read on {1..n}, must
-    equal the Kreweras complement of the odd part.
+
+def is_ncs(gamma: NCPartition) -> bool:
+    """Membership in the parity-split family on an even ground set {1..2n}.
+
+    With parity-pure blocks the even part refines K(odd part); they are equal
+    exactly when gamma has n + 1 blocks, as |sigma| + |K(sigma)| = n + 1.
     """
     if gamma.n % 2:
         raise OddGroundSet(f"ground set size {gamma.n} is odd")
-    n = gamma.n // 2
-    for blk in gamma.blocks:
-        if len({e % 2 for e in blk}) != 1:
-            return False
-    odd = restrict(gamma, range(1, 2 * n, 2))
-    even = restrict(gamma, range(2, 2 * n + 1, 2))
-    return even == kreweras(odd)
+    return len(gamma.blocks) == gamma.n // 2 + 1 and _parity_pure(gamma.blocks)
 
 
 def is_ncls(pi: NCLPartition) -> bool:
-    """Do the connected components of ``pi`` form a parity-split partition?"""
-    if pi.n % 2:
-        return False
-    return is_ncs(connected_components(pi))
+    """Do the connected components of ``pi`` form a parity-split partition?
+
+    The links (min B, e) form a forest, as a position is non-minimal in at
+    most one block, so there are n - sum(|B| - 1) components to count.
+    """
+    links = sum(map(len, pi.blocks)) - len(pi.blocks)
+    return pi.n % 2 == 0 and links == pi.n // 2 - 1 and _parity_pure(pi.blocks)
 
 
 @cache

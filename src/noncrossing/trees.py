@@ -18,7 +18,7 @@ from itertools import count
 
 from .errors import NotConnected, NotNclS
 from .limits import check_limit
-from .partitions import NCLPartition, connected_components, is_ncls
+from .partitions import NCLPartition, is_ncls
 
 
 @dataclass(frozen=True)
@@ -161,12 +161,11 @@ def enumerate_bicolor(n: int, *, limit: int | None = None) -> tuple[BicolorPlana
 def tree_from_connected(pi: NCLPartition) -> PlanarTree:
     """The planar tree whose depth-one subtrees are the blocks of ``pi``.
 
-    ``pi`` must have a single connected component.  The block with minimum m
-    becomes the vertex numbered m together with its children, numbered by
-    the remaining block elements; preorder numbering reproduces exactly the
-    block labels.
+    ``pi`` must be connected; its links (min B, e) form a forest, so that is
+    sum(|B| - 1) = n - 1.  Block (m, ...) becomes vertex m with children
+    numbered by its other elements; preorder numbering gives back the labels.
     """
-    if len(connected_components(pi).blocks) != 1:
+    if sum(map(len, pi.blocks)) - len(pi.blocks) != pi.n - 1:
         raise NotConnected(f"{pi} has more than one connected component")
     tree = _subtree_at(1, {blk[0]: blk for blk in pi.blocks})
     assert tree.size == pi.n
@@ -193,7 +192,7 @@ def connected_from_tree(tree: PlanarTree) -> NCLPartition:
     blocks = [(v + 1,) + kids for v, kids in enumerate(order) if kids]
     if not blocks:
         blocks = [(1,)]
-    return NCLPartition(tree.size, tuple(sorted(blocks)))
+    return NCLPartition(len(order), tuple(sorted(blocks)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,26 @@ from functools import cache
 from itertools import chain, combinations, product
 from math import comb, prod
 
-from noncrossing.errors import BadLink, Crossing, NotACover, NotAPartition, NotNclS
+from noncrossing.errors import (
+    BadLink,
+    Crossing,
+    NotACover,
+    NotAPartition,
+    NotNclS,
+    OddGroundSet,
+)
 from noncrossing.freeness import mixed_cumulant
 from noncrossing.partitions import (
     NCLPartition,
     NCPartition,
     class_members,
+    connected_components,
     enumerate_nc,
     enumerate_ncl,
     enumerate_ncs,
     exterior_blocks,
     is_ncls,
+    kreweras,
     non_minimal_elements,
     restrict,
     validate_nc,
@@ -155,6 +164,32 @@ def interleaved_compatible_by_validation(gamma, bars) -> bool:
     except (Crossing, NotAPartition):
         return False
     return True
+
+
+# Membership by building the structure: the references for the block counts
+# behind ``partitions.is_ncs``, ``partitions.is_ncls`` and the connectivity
+# guard of ``trees.tree_from_connected``.
+
+
+def is_ncs_by_kreweras(gamma: NCPartition) -> bool:
+    """Parity-pure blocks, and the even part read on {1..n} equals the
+    Kreweras complement of the odd part."""
+    if gamma.n % 2:
+        raise OddGroundSet(f"ground set size {gamma.n} is odd")
+    if any(len({e % 2 for e in blk}) != 1 for blk in gamma.blocks):
+        return False
+    odd = restrict(gamma, range(1, gamma.n, 2))
+    even = restrict(gamma, range(2, gamma.n + 1, 2))
+    return even == kreweras(odd)
+
+
+def is_ncls_by_components(pi: NCLPartition) -> bool:
+    """The union-find components of ``pi`` pass :func:`is_ncs_by_kreweras`."""
+    return pi.n % 2 == 0 and is_ncs_by_kreweras(connected_components(pi))
+
+
+def connected_by_union_find(pi: NCLPartition) -> bool:
+    return len(connected_components(pi).blocks) == 1
 
 
 # Block structure rule by rule over pairs of blocks: the references for the

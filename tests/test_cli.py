@@ -89,6 +89,34 @@ def test_limit_overrides_reject_malformed_specs(spec):
     assert f"bad limit spec {spec!r}; use KIND=N" in proc.stderr
 
 
+CATALAN3 = '{"order":3,"coeffs":["1","2","5"]}'
+
+
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (("enumerate", "nc", "3", "--limit", "nc=0"), None),
+        (("enumerate", "nc", "3"), "nc=0"),
+        (("enumerate", "nc", "3", "--limit", "nc=00"), None),
+        (("convolve", "--mx", CATALAN3, "--my", CATALAN3, "--limit", "theorem=0"), None),
+    ],
+    ids=["flag", "env", "flag-zeros", "convolve-flag"],
+)
+def test_caps_below_one_are_bad_specs(args, env):
+    # no size fits under a cap of 0, so it is refused when read, whatever
+    # the command would go on to request
+    proc = subprocess.run(
+        [sys.executable, "-m", "noncrossing", *args],
+        capture_output=True,
+        text=True,
+        env={**{k: v for k, v in os.environ.items() if k != "NCL_LIMITS"},
+             **({"NCL_LIMITS": env} if env else {})},
+    )
+    spec = env or args[-1]
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: bad limit spec {spec!r}; use KIND=N\n"
+
+
 def test_env_limits(monkeypatch):
     # the child inherits the whole environment (PYTHONPATH included) plus the cap
     monkeypatch.setenv("NCL_LIMITS", "nc=3")

@@ -49,6 +49,8 @@ from oracles import (
     exterior_by_pairs,
     interleaved_compatible_by_validation,
     interleaved_union_ok,
+    is_ncls_by_components,
+    is_ncs_by_kreweras,
     kreweras_by_search,
     nc_by_first_block_size,
     nc_error_by_pairs,
@@ -524,7 +526,7 @@ def test_kreweras_examples():
 
 
 def test_kreweras_memo_is_bounded():
-    # any validated partition can become a key (is_ncs calls kreweras), so
+    # kreweras is public, so any validated partition can become a key, and
     # the memo must not grow with the number of distinct inputs
     for gamma in enumerate_nc(10)[:4200]:
         kreweras(gamma)
@@ -588,6 +590,28 @@ def test_is_ncs_examples():
 def test_is_ncs_odd_ground_set():
     with pytest.raises(OddGroundSet):
         is_ncs(validate_nc(3, [[1, 2, 3]]))
+
+
+@pytest.mark.parametrize("n", range(2, 13, 2))
+def test_is_ncs_matches_kreweras_route(n):
+    # every NC(2k): members, parity-pure non-members with too many blocks,
+    # and partitions with mixed blocks
+    members = 0
+    for gamma in enumerate_nc(n):
+        got = is_ncs(gamma)
+        assert got == is_ncs_by_kreweras(gamma), gamma
+        members += got
+    assert members == catalan(n // 2)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_is_ncls_matches_component_route(n):
+    members = 0
+    for pi in enumerate_ncl(n):
+        got = is_ncls(pi)
+        assert got == is_ncls_by_components(pi), pi
+        members += got
+    assert members == (len(enumerate_ncls(n // 2)) if n % 2 == 0 else 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noncrossing.partitions
+import noncrossing.trees
 from noncrossing.errors import LimitExceeded, NotConnected, NotNclS
 from noncrossing.partitions import (
+    enumerate_ncl,
     enumerate_ncls,
     non_minimal_elements,
     validate_ncl,
@@ -24,7 +27,12 @@ from noncrossing.trees import (
     vertex_order,
 )
 
-from oracles import bicolor_by_exterior_blocks, catalan
+from oracles import (
+    bicolor_by_exterior_blocks,
+    catalan,
+    connected_by_union_find,
+    is_ncls_by_components,
+)
 
 LEAF = PlanarTree()
 CHAIN3 = PlanarTree((PlanarTree((LEAF,)),))
@@ -131,6 +139,19 @@ def test_tree_from_connected_rejects_disconnected():
         tree_from_connected(ncl(3, [[1, 2], [3]]))
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_tree_from_connected_raises_exactly_on_disconnected(n):
+    members = 0
+    for pi in enumerate_ncl(n):
+        if connected_by_union_find(pi):
+            assert connected_from_tree(tree_from_connected(pi)) == pi
+            members += 1
+        else:
+            with pytest.raises(NotConnected):
+                tree_from_connected(pi)
+    assert members == catalan(n - 1)
+
+
 def test_connected_from_tree_examples():
     assert connected_from_tree(CHAIN3) == ncl(3, [[1, 2], [2, 3]])
     assert connected_from_tree(PlanarTree((LEAF,) * 4)) == ncl(5, [[1, 2, 3, 4, 5]])
@@ -194,6 +215,19 @@ def test_bicolor_from_ncls_rejects_non_split():
         bicolor_from_ncls(ncl(3, [[1, 2, 3]]))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bicolor_from_ncls_raises_exactly_on_non_split(n):
+    members = 0
+    for pi in enumerate_ncl(n):
+        if is_ncls_by_components(pi):
+            assert ncls_from_bicolor(bicolor_from_ncls(pi)) == pi
+            members += 1
+        else:
+            with pytest.raises(NotNclS):
+                bicolor_from_ncls(pi)
+    assert members == (len(enumerate_ncls(n // 2)) if n % 2 == 0 else 0)
+
+
 def test_ncls_from_bicolor_examples():
     leaf = BicolorPlanarTree()
     assert ncls_from_bicolor(leaf) == ncl(2, [[1], [2]])
@@ -245,6 +279,25 @@ def test_bijections_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_bijections_need_no_kreweras(monkeypatch):
+    # membership and connectivity are block counts, so neither round trip
+    # builds a Kreweras complement, a restriction or the components
+    plain = [t for n in range(1, 9) for t in enumerate_planar_trees(n)]
+    bicolor = [t for n in range(1, 6) for t in enumerate_bicolor(n)]
+
+    def unused(*args, **kwargs):
+        raise AssertionError("a bijection built a complement, restriction or components")
+
+    for mod in (noncrossing.partitions, noncrossing.trees):
+        for name in ("kreweras", "restrict", "connected_components"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, unused)
+    for tree in plain:
+        assert tree_from_connected(connected_from_tree(tree)) == tree
+    for tree in bicolor:
+        assert bicolor_from_ncls(ncls_from_bicolor(tree)) == tree
 
 
 @pytest.mark.parametrize("n", range(1, 6))
