@@ -49,6 +49,8 @@ from .partitions import (
     exterior_blocks,
     is_ncls,
     is_ncs,
+    iter_nc,
+    iter_ncl,
     kreweras,
     leq,
     non_minimal_elements,

@@ -5,7 +5,8 @@ Subcommands: ``enumerate``, ``transform``, ``biject``, ``render``,
 for enumerations); identical invocations produce identical bytes.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or cap errors,
-3 vanishing-first-moment errors, 4 domain violations.
+3 vanishing-first-moment errors, 4 domain violations.  A reader that
+closes stdout early (``| head``) changes none of them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import (
     ZeroT0,
 )
 from .limits import DEFAULT_LIMITS
-from .partitions import enumerate_nc, enumerate_ncl, enumerate_ncls, enumerate_ncs
+from .partitions import enumerate_ncls, enumerate_ncs, iter_nc, iter_ncl
 from .transforms import (
     cumulants_to_moments,
     moments_to_cumulants,
@@ -45,9 +46,10 @@ from .trees import (
     tree_from_connected,
 )
 
+# NC(n) and NCL(n) stream, so a dump keeps none of them
 _ENUMERATORS = {
-    "nc": enumerate_nc,
-    "ncl": enumerate_ncl,
+    "nc": iter_nc,
+    "ncl": iter_ncl,
     "ncs": enumerate_ncs,
     "ncls": enumerate_ncls,
     "trees": enumerate_planar_trees,
@@ -117,25 +119,42 @@ def _resolve_limit(args, kind: str, n: int | None) -> int | None:
     return None
 
 
+def _print_lines(lines) -> None:
+    """Print each line as it comes; every command writes its stdout here.
+
+    A reader that closes the pipe early ends the output quietly and leaves
+    the exit code to the command: stdout then points at the null device, so
+    the flush at exit has nothing left to report.
+    """
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _enumeration_lines(objects, fmt: str):
+    count = 0
+    for count, obj in enumerate(objects, 1):
+        yield _dump(obj.to_json_dict()) if fmt == "json" else str(obj)
+    yield _dump({"count": count}) if fmt == "json" else f"count {count}"
+
+
 def _cmd_enumerate(args) -> int:
     limit = _resolve_limit(args, args.kind, args.n)
+    # the enumerator checks the cap before it yields, so a refusal prints nothing
     objects = _ENUMERATORS[args.kind](args.n, limit=limit)
-    for obj in objects:
-        if args.format == "json":
-            print(_dump(obj.to_json_dict()))
-        else:
-            print(str(obj))
-    if args.format == "json":
-        print(_dump({"count": len(objects)}))
-    else:
-        print(f"count {len(objects)}")
+    _print_lines(_enumeration_lines(objects, args.format))
     return 0
 
 
 def _cmd_transform(args) -> int:
     parse, transform = _TRANSFORMS[args.direction]
     out = transform(parse(_read_data(args.data)))
-    print(_dump(out.to_json_dict()))
+    _print_lines([_dump(out.to_json_dict())])
     return 0
 
 
@@ -157,7 +176,7 @@ def _cmd_biject(args) -> int:
                 raise NotNclS("expected a bicolor tree (colours missing)")
             tree = BicolorPlanarTree()
         out = ncls_from_bicolor(tree)
-    print(_dump(out.to_json_dict()))
+    _print_lines([_dump(out.to_json_dict())])
     return 0
 
 
@@ -169,7 +188,7 @@ def _cmd_render(args) -> int:
         obj = jsonio.parse_tree(data)
     else:
         raise ValueError("expected a partition or tree object")
-    print(render.render(obj))
+    _print_lines([render.render(obj)])
     return 0
 
 
@@ -177,17 +196,12 @@ def _cmd_verify(args) -> int:
     entries = verify.run_suites(args.suite, order=args.order, seed=args.seed)
     passed = all(e.passed for e in entries)
     if args.format == "json":
-        print(
-            json.dumps(
-                {"pass": passed, "entries": [e.to_json_dict() for e in entries]},
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        lines = [json.dumps({"pass": passed, "entries": [e.to_json_dict() for e in entries]},
+                            sort_keys=True, indent=2)]
     else:
-        for e in entries:
-            print(e.text_line())
-        print(f"{'PASS' if passed else 'FAIL'} {len(entries)} identities")
+        lines = [e.text_line() for e in entries]
+        lines.append(f"{'PASS' if passed else 'FAIL'} {len(entries)} identities")
+    _print_lines(lines)
     return 0 if passed else 1
 
 
@@ -206,7 +220,7 @@ def _cmd_convolve(args) -> int:
         _flag_limits(args, None)
         tx = jsonio.parse_tcoeffs(_read_data(args.tx))
         ty = jsonio.parse_tcoeffs(_read_data(args.ty))
-        print(_dump(t_convolve(tx, ty).to_json_dict()))
+        _print_lines([_dump(t_convolve(tx, ty).to_json_dict())])
         return 0
     mx = jsonio.parse_moments(_read_data(args.mx))
     my = jsonio.parse_moments(_read_data(args.my))
@@ -218,7 +232,7 @@ def _cmd_convolve(args) -> int:
         # the cap in force, from --limit or NCL_LIMITS, bounds the default order
         order = min(mx.order, my.order, DEFAULT_LIMITS["theorem"] if limit is None else limit)
     report = verify_t_multiplicativity(mx, my, order, limit=limit)
-    print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
+    _print_lines([json.dumps(report.to_json_dict(), sort_keys=True, indent=2)])
     return 0 if report.passed else 1
 
 

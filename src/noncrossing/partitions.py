@@ -11,7 +11,7 @@ least two elements.
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain, product
@@ -185,30 +185,42 @@ def _first_tails(prev: int, hi: int) -> tuple[Block, ...]:
                          for t in _first_tails(a, hi))
 
 
-@cache
-def _interval(lo: int, hi: int, linked: bool) -> tuple[Blocks, ...]:
-    """Every partition of {lo..hi} (NCL when ``linked``, else NC) as its
-    canonical block tuple, in lexicographic order.
+def _walk(lo: int, hi: int, linked: bool) -> Iterator[Blocks]:
+    """Yield every partition of {lo..hi} (NCL when ``linked``, else NC) as
+    its canonical block tuple, in lexicographic order, one at a time.
 
     The first block (lo, a_1, ..., a_k) runs through its tails depth first.
     The gap between lo and a_1 (or hi + 1) holds any partition of its own;
     the gap after each a_i comes from :func:`_gap`.  Every gap lies wholly
     after the one before it, so joining one filling of each gap in position
     order is canonical, and running the earlier gaps slowest keeps the
-    output sorted.
+    output sorted.  The fillings are inner intervals, taken from the cache
+    of :func:`_interval`; nothing of {lo..hi} itself is kept.
     """
     if lo > hi:
-        return ((),)
-    out = []
+        yield ()
+        return
     for tail in _first_tails(lo, hi):
         ends = tail + (hi + 1,)
         gaps = [_interval(lo + 1, ends[0] - 1, linked)]
         gaps += [_gap(a, b - 1, linked) for a, b in zip(tail, ends[1:])]
-        combos = [((lo,) + tail,)]
-        for gap in gaps:
-            combos = [c + g for c in combos for g in gap]
-        out += combos
-    return tuple(out)
+        # an empty gap adds nothing; the earlier gaps join into heads, and
+        # the last one streams behind each head
+        *inner, last = [g for g in gaps if g != ((),)] or [((),)]
+        heads = [((lo,) + tail,)]
+        for gap in inner:
+            heads = [h + g for h in heads for g in gap]
+        for h in heads:
+            for g in last:
+                yield h + g
+
+
+@cache
+def _interval(lo: int, hi: int, linked: bool) -> tuple[Blocks, ...]:
+    """Every partition of {lo..hi} from :func:`_walk`, kept.  Only the gaps
+    of an enclosing walk ask for one, so lo >= 2 and the top level of
+    NC(n) and NCL(n) is never held here."""
+    return tuple(_walk(lo, hi, linked))
 
 
 @cache
@@ -224,9 +236,21 @@ def _gap(a: int, end: int, linked: bool) -> tuple[Blocks, ...]:
     return tuple(p for p in _interval(a, end, linked) if len(p[0]) > 1) + rest
 
 
+def _stream(kind: type[AnyPartition], n: int) -> Iterator[AnyPartition]:
+    """NC(n) or NCL(n), by ``kind``, straight from the top-level walk."""
+    return (kind(n, blocks) for blocks in _walk(1, n, kind is NCLPartition))
+
+
+def iter_nc(n: int, *, limit: int | None = None) -> Iterator[NCPartition]:
+    """The partitions of :func:`enumerate_nc`, in the same order, one at a
+    time and kept nowhere.  The cap is checked here, before the first one."""
+    check_limit("nc", n, limit)
+    return _stream(NCPartition, n)
+
+
 @cache
 def _nc_all(n: int) -> tuple[NCPartition, ...]:
-    return tuple(NCPartition(n, blocks) for blocks in _interval(1, n, False))
+    return tuple(_stream(NCPartition, n))
 
 
 def enumerate_nc(n: int, *, limit: int | None = None) -> tuple[NCPartition, ...]:
@@ -235,9 +259,16 @@ def enumerate_nc(n: int, *, limit: int | None = None) -> tuple[NCPartition, ...]
     return _nc_all(n)
 
 
+def iter_ncl(n: int, *, limit: int | None = None) -> Iterator[NCLPartition]:
+    """The partitions of :func:`enumerate_ncl`, in the same order, one at a
+    time and kept nowhere.  The cap is checked here, before the first one."""
+    check_limit("ncl", n, limit)
+    return _stream(NCLPartition, n)
+
+
 @cache
 def _ncl_all(n: int) -> tuple[NCLPartition, ...]:
-    return tuple(NCLPartition(n, blocks) for blocks in _interval(1, n, True))
+    return tuple(_stream(NCLPartition, n))
 
 
 def enumerate_ncl(n: int, *, limit: int | None = None) -> tuple[NCLPartition, ...]:

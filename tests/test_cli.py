@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+from itertools import islice
 from math import comb
 
 import pytest
@@ -50,6 +52,38 @@ def test_enumerate_bicolor3_count():
 def test_enumerate_text_format():
     proc = run_cli("enumerate", "nc", "2", "--format", "text")
     assert proc.stdout.splitlines() == ["(1)(2)", "(1,2)", "count 2"]
+
+
+@pytest.mark.parametrize("args, digest", [
+    (("nc", "12", "--format", "text"),
+     "63c91f09f417cf8e8abd3612a84980a83dcbf68c32b8e5959258c3994755fe96"),
+    (("ncl", "9", "--format", "json"),
+     "4afd004c3d8fd23f9daee4c878e7294609bad0c3b4da7b6328c711a174ee4da3"),
+])
+def test_enumerate_bytes_pinned(args, digest):
+    # streamed output keeps the bytes of the dumps built from whole tuples
+    proc = run_cli("enumerate", *args)
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_enumerate_over_cap_prints_nothing():
+    proc = run_cli("enumerate", "nc", "13")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "capped at 12" in proc.stderr
+
+
+def test_enumerate_into_closed_pipe_exits_quietly():
+    # a reader that stops early, like `| head -1`, is the normal use of a stream
+    env = {k: v for k, v in os.environ.items() if k != "NCL_LIMITS"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "noncrossing", "enumerate", "nc", "10", "--format", "text"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"(1)(2)(3)(4)(5)(6)(7)(8)(9)(10)\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
 
 
 def test_enumerate_limit_exit_code():
@@ -531,6 +565,23 @@ def _drop_one(original):
     return lambda n, **kwargs: original(n, **kwargs)[1:]
 
 
+def _drop_first(original):
+    return lambda n, **kwargs: islice(original(n, **kwargs), 1, None)
+
+
+def _repeat_first(original):
+    # the first member again in place of the second: the count still holds
+    def repeated(n, **kwargs):
+        members = original(n, **kwargs)
+        first = next(members)
+        yield first
+        if next(members, None) is not None:
+            yield first
+        yield from members
+
+    return repeated
+
+
 def _with_one(original):
     return lambda pi: original(pi) | {1}
 
@@ -560,8 +611,10 @@ def _off_by_one_on_mixed_words(original):
          "cumulant via connected linked classes", {"sequence", "got", "expected"}),
         (verify, "eq5", "cumulant_via_trees", _off_by_one,
          "cumulant via planar tree sum", {"sequence", "got", "expected"}),
-        (verify, "counts", "enumerate_ncl", _drop_one, "linked partition count",
+        (verify, "counts", "iter_ncl", _drop_first, "linked partition count",
          {"got", "expected"}),
+        (verify, "counts", "iter_nc", _repeat_first, "non-crossing partition count",
+         {"got", "expected", "out_of_order"}),
         (transforms, "theorem", "free_multiplicative", _off_by_one_above_first,
          "t-series multiplicativity", {"identity", "parameters", "lhs", "rhs"}),
         (verify, "bridge", "ncls_weight", _off_by_one,
@@ -581,8 +634,8 @@ def _off_by_one_on_mixed_words(original):
          "t-coefficient product rule", {"lhs", "rhs"}),
     ],
     ids=["kreweras", "maximality-mirrored", "maximality-no-crossings", "prop21", "eq5",
-         "counts", "theorem", "bridge", "prop22", "fixture-components", "fixture-exterior",
-         "fixture-non-minimal", "fixture-ten-point", "convolve"],
+         "counts", "counts-duplicate", "theorem", "bridge", "prop22", "fixture-components",
+         "fixture-exterior", "fixture-non-minimal", "fixture-ten-point", "convolve"],
 )
 def test_fault_injection_reports_witness(
     monkeypatch, capsys, module, suite, attr, corrupt, identity, witness_keys
@@ -604,6 +657,21 @@ def test_fault_injection_reports_witness(
     failed = [e for e in entries if e["identity"] == identity and not e["pass"]]
     assert failed
     assert all(set(e["witness"]) == witness_keys for e in failed)
+
+
+@pytest.mark.parametrize("argv, corrupt, code", [
+    (["verify", "counts", "--format", "text"], None, 0),
+    (["verify", "counts", "--format", "text"], _drop_first, 1),
+    (["transform", "m2k", '{"coeffs":["1","2"]}'], None, 0),
+], ids=["verify-pass", "verify-fail", "transform"])
+def test_closed_stdout_keeps_the_exit_code(monkeypatch, argv, corrupt, code):
+    if corrupt is not None:
+        monkeypatch.setattr(verify, "iter_ncl", corrupt(verify.iter_ncl))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert cli.main(argv) == code
 
 
 # bounded JSON values: arbitrary ones, and objects shaped like the inputs

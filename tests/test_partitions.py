@@ -1,6 +1,7 @@
 import gc
 import random
 import time
+import tracemalloc
 from collections import Counter
 from functools import cache, lru_cache
 from itertools import permutations
@@ -32,6 +33,8 @@ from noncrossing.partitions import (
     exterior_blocks,
     is_ncls,
     is_ncs,
+    iter_nc,
+    iter_ncl,
     kreweras,
     leq,
     non_minimal_elements,
@@ -290,6 +293,50 @@ def test_enumeration_leaves_no_reference_cycles(fresh_caches):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_iterators_stream_the_enumerations():
+    for n in range(1, 11):
+        assert tuple(iter_nc(n)) == enumerate_nc(n)
+    for n in range(1, 10):
+        assert tuple(iter_ncl(n)) == enumerate_ncl(n)
+    # the tuples are still kept
+    assert enumerate_nc(7) is enumerate_nc(7)
+    assert enumerate_ncl(6) is enumerate_ncl(6)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: iter_nc(13), LimitExceeded),
+    (lambda: iter_ncl(10), LimitExceeded),
+    (lambda: iter_nc(0), ValueError),
+    (lambda: iter_ncl(0), ValueError),
+    (lambda: iter_nc(5, limit=4), LimitExceeded),
+    (lambda: iter_ncl(4, limit=3), LimitExceeded),
+], ids=["nc-cap", "ncl-cap", "nc-zero", "ncl-zero", "nc-limit", "ncl-limit"])
+def test_iterators_check_the_cap_when_called(call, error):
+    # the call itself refuses, before any next(): a generator function would not
+    with pytest.raises(error):
+        call()
+
+
+def test_counts_suite_keeps_no_counted_family(fresh_caches):
+    # the NC and NCL count rows stream; only NCS(n <= 6) reads NC(n), and
+    # what stays behind is the inner intervals of the recursion
+    gc.collect()
+    tracemalloc.start()
+    try:
+        entries = verify.counts_suite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(e.passed for e in entries)
+    assert partitions._ncl_all.cache_info().currsize == 0
+    held = partitions._nc_all.cache_info()
+    assert held.currsize == 6
+    for n in range(1, 7):
+        partitions._nc_all(n)
+    assert partitions._nc_all.cache_info().misses == held.misses
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 6), (4, 22), (5, 90)])
