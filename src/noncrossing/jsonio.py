@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 
 from .freeness import Scenario
 from .partitions import NCLPartition, NCPartition, validate_nc, validate_ncl
@@ -57,7 +58,10 @@ def _require_int(data: dict, key: str) -> int:
 
 
 def _blocks(data: dict) -> list:
+    # checked in bulk; only a failure looks for the first offender to name
     blocks = _require_list(data, "blocks")
+    if set(map(type, blocks)) <= {list} and set(map(type, chain.from_iterable(blocks))) <= {int}:
+        return blocks
     for blk in blocks:
         if not isinstance(blk, list) or not all(type(e) is int for e in blk):
             raise ValueError(f"block {json.dumps(blk)} is not a list of integers")

@@ -11,7 +11,7 @@ least two elements.
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain, product
@@ -20,6 +20,7 @@ from .errors import (
     BadLink,
     BlockStraddlesSet,
     Crossing,
+    NonCrossingError,
     NotACover,
     NotAPartition,
     OddGroundSet,
@@ -67,8 +68,61 @@ AnyPartition = NCPartition | NCLPartition
 # validation
 
 
-def _clean_blocks(n: int, raw, exc) -> Blocks:
-    """Sort raw blocks into canonical form, checking element sanity."""
+def block_parents(n: int, blocks: Blocks) -> tuple[int | None, ...]:
+    """The parent of each block, by index, from one left-to-right scan that
+    checks that canonical ``blocks`` form a linked partition of {1..n}.
+
+    The position arrays exist only once the block sizes add up to n.  Each
+    position starts or resumes one block, or both (a link, starting a block
+    of two or more); any other fault raises :class:`NotAPartition`.  A block
+    hangs from the block whose non-minimal element it starts at, otherwise
+    from the innermost block open there, otherwise from none.  A block that
+    resumes under another open block crosses it: :class:`Crossing`.
+    """
+    size = sum(map(len, blocks))
+    if size < n or not blocks[0] or blocks[0][0] < 1:
+        raise NotAPartition("not a linked partition")
+    starts: list[int | None] = [None] * (n + 1)
+    resumes: list[int | None] = [None] * (n + 1)
+    try:
+        for i, blk in enumerate(blocks):
+            elems = iter(blk)
+            starts[next(elems)] = i
+            for e in elems:
+                resumes[e] = i
+    except IndexError:  # an element above n
+        raise NotAPartition("not a linked partition") from None
+    # a position written twice leaves fewer filled slots than writes
+    if starts.count(None) + resumes.count(None) + size != 2 * n + 2:
+        raise NotAPartition("not a linked partition")
+    parents: list[int | None] = [None] * len(blocks)
+    stack: list[int | None] = [None]  # None: no block open
+    for e in range(1, n + 1):
+        x = resumes[e]
+        s = starts[e]
+        if x is not None:
+            if s is not None and (s == x or len(blocks[s]) == 1):
+                raise NotAPartition("not a linked partition")
+            if stack[-1] != x:
+                # the block on top started after min x and ends after e
+                top = blocks[stack[-1]]
+                raise Crossing((blocks[x][0], top[0], e, top[-1]))
+            if blocks[x][-1] == e:
+                stack.pop()
+        elif s is None:
+            raise NotAPartition("not a linked partition")
+        if s is not None:
+            parents[s] = x if x is not None else stack[-1]
+            if len(blocks[s]) > 1:
+                stack.append(s)
+    return tuple(parents)
+
+
+def _name_fault(n: int, raw: list, linked: bool) -> None:
+    """On the error path only: raise the error of the first fault, other
+    than a crossing, in the order: each raw block in input order, then an
+    element in two blocks (unless ``linked``), the cover and the links."""
+    exc = BadLink if linked else NotAPartition
     cleaned = []
     for blk in raw:
         elems = tuple(sorted(blk))
@@ -79,97 +133,64 @@ def _clean_blocks(n: int, raw, exc) -> Blocks:
         if elems[0] < 1 or elems[-1] > n:
             raise exc(f"block {list(blk)} leaves the ground set 1..{n}")
         cleaned.append(elems)
-    # canonical order: ascending minima (distinct in every valid partition),
-    # ties broken by the rest of the tuple
-    return tuple(sorted(cleaned))
-
-
-def _check_cover(n: int, covered: Collection[int], exc) -> None:
-    """``covered`` lies inside 1..n, so it covers 1..n exactly when it has
-    n elements; the message names the count and the smallest gap only."""
-    if len(covered) != n:
-        first = next(e for e in range(1, n + 1) if e not in covered)
-        raise exc(f"{n - len(covered)} of the elements 1..{n} are not covered, "
-                  f"the smallest is {first}")
-
-
-def block_parents(n: int, blocks: Blocks) -> tuple[int | None, ...]:
-    """The parent of each block, by index, from one left-to-right scan.
-
-    ``blocks`` are canonical, and each position starts at most one block and
-    continues at most one other, as in every validated partition.  A block
-    hangs from the block whose non-minimal element it starts at, otherwise
-    from the innermost block open there, otherwise from none.  A block that
-    resumes under another open block crosses it: :class:`Crossing`.
-    """
-    starts: list[int | None] = [None] * (n + 1)
-    resumes: list[int | None] = [None] * (n + 1)
-    for i, blk in enumerate(blocks):
-        starts[blk[0]] = i
-        for e in blk[1:]:
-            resumes[e] = i
-    parents: list[int | None] = [None] * len(blocks)
-    stack: list[int] = []
-    for e in range(1, n + 1):
-        x = resumes[e]
-        if x is not None:
-            if stack[-1] != x:
-                # the block on top started after min x and ends after e
-                top = blocks[stack[-1]]
-                raise Crossing((blocks[x][0], top[0], e, top[-1]))
-            if blocks[x][-1] == e:
-                stack.pop()
-        s = starts[e]
-        if s is not None:
-            parents[s] = x if x is not None else (stack[-1] if stack else None)
-            if len(blocks[s]) > 1:
-                stack.append(s)
-    return tuple(parents)
-
-
-def validate_nc(n: int, blocks) -> NCPartition:
-    """Validate raw blocks as a non-crossing partition of {1..n}.
-
-    Raises :class:`NotAPartition` when the blocks are not pairwise disjoint
-    or do not cover the ground set, and :class:`Crossing` (with a witness)
-    when two blocks interleave.
-    """
-    if n < 1:
-        raise NotAPartition(f"ground set size must be positive, got {n}")
-    canon = _clean_blocks(n, blocks, NotAPartition)
-    seen: set[int] = set()
-    for e in chain.from_iterable(canon):
-        if e in seen:
-            raise NotAPartition(f"element {e} appears in two blocks")
-        seen.add(e)
-    _check_cover(n, seen, NotAPartition)
-    block_parents(n, canon)
-    return NCPartition(n, canon)
-
-
-def validate_ncl(n: int, blocks) -> NCLPartition:
-    """Validate raw blocks as a non-crossing linked partition of {1..n}.
-
-    Raises :class:`NotACover` when the union misses part of the ground set,
-    :class:`BadLink` when a shared element breaks the linking rule of the
-    module docstring, and :class:`Crossing` when two blocks interleave.
-    """
-    if n < 1:
-        raise NotACover(f"ground set size must be positive, got {n}")
-    canon = _clean_blocks(n, blocks, BadLink)
     owners: dict[int, list[Block]] = {}
-    for blk in canon:
+    for blk in sorted(cleaned):
         for e in blk:
-            owners.setdefault(e, []).append(blk)
-    _check_cover(n, owners.keys(), NotACover)
+            held = owners.setdefault(e, [])
+            if held and not linked:
+                raise NotAPartition(f"element {e} appears in two blocks")
+            held.append(blk)
+    if len(owners) != n:
+        first = next(e for e in range(1, n + 1) if e not in owners)
+        raise (NotACover if linked else NotAPartition)(
+            f"{n - len(owners)} of the elements 1..{n} are not covered, the smallest is {first}")
     for e, held in owners.items():
         if len(held) > 1:
             minimal = sum(blk[0] == e for blk in held)
             if len(held) > 2 or minimal != 1 or min(map(len, held)) < 2:
                 raise BadLink(f"element {e} lies in {len(held)} blocks, minimal in {minimal}: "
                               "a link joins two blocks of two or more at the minimum of one")
-    block_parents(n, canon)
-    return NCLPartition(n, canon)
+
+
+def _validate(kind: type[AnyPartition], n: int, blocks) -> AnyPartition:
+    linked = kind is NCLPartition
+    if n < 1:
+        raise (NotACover if linked else NotAPartition)(f"ground set size must be positive, got {n}")
+    raw = list(blocks)
+    try:
+        # canonical order: ascending minima (distinct once valid), then the rest
+        canon = tuple(sorted(map(tuple, map(sorted, raw))))
+        block_parents(n, canon)
+        # a linked partition has one element more than n per link
+        if not linked and sum(map(len, canon)) != n:
+            raise NotAPartition("an element lies in two blocks")
+    except (NonCrossingError, TypeError):
+        _name_fault(n, raw, linked)
+        raise
+    return kind(n, canon)
+
+
+def validate_nc(n: int, blocks) -> NCPartition:
+    """Validate raw blocks as a non-crossing partition of {1..n} in the
+    scan of :func:`block_parents`, which allocates after the cover count.
+
+    Raises :class:`NotAPartition` for a bad block (the first in input order),
+    then for blocks that overlap or leave a gap, and then :class:`Crossing`
+    (with a witness) when two blocks interleave.
+    """
+    return _validate(NCPartition, n, blocks)
+
+
+def validate_ncl(n: int, blocks) -> NCLPartition:
+    """Validate raw blocks as a non-crossing linked partition of {1..n} in
+    the scan of :func:`block_parents`, which allocates after the cover count.
+
+    Raises :class:`BadLink` for a bad block (the first in input order), then
+    :class:`NotACover` when the union misses part of the ground set,
+    :class:`BadLink` when a shared element breaks the linking rule of the
+    module docstring, and :class:`Crossing` when two blocks interleave.
+    """
+    return _validate(NCLPartition, n, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +206,7 @@ def _first_tails(prev: int, hi: int) -> tuple[Block, ...]:
                          for t in _first_tails(a, hi))
 
 
-def _walk(lo: int, hi: int, linked: bool) -> Iterator[Blocks]:
+def _walk(lo: int, hi: int, linked: bool, top: bool = False) -> Iterator[Blocks]:
     """Yield every partition of {lo..hi} (NCL when ``linked``, else NC) as
     its canonical block tuple, in lexicographic order, one at a time.
 
@@ -196,14 +217,24 @@ def _walk(lo: int, hi: int, linked: bool) -> Iterator[Blocks]:
     order is canonical, and running the earlier gaps slowest keeps the
     output sorted.  The fillings are inner intervals, taken from the cache
     of :func:`_interval`; nothing of {lo..hi} itself is kept.
+
+    A ``top`` walk walks its widest gap, {lo+1..hi}, too: for the first
+    block (lo,), and in NCL for (lo, lo+1), whose gap opens a block at lo+1
+    or fills {lo+2..hi}.  So streaming NC(n) or NCL(n) never caches {2..n}.
     """
     if lo > hi:
         yield ()
         return
     for tail in _first_tails(lo, hi):
         ends = tail + (hi + 1,)
-        gaps = [_interval(lo + 1, ends[0] - 1, linked)]
-        gaps += [_gap(a, b - 1, linked) for a, b in zip(tail, ends[1:])]
+        if top and not tail:
+            gaps = [_walk(lo + 1, hi, linked)]
+        elif top and linked and tail == (lo + 1,):
+            opened = (p for p in _walk(lo + 1, hi, linked) if len(p[0]) > 1)
+            gaps = [chain(opened, _interval(lo + 2, hi, linked))]
+        else:
+            gaps = [_interval(lo + 1, ends[0] - 1, linked)]
+            gaps += [_gap(a, b - 1, linked) for a, b in zip(tail, ends[1:])]
         # an empty gap adds nothing; the earlier gaps join into heads, and
         # the last one streams behind each head
         *inner, last = [g for g in gaps if g != ((),)] or [((),)]
@@ -218,8 +249,8 @@ def _walk(lo: int, hi: int, linked: bool) -> Iterator[Blocks]:
 @cache
 def _interval(lo: int, hi: int, linked: bool) -> tuple[Blocks, ...]:
     """Every partition of {lo..hi} from :func:`_walk`, kept.  Only the gaps
-    of an enclosing walk ask for one, so lo >= 2 and the top level of
-    NC(n) and NCL(n) is never held here."""
+    of an enclosing walk ask for one, so lo >= 2, and the top-level walk of
+    NC(n) or NCL(n) never asks for {2..n}."""
     return tuple(_walk(lo, hi, linked))
 
 
@@ -238,7 +269,7 @@ def _gap(a: int, end: int, linked: bool) -> tuple[Blocks, ...]:
 
 def _stream(kind: type[AnyPartition], n: int) -> Iterator[AnyPartition]:
     """NC(n) or NCL(n), by ``kind``, straight from the top-level walk."""
-    return (kind(n, blocks) for blocks in _walk(1, n, kind is NCLPartition))
+    return (kind(n, blocks) for blocks in _walk(1, n, kind is NCLPartition, top=True))
 
 
 def iter_nc(n: int, *, limit: int | None = None) -> Iterator[NCPartition]:

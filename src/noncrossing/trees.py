@@ -167,15 +167,17 @@ def tree_from_connected(pi: NCLPartition) -> PlanarTree:
     """
     if sum(map(len, pi.blocks)) - len(pi.blocks) != pi.n - 1:
         raise NotConnected(f"{pi} has more than one connected component")
-    tree = _subtree_at(1, {blk[0]: blk for blk in pi.blocks})
-    assert tree.size == pi.n
+    min_of = {blk[0]: blk for blk in pi.blocks}
+    tree = _subtree_at(1, min_of)
+    # with every block taken, the tree has 1 + sum(|B| - 1) = n vertices
+    assert not min_of, "a block hangs below no vertex"
     return tree
 
 
 def _subtree_at(e: int, min_of: dict) -> PlanarTree:
     """The subtree of vertex e: its children are the other elements of the
-    block with minimum e, if there is one."""
-    blk = min_of.get(e)
+    block with minimum e, if there is one, taken out of ``min_of``."""
+    blk = min_of.pop(e, None)
     if blk is None:
         return PlanarTree()
     return PlanarTree(tuple(_subtree_at(x, min_of) for x in blk[1:]))
@@ -259,7 +261,8 @@ def ncls_from_bicolor(tree: BicolorPlanarTree) -> NCLPartition:
     blocks.append((even_root, *colour0_owns))
 
     n2 = next(positions) - 1
-    assert n2 == 2 * tree.size
+    # two positions per vertex: the root's, and one per own position listed
+    assert n2 == 2 * (1 + sum(map(len, blocks)) - len(blocks))
     result = NCLPartition(n2, tuple(sorted(blocks)))
     assert is_ncls(result)
     return result

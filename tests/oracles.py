@@ -239,6 +239,94 @@ def ncl_error_by_pairs(n: int, blocks):
     return Crossing if has_crossing(out) else None
 
 
+# The validators as four passes over the blocks (clean, index, cover, then
+# a crossing scan over fresh position arrays): the reference for the one
+# position scan of ``partitions.block_parents``, on classes, messages and
+# crossing witnesses alike.
+
+
+def _clean_blocks(n: int, raw, exc):
+    """Sort raw blocks into canonical form, checking element sanity."""
+    cleaned = []
+    for blk in raw:
+        elems = tuple(sorted(blk))
+        if not elems:
+            raise exc("empty block")
+        if len(set(elems)) != len(elems):
+            raise exc(f"block {list(blk)} repeats an element")
+        if elems[0] < 1 or elems[-1] > n:
+            raise exc(f"block {list(blk)} leaves the ground set 1..{n}")
+        cleaned.append(elems)
+    # canonical order: ascending minima (distinct in every valid partition),
+    # ties broken by the rest of the tuple
+    return tuple(sorted(cleaned))
+
+
+def _check_cover(n: int, covered, exc) -> None:
+    """``covered`` lies inside 1..n, so it covers 1..n exactly when it has
+    n elements; the message names the count and the smallest gap only."""
+    if len(covered) != n:
+        first = next(e for e in range(1, n + 1) if e not in covered)
+        raise exc(f"{n - len(covered)} of the elements 1..{n} are not covered, "
+                  f"the smallest is {first}")
+
+
+def _crossing_scan(n: int, blocks) -> None:
+    """Raise :class:`Crossing` when a block resumes under another open one,
+    for canonical blocks that already partition 1..n."""
+    starts = [None] * (n + 1)
+    resumes = [None] * (n + 1)
+    for i, blk in enumerate(blocks):
+        starts[blk[0]] = i
+        for e in blk[1:]:
+            resumes[e] = i
+    stack = []
+    for e in range(1, n + 1):
+        x = resumes[e]
+        if x is not None:
+            if stack[-1] != x:
+                top = blocks[stack[-1]]
+                raise Crossing((blocks[x][0], top[0], e, top[-1]))
+            if blocks[x][-1] == e:
+                stack.pop()
+        s = starts[e]
+        if s is not None and len(blocks[s]) > 1:
+            stack.append(s)
+
+
+def validate_nc_by_passes(n: int, blocks) -> NCPartition:
+    if n < 1:
+        raise NotAPartition(f"ground set size must be positive, got {n}")
+    canon = _clean_blocks(n, blocks, NotAPartition)
+    seen = set()
+    for e in chain.from_iterable(canon):
+        if e in seen:
+            raise NotAPartition(f"element {e} appears in two blocks")
+        seen.add(e)
+    _check_cover(n, seen, NotAPartition)
+    _crossing_scan(n, canon)
+    return NCPartition(n, canon)
+
+
+def validate_ncl_by_passes(n: int, blocks) -> NCLPartition:
+    if n < 1:
+        raise NotACover(f"ground set size must be positive, got {n}")
+    canon = _clean_blocks(n, blocks, BadLink)
+    owners = {}
+    for blk in canon:
+        for e in blk:
+            owners.setdefault(e, []).append(blk)
+    _check_cover(n, owners.keys(), NotACover)
+    for e, held in owners.items():
+        if len(held) > 1:
+            minimal = sum(blk[0] == e for blk in held)
+            if len(held) > 2 or minimal != 1 or min(map(len, held)) < 2:
+                raise BadLink(f"element {e} lies in {len(held)} blocks, minimal in {minimal}: "
+                              "a link joins two blocks of two or more at the minimum of one")
+    _crossing_scan(n, canon)
+    return NCLPartition(n, canon)
+
+
 def exterior_by_pairs(pi: NCLPartition):
     """Blocks whose minimum lies in no other block and whose span no other
     block encloses."""

@@ -255,6 +255,89 @@ def test_biject_crossing_exit4():
     assert proc.returncode == 4
 
 
+# inputs of the biject pin: the README examples, one member of each domain
+# for every n <= 6 (blocks reversed, as a parser may meet them), and one
+# input per error kind; each goes through all four directions
+BIJECT_INPUTS = [
+    '{"n":3,"blocks":[[1,2],[2,3]]}',
+    '{"n":6,"blocks":[[1,3,5],[2],[4],[6]]}',
+    '{"n":1,"blocks":[[1]]}',
+    '{"n":2,"blocks":[[2,1]]}',
+    '{"n":3,"blocks":[[3,2],[2,1]]}',
+    '{"n":4,"blocks":[[3,2],[4,2,1]]}',
+    '{"n":5,"blocks":[[4,3,2],[5,2,1]]}',
+    '{"n":6,"blocks":[[4,3],[3,2],[6,5,2,1]]}',
+    '{"n":2,"blocks":[[2],[1]]}',
+    '{"n":4,"blocks":[[3],[4,2],[1]]}',
+    '{"n":6,"blocks":[[6],[4],[5,3],[2],[3,1]]}',
+    '{"n":8,"blocks":[[7],[5],[6,4],[3],[8,4,2],[1]]}',
+    '{"n":10,"blocks":[[10],[8],[6],[7,5],[4],[5,3],[2],[9,3,1]]}',
+    '{"n":12,"blocks":[[12],[10],[8],[9,7],[6],[4],[7,5,3],[2],[11,3,1]]}',
+    '{"children":[]}',
+    '{"children":[{"tree":{"children":[]}}]}',
+    '{"children":[{"tree":{"children":[{"tree":{"children":[]}}]}}]}',
+    '{"children":[{"tree":{"children":[{"tree":{"children":[]}}]}},{"tree":{"children":[]}}]}',
+    '{"children":[{"tree":{"children":[{"tree":{"children":[]}},{"tree":{"children":[]}}]}},'
+    '{"tree":{"children":[]}}]}',
+    '{"children":[{"tree":{"children":[{"tree":{"children":[{"tree":{"children":[]}}]}}]}},'
+    '{"tree":{"children":[]}},{"tree":{"children":[]}}]}',
+    '{"children":[{"color":0,"tree":{"children":[]}}]}',
+    '{"children":[{"color":1,"tree":{"children":[{"color":1,"tree":{"children":[]}}]}}]}',
+    '{"children":[{"color":0,"tree":{"children":[{"color":0,"tree":{"children":[]}}]}},'
+    '{"color":0,"tree":{"children":[]}}]}',
+    '{"children":[{"color":1,"tree":{"children":[{"color":1,"tree":{"children":'
+    '[{"color":1,"tree":{"children":[]}}]}}]}},{"color":1,"tree":{"children":[]}}]}',
+    '{"children":[{"color":1,"tree":{"children":[{"color":1,"tree":{"children":[]}},'
+    '{"color":1,"tree":{"children":[{"color":1,"tree":{"children":[]}}]}}]}},'
+    '{"color":1,"tree":{"children":[]}}]}',
+    # empty block, repeat, out of range (high, zero), uncovered, uncovered
+    # beyond any array, bad links, crossing, non-integer and non-list blocks,
+    # disconnected, not parity-split, a size below one, a bad colour
+    '{"n":2,"blocks":[[1,2],[]]}',
+    '{"n":3,"blocks":[[3,1,3],[2]]}',
+    '{"n":3,"blocks":[[1,2],[3,4]]}',
+    '{"n":3,"blocks":[[0,1],[2,3]]}',
+    '{"n":5,"blocks":[[1],[2],[4]]}',
+    '{"n":1000000000,"blocks":[[1]]}',
+    '{"n":3,"blocks":[[1,2],[2],[3]]}',
+    '{"n":4,"blocks":[[1,4],[2,4],[3]]}',
+    '{"n":4,"blocks":[[1,3],[2,4]]}',
+    '{"n":2,"blocks":[[1,"2"]]}',
+    '{"n":2,"blocks":[[1],2]}',
+    '{"n":3,"blocks":[[1,2],[3]]}',
+    '{"n":4,"blocks":[[1,2],[3,4]]}',
+    '{"n":0,"blocks":[]}',
+    '{"children":[{"color":2,"tree":{"children":[]}}]}',
+]
+
+
+def test_biject_bytes_pinned(monkeypatch, capsys):
+    # stdout, stderr and the exit code of every case, pinned across rewrites
+    # of validation and the bijections
+    monkeypatch.delenv("NCL_LIMITS", raising=False)
+    transcript, codes = [], []
+    for data in BIJECT_INPUTS:
+        for direction in ("theta", "lambda", "theta-inv", "lambda-inv"):
+            code = cli.main(["biject", direction, data])
+            captured = capsys.readouterr()
+            transcript.append(f"{direction} {data}\n{code}\n{captured.out}{captured.err}")
+            codes.append(str(code))
+    digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
+    assert "".join(codes) == (
+        "04004000040004000400040004000400400040004000400040004000220022042204220422042204"
+        "22402240224022402240440044004400440044004400440044004400220022004400440044002222"
+    )
+    assert digest == "819be1b2a9a5dc2d1d985e883c6c45a6802c83db2e791f2e388225900793bfc1"
+
+
+def test_biject_billion_point_ground_set_exit4():
+    # refused by counting block sizes, before any array of n positions
+    proc = run_cli("biject", "theta", '{"n":1000000000,"blocks":[[1]]}')
+    assert proc.returncode == 4
+    assert proc.stderr == ("error: 999999999 of the elements 1..1000000000 are not covered, "
+                           "the smallest is 2\n")
+
+
 def test_render_partition():
     proc = run_cli("render", '{"n":3,"blocks":[[1],[2],[3]]}')
     assert proc.returncode == 0

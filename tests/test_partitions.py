@@ -4,13 +4,13 @@ import time
 import tracemalloc
 from collections import Counter
 from functools import cache, lru_cache
-from itertools import permutations
+from itertools import chain, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noncrossing import partitions, transforms, trees, verify
+from noncrossing import jsonio, partitions, transforms, trees, verify
 from noncrossing.errors import (
     BadLink,
     BlockStraddlesSet,
@@ -60,6 +60,8 @@ from oracles import (
     ncl_by_classes,
     ncl_error_by_pairs,
     ncls_by_classes,
+    validate_nc_by_passes,
+    validate_ncl_by_passes,
 )
 
 EXAMPLE_12 = [[1, 4, 6, 9], [2, 3], [4, 5], [6, 7, 8], [10, 11], [11, 12]]
@@ -205,6 +207,100 @@ def test_validation_time_is_linear_in_block_size():
     assert time.perf_counter() - start < 1
 
 
+def _faulty_block_lists(seed: int, count: int):
+    """Members of NC(n) or NCL(n) with one to three faults put in, so that
+    several faults meet in one input: an empty block, a repeated element,
+    an element out of range or zero, a duplicate block, an element added
+    or removed, a block dropped.  Every block is shuffled within itself."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        family = enumerate_ncl(n) if rng.random() < 0.5 else enumerate_nc(n)
+        blocks = [list(b) for b in rng.choice(family).blocks]
+        for _ in range(rng.randint(1, 3)):
+            blk = rng.choice(blocks) if blocks else []
+            fault = rng.randrange(7)
+            if fault == 0:
+                blocks.insert(rng.randint(0, len(blocks)), [])
+            elif fault == 1 and blk:
+                blk.append(rng.choice(blk))
+            elif fault == 2:
+                blk.append(rng.choice([0, -1, n + 1, 10**9]))
+            elif fault == 3:
+                blocks.append(list(blk))
+            elif fault == 4:
+                blk.append(rng.randint(1, n))
+            elif fault == 5 and len(blk) > 1:
+                blk.remove(rng.choice(blk))
+            elif fault == 6 and blocks:
+                blocks.remove(blk)
+        for blk in blocks:
+            rng.shuffle(blk)
+        rng.shuffle(blocks)
+        yield n, blocks
+
+
+def _outcome(validate, n, blocks):
+    """What validating gives: no error class and the canonical blocks, or
+    the error's class, message and crossing witness."""
+    try:
+        return None, validate(n, blocks).blocks, None
+    except NonCrossingError as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@pytest.mark.parametrize("validate, passes, outcomes", [
+    (validate_nc, validate_nc_by_passes, {None, NotAPartition, Crossing}),
+    (validate_ncl, validate_ncl_by_passes, {None, NotACover, BadLink, Crossing}),
+])
+def test_one_scan_matches_the_four_passes(validate, passes, outcomes):
+    # same class, same message and the same crossing witness as cleaning,
+    # indexing, covering and scanning one after another
+    seen = Counter()
+    lists = chain(_random_block_lists(seed=23, count=10000),
+                  _faulty_block_lists(seed=29, count=10000))
+    for n, blocks in lists:
+        got = _outcome(validate, n, blocks)
+        assert got == _outcome(passes, n, blocks), (n, blocks)
+        seen[got[0]] += 1
+    assert set(seen) == outcomes and min(seen.values()) >= 100, seen
+
+
+def test_one_scan_accepts_every_member_in_reverse_order():
+    # each block and the block list reversed: the canonical member comes back
+    for validate, members, top in ((validate_nc, iter_nc, 10), (validate_ncl, iter_ncl, 9)):
+        for n in range(1, top + 1):
+            for pi in members(n):
+                assert validate(n, [b[::-1] for b in reversed(pi.blocks)]) == pi
+
+
+@pytest.mark.parametrize("blocks", [[[1]], [[1, 10**9]]], ids=["one", "ends"])
+@pytest.mark.parametrize("call, exc", [
+    (validate_nc, NotAPartition),
+    (validate_ncl, NotACover),
+    (lambda n, blocks: jsonio.parse_ncl({"n": n, "blocks": blocks}), NotACover),
+], ids=["nc", "ncl", "parse"])
+def test_validation_allocates_nothing_of_size_n_before_a_cover(call, exc, blocks):
+    # a billion-point ground set that the blocks cannot cover is refused by
+    # the count, before any position array exists
+    n = 10**9
+    message = (f"{n - len(blocks[0])} of the elements 1..{n} are not covered, "
+               "the smallest is 2")
+    start = time.perf_counter()
+    with pytest.raises(exc) as err:
+        call(n, blocks)
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == message
+    tracemalloc.start()
+    try:
+        with pytest.raises(exc):
+            call(n, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # enumeration vs brute force
 
@@ -303,6 +399,26 @@ def test_iterators_stream_the_enumerations():
     # the tuples are still kept
     assert enumerate_nc(7) is enumerate_nc(7)
     assert enumerate_ncl(6) is enumerate_ncl(6)
+
+
+@pytest.mark.parametrize("members, top, count", [
+    (iter_nc, 12, catalan),
+    (iter_ncl, 9, lambda n: verify.SCHROEDER[n - 1]),
+], ids=["nc", "ncl"])
+def test_iterators_keep_nothing_of_the_widest_gap(fresh_caches, monkeypatch, members, top, count):
+    # streaming the family of {1..n} caches no interval {2..n}, which would
+    # hold all of the family of n - 1 for the life of the process
+    asked = set()
+    interval = partitions._interval
+
+    def spy(lo, hi, linked):
+        asked.add((lo, hi))
+        return interval(lo, hi, linked)
+
+    monkeypatch.setattr(partitions, "_interval", spy)
+    for n in (*range(2, 8), top):
+        assert sum(1 for _ in members(n)) == count(n)
+        assert (2, n) not in asked, n
 
 
 @pytest.mark.parametrize("call, error", [

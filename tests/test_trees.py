@@ -236,6 +236,23 @@ def test_ncls_from_bicolor_examples():
     )
 
 
+def test_bijections_never_recount_tree_sizes(monkeypatch):
+    # the size checks inside θ and λ compare counts the construction already
+    # has, so neither walks the whole tree again
+    plain = [t for n in range(1, 9) for t in enumerate_planar_trees(n)]
+    bicolor = [t for n in range(1, 6) for t in enumerate_bicolor(n)]
+
+    def walked(self):
+        raise AssertionError("a bijection walked a tree to count its vertices")
+
+    monkeypatch.setattr(PlanarTree, "size", property(walked))
+    monkeypatch.setattr(BicolorPlanarTree, "size", property(walked))
+    for tree in plain:
+        assert tree_from_connected(connected_from_tree(tree)) == tree
+    for tree in bicolor:
+        assert bicolor_from_ncls(ncls_from_bicolor(tree)) == tree
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_lambda_roundtrip_full_domain(n):
     members = enumerate_ncls(n)
