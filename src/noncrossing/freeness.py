@@ -4,8 +4,25 @@ A scenario holds one generator per algebra, given by its cumulant
 sequence; distinct algebras are mutually free.  A word is a sequence of
 letters, each a scaled generator.  Mixed cumulants vanish across
 algebras and are multilinear, which determines every mixed moment.  The
-multivariate t-coefficient of a word is solved from the linked-partition
-expansion of its moment, solving its shorter sub-words first.
+multivariate t-coefficients are defined by the linked-partition expansion
+of the moments.
+
+Both expansions of the moment of u = u_1 ... u_k split on the block
+B = {1 = b_1 < ... < b_s} that holds position 1.  Set b_{s+1} = k + 1 and
+let the empty word have moment 1.
+
+* NC sum of cumulants:
+  m(u) = sum_B kappa(u_B) * prod_{i=1..s} m(u_{b_i + 1} ... u_{b_{i+1} - 1}).
+* Linked-partition expansion:
+  m(u) = sum_B t(u_B) * m(u_2 ... u_{b_2 - 1}) * prod_{i=2..s} m(u_{b_i} ... u_{b_{i+1} - 1}).
+  A block linked at b_i (i >= 2) lies in b_i and its gap.  "b_i is the
+  minimum of no block" (weight m(u_{b_i})) and "a block starts at b_i"
+  together sum to the moment of that piece.  Nothing links at b_1, a
+  block minimum, so the first gap is open.  The B = {1..k} term is t(u)
+  times the product of m(u_i) over i >= 2; t(u) is solved from it.
+
+Every contiguous piece of a sub-word is a shorter sub-word, so one table
+keyed by sub-word holds everything both recursions read.
 """
 
 from __future__ import annotations
@@ -20,7 +37,6 @@ from types import MappingProxyType
 
 from .errors import LetterNotInDomain, OrderTooLow
 from .limits import check_limit
-from .partitions import enumerate_nc, enumerate_ncl, non_minimal_elements
 from .transforms import CumulantSequence, MomentSequence, _dot, _pairs, _sum
 
 
@@ -100,59 +116,112 @@ def mixed_cumulant(scenario: Scenario, letters) -> Fraction:
     return prod(l.scale for l in letters) * seq.values[len(letters) - 1]
 
 
+@cache
+def _first_blocks(k: int) -> tuple:
+    """Every block of {0..k-1} that holds 0, with the (start, stop) slices of
+    its NC gaps and of its linked pieces, empty ones left out (see the
+    module docstring); the full block comes last."""
+    shapes = []
+    for r in range(k):
+        for rest in combinations(range(1, k), r):
+            blk = (0, *rest)
+            ends = (*rest, k)
+            gaps = tuple((b + 1, c) for b, c in zip(blk, ends) if c > b + 1)
+            pieces = ((1, ends[0]),) if ends[0] > 1 else ()
+            shapes.append((blk, gaps, pieces + tuple(zip(rest, ends[1:]))))
+    return tuple(shapes)
+
+
+def _code(words) -> tuple[list[Letter], list[tuple[int, ...]]]:
+    """The distinct letters of the words, and each word as a tuple of their
+    indices: sub-words as int tuples hash fast."""
+    letters = list(dict.fromkeys(chain.from_iterable(words)))
+    code = {l: i for i, l in enumerate(letters)}
+    return letters, [tuple(code[l] for l in w) for w in words]
+
+
+def _moments(scenario: Scenario, letters, subs) -> dict:
+    """The moment of each sub-word in ``subs`` (a tuple of indices into
+    ``letters``, every contiguous piece listed before it), as a reduced pair,
+    by the first-block recursion of the NC sum of cumulants."""
+    kappa = cache(lambda sub: mixed_cumulant(
+        scenario, [letters[i] for i in sub]).as_integer_ratio())
+    table: dict = {}
+    for sub in subs:
+        terms = []
+        for blk, gaps, _ in _first_blocks(len(sub)):
+            p, q = kappa(tuple(map(sub.__getitem__, blk)))
+            for a, b in gaps:
+                if not p:
+                    break
+                r, s = table[sub[a:b]]
+                p, q = p * r, q * s
+            if p:
+                terms.append((p, q))
+        table[sub] = _sum(terms)
+    return table
+
+
 def mixed_moment(scenario: Scenario, word) -> Fraction:
-    """Moment of the word: sum over non-crossing partitions of products of
-    block cumulants; the ``nc`` cap bounds the word length."""
+    """Moment of the word: the NC sum of block cumulants, split on the block
+    B that holds position 1,
+
+        m(u) = sum_B kappa(u_B) * prod_{i=1..s} m(u_{b_i + 1} ... u_{b_{i+1} - 1}),
+
+    solved over the word's contiguous intervals, shortest first.  The ``nc``
+    cap bounds the word length."""
     letters = _letters(word)
-    kappa = cache(lambda blk: mixed_cumulant(
-        scenario, [letters[i - 1] for i in blk]).as_integer_ratio())
-    terms = []
-    for gamma in enumerate_nc(len(letters)):
-        p = q = 1
-        for blk in gamma.blocks:
-            r, s = kappa(blk)
-            p, q = p * r, q * s
-            if not p:
-                break
-        else:
-            terms.append((p, q))
-    return Fraction(*_sum(terms))
+    check_limit("nc", len(letters))
+    letters, (coded,) = _code([letters])
+    k = len(coded)
+    intervals = dict.fromkeys(coded[a:a + n] for n in range(1, k + 1) for a in range(k - n + 1))
+    return Fraction(*_moments(scenario, letters, intervals)[coded])
 
 
 def _tcoeffs(scenario: Scenario, words) -> dict:
     """The t-coefficients of the words, from one table of all their sub-words
-    (letters at increasing positions) solved shortest first: the moment less
-    every linked-partition term but the full block, over the non-leading
-    letters' expectations.  The ``ncl`` cap bounds the word length."""
+    (letters at increasing positions) solved shortest first.  The linked-
+    partition expansion, split on the block B that holds position 1, is
+
+        m(u) = sum_B t(u_B) * m(u_2 ... u_{b_2 - 1}) * prod_{i=2..s} m(u_{b_i} ... u_{b_{i+1} - 1}),
+
+    so t(u) is the moment (:func:`_moments`) less every term but the full
+    block's, over the non-leading letters' expectations.  The ``ncl`` cap
+    bounds the word length."""
     words = [_letters(w) for w in words]
-    letters = list(dict.fromkeys(chain.from_iterable(words)))
+    letters, coded = _code(words)
     first = _pairs(map(scenario.first_moment, letters))
     for l, (p, _) in zip(letters, first):
         if p == 0:
             raise LetterNotInDomain(f"letter {l} has zero expectation")
     for word in words:
         check_limit("ncl", len(word))
-    # sub-words as int tuples hash fast; a dict, not a set, fixes the solve order
-    code = {l: i for i, l in enumerate(letters)}
-    coded = [tuple(code[l] for l in w) for w in words]
-    subwords = dict.fromkeys(tuple(w[i] for i in idx) for w in coded for k in range(len(w))
-                             for idx in combinations(range(len(w)), k + 1))
-    # per length, every linked partition but the full block, which carries the unknown
-    shapes = {k: [(pi.blocks, non_minimal_elements(pi)) for pi in enumerate_ncl(k)
-                  if len(pi.blocks) > 1] for k in set(map(len, subwords))}
+    # every sub-word drops one letter of a longer one; the list, not the
+    # set, fixes the solve order
+    subwords = list(dict.fromkeys(coded))
+    found = set(subwords)
+    for sub in subwords:
+        if len(sub) == 1:
+            continue
+        for i in range(len(sub)):
+            shorter = sub[:i] + sub[i + 1:]
+            if shorter not in found:
+                found.add(shorter)
+                subwords.append(shorter)
+    subwords.sort(key=len)
+    moment = _moments(scenario, letters, subwords)
     table: dict = {}
-    for sub in sorted(subwords, key=len):
-        terms = [mixed_moment(scenario, [letters[i] for i in sub]).as_integer_ratio()]
-        for blocks, nonminimal in shapes[len(sub)]:
-            p, q = -1, 1
-            for blk in blocks:
-                r, s = table[tuple(sub[i - 1] for i in blk)]
-                p, q = p * r, q * s
+    for sub in subwords:
+        terms = [moment[sub]]
+        for blk, _, pieces in _first_blocks(len(sub))[:-1]:
+            p, q = table[tuple(map(sub.__getitem__, blk))]
+            p = -p
+            for a, b in pieces:
                 if not p:
                     break
-            else:
-                for e in nonminimal:
-                    p, q = p * first[sub[e - 1]][0], q * first[sub[e - 1]][1]
+                r, s = moment[sub[a:b]]
+                p, q = p * r, q * s
+            if p:
                 terms.append((p, q))
         r, s = prod(first[i][0] for i in sub[1:]), prod(first[i][1] for i in sub[1:])
         table[sub] = _dot([_sum(terms)], [(s, r)])

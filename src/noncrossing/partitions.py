@@ -454,7 +454,13 @@ def kreweras(gamma: NCPartition) -> NCPartition:
 
 
 def _parity_pure(blocks: Blocks) -> bool:
-    return all(len({e % 2 for e in blk}) == 1 for blk in blocks)
+    # plain loops: no set or generator per block on the λ round trip
+    for blk in blocks:
+        parity = blk[0] & 1
+        for e in blk:
+            if e & 1 != parity:
+                return False
+    return True
 
 
 def is_ncs(gamma: NCPartition) -> bool:

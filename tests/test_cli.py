@@ -681,6 +681,15 @@ def _off_by_one_on_mixed_words(original):
     return broken
 
 
+def _off_by_one_on_mixed_subwords(original):
+    # freeness._moments tables reduced pairs keyed by index tuples into letters
+    def broken(scenario, letters, subs):
+        return {sub: (p + q, q) if len({letters[i].algebra for i in sub}) > 1 else (p, q)
+                for sub, (p, q) in original(scenario, letters, subs).items()}
+
+    return broken
+
+
 @pytest.mark.parametrize(
     "module, suite, attr, corrupt, identity, witness_keys",
     [
@@ -703,7 +712,10 @@ def _off_by_one_on_mixed_words(original):
         (verify, "bridge", "ncls_weight", _off_by_one,
          "split-partition weight equals bicolor evaluation",
          {"partition", "weight", "tree value"}),
-        (freeness, "prop22", "mixed_moment", _off_by_one_on_mixed_words,
+        (freeness, "prop22", "_moments", _off_by_one_on_mixed_subwords,
+         "mixed words have vanishing cumulants and t-coefficients",
+         {"word", "kind", "value"}),
+        (freeness, "prop22", "mixed_cumulant", _off_by_one_on_mixed_words,
          "mixed words have vanishing cumulants and t-coefficients",
          {"word", "kind", "value"}),
         (verify, "counts", "connected_components", _singleton_complement,
@@ -717,8 +729,9 @@ def _off_by_one_on_mixed_words(original):
          "t-coefficient product rule", {"lhs", "rhs"}),
     ],
     ids=["kreweras", "maximality-mirrored", "maximality-no-crossings", "prop21", "eq5",
-         "counts", "counts-duplicate", "theorem", "bridge", "prop22", "fixture-components",
-         "fixture-exterior", "fixture-non-minimal", "fixture-ten-point", "convolve"],
+         "counts", "counts-duplicate", "theorem", "bridge", "prop22", "prop22-cumulant",
+         "fixture-components", "fixture-exterior", "fixture-non-minimal", "fixture-ten-point",
+         "convolve"],
 )
 def test_fault_injection_reports_witness(
     monkeypatch, capsys, module, suite, attr, corrupt, identity, witness_keys

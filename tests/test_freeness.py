@@ -1,4 +1,6 @@
+import json
 import random
+import sys
 import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
@@ -8,7 +10,7 @@ from math import prod
 
 import pytest
 
-from noncrossing import freeness
+from noncrossing import cli, freeness
 from noncrossing.errors import LetterNotInDomain, LimitExceeded, OrderTooLow
 from noncrossing.freeness import (
     Letter,
@@ -31,6 +33,7 @@ from noncrossing.transforms import (
 )
 from noncrossing.verify import seeded_moment_corpus
 
+import oracles
 from oracles import brute_ncl, mixed_moment_by_fractions, tcoeffs_by_fractions
 
 
@@ -79,6 +82,14 @@ def test_mixed_moment_basics(scenario):
     # free factorisation of a split word
     assert mixed_moment(scenario, Word.parse("X Y")) == 2
     assert mixed_moment(scenario, Word.parse("Y X")) == 2
+
+
+def test_mixed_moment_needs_every_cumulant_of_its_word():
+    # every block through position 1 of every interval is read, so a zero
+    # expectation elsewhere does not hide a missing cumulant
+    sc = Scenario({"X": CumulantSequence((1,)), "Y": CumulantSequence((0, 1))})
+    with pytest.raises(OrderTooLow):
+        mixed_moment(sc, Word.parse("Y X X"))
 
 
 def test_mixed_moment_matches_single_variable(scenario):
@@ -133,7 +144,8 @@ def test_mixed_tcoeff_rejects_zero_expectation():
 
 @pytest.mark.parametrize("word_fn, length", [(mixed_tcoeff, 10), (mixed_moment, 13)])
 def test_long_words_hit_the_partition_caps(word_fn, length):
-    # mixed_tcoeff enumerates NCL(n), capped at 9; mixed_moment NC(n), at 12
+    # the ncl cap (9) bounds mixed_tcoeff's words and the nc cap (12)
+    # mixed_moment's, checked before any table entry exists
     sc = Scenario({"X": CumulantSequence((1,) * length)})
     start = time.perf_counter()
     with pytest.raises(LimitExceeded):
@@ -170,7 +182,10 @@ def test_mixed_tcoeff_defining_equation(request, which, length):
     assert total == mixed_moment(sc, word)
 
 
-def _three_algebra_words(seed):
+_SCALES = [F(1), F(-1), F(2), F(-3, 2), F(1, 3)]
+
+
+def _three_algebra_words(seed, order=6):
     """A seeded scenario over three algebras, some with a negative first
     cumulant, and words of length 1..6 with negative and non-unit scales."""
     rng = random.Random(seed)
@@ -178,11 +193,10 @@ def _three_algebra_words(seed):
         name: CumulantSequence(tuple(
             F(rng.choice([-3, -2, -1, 1, 2, 3]) if i == 0 else rng.randint(-3, 3),
               rng.randint(1, 4))
-            for i in range(6)))
+            for i in range(order)))
         for name in ("A", "B", "C")
     })
-    scales = [F(1), F(-1), F(2), F(-3, 2), F(1, 3)]
-    words = [tuple(Letter(rng.choice(ids), rng.choice(scales)) for _ in range(length))
+    words = [tuple(Letter(rng.choice(ids), rng.choice(_SCALES)) for _ in range(length))
              for length in (1, 2, 3, 4, 5, 6) for ids in ("ABC", rng.choice("ABC"))]
     return sc, words
 
@@ -198,6 +212,83 @@ def test_tcoeffs_agree_with_the_fraction_recursion(seed):
     assert any(got[w] != 0 for w in words if len(w) > 1)
     for w in words:
         assert mixed_moment(sc, w) == mixed_moment_by_fractions(sc, w)
+
+
+def _mixed_blocks_do_not_vanish(original):
+    # a mutant cumulant: the letters' scales over the block size on mixed blocks
+    def broken(scenario, letters):
+        letters = tuple(getattr(letters, "letters", letters))
+        if len({l.algebra for l in letters}) > 1:
+            return prod(l.scale for l in letters) / len(letters)
+        return original(scenario, letters)
+
+    return broken
+
+
+@pytest.fixture
+def mutant(monkeypatch):
+    broken = _mixed_blocks_do_not_vanish(freeness.mixed_cumulant)
+    monkeypatch.setattr(freeness, "mixed_cumulant", broken)
+    monkeypatch.setattr(oracles, "mixed_cumulant", broken)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_tcoeffs_agree_with_the_fraction_recursion_when_mixed_cumulants_do_not_vanish(
+        mutant, seed):
+    # the recursions read every block through mixed_cumulant, so a failing
+    # prop22 witness carries the value the partition sums give
+    sc, words = _three_algebra_words(seed)
+    got = freeness._tcoeffs(sc, words)
+    assert got == tcoeffs_by_fractions(sc, words)
+    assert any(got[w] != 0 for w in words if len({l.algebra for l in w}) > 1)
+    for w in words:
+        assert mixed_moment(sc, w) == mixed_moment_by_fractions(sc, w)
+    two = Scenario({a: sc.algebras[a] for a in "AB"})
+    report = freeness_vanishing_suite(two, 4)
+    failed = [f for f in report.failures if f["kind"] == "t-coefficient"]
+    assert failed
+    want = tcoeffs_by_fractions(two, [tuple(Word.parse(f["word"]).letters) for f in failed])
+    assert [f["value"] for f in failed] == [str(v) for v in want.values()]
+
+
+@pytest.mark.parametrize("vanishing", [True, False])
+def test_long_words_agree_with_the_partition_sums(request, vanishing):
+    # mixed_moment at 10 letters against the NC(10) sum, mixed_tcoeff at 8
+    # against the NCL(k) expansions of all its sub-words
+    if not vanishing:
+        request.getfixturevalue("mutant")
+    sc, _ = _three_algebra_words(4, order=10)
+    rng = random.Random(5)
+    ten, eight = (tuple(Letter(rng.choice("ABC"), rng.choice(_SCALES)) for _ in range(n))
+                  for n in (10, 8))
+    assert mixed_moment(sc, ten) == mixed_moment_by_fractions(sc, ten)
+    got = mixed_tcoeff(sc, eight)
+    assert got == tcoeffs_by_fractions(sc, [eight])[eight]
+    assert (got == 0) == vanishing
+
+
+def test_freeness_enumerates_no_partitions(monkeypatch, capsys):
+    # moments and t-coefficients come from the first-block recursions; the
+    # NC(n)/NCL(n) enumerations only prove identities
+    kx = CumulantSequence(tuple(range(1, 13)))
+    ky = CumulantSequence(tuple(F(1, n) for n in range(1, 13)))
+    sc = Scenario({"X": kx, "Y": ky})
+    product_route = cumulants_to_moments(
+        CumulantSequence(tuple(free_multiplicative(kx, ky, n) for n in range(1, 7)))).values[5]
+    pure_t = moments_to_tcoeffs(cumulants_to_moments(kx)).values[8]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("freeness enumerated partitions")
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("noncrossing")]:
+        for name in ("enumerate_nc", "enumerate_ncl", "iter_nc", "iter_ncl"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    assert cli.main(["verify", "prop22"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert mixed_moment(sc, Word.parse(" ".join("XY" * 6))) == product_route
+    assert mixed_tcoeff(sc, Word.parse(" ".join("X" * 9))) == pure_t
+    assert mixed_tcoeff(sc, Word.parse("X Y X X Y Y X Y X")) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -51,3 +51,15 @@ def test_package_imports_follow_one_order():
             targets = [node.module] if node.module else [alias.name for alias in node.names]
             for target in targets:
                 assert IMPORT_ORDER.index(target) < rank, f"{name} imports {target}"
+
+
+def test_freeness_imports_no_enumerator():
+    # moments and t-coefficients come from first-block recursions; the
+    # partition and tree enumerations only prove identities
+    tree = ast.parse((ROOT / "src" / "noncrossing" / "freeness.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [alias.name for alias in node.names]
+            assert node.module is not None, f"freeness imports modules {names}"
+            for name in names:
+                assert not name.startswith(("enumerate_", "iter_")), f"freeness imports {name}"
