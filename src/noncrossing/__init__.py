@@ -49,6 +49,7 @@ from .partitions import (
     exterior_blocks,
     is_ncls,
     is_ncs,
+    iter_blocks,
     iter_nc,
     iter_ncl,
     kreweras,

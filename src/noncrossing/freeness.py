@@ -31,7 +31,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from math import prod
 from types import MappingProxyType
 
@@ -134,10 +134,11 @@ def _first_blocks(k: int) -> tuple:
 
 def _code(words) -> tuple[list[Letter], list[tuple[int, ...]]]:
     """The distinct letters of the words, and each word as a tuple of their
-    indices: sub-words as int tuples hash fast."""
-    letters = list(dict.fromkeys(chain.from_iterable(words)))
-    code = {l: i for i, l in enumerate(letters)}
-    return letters, [tuple(code[l] for l in w) for w in words]
+    indices: sub-words as int tuples hash fast.  Each letter of each word is
+    hashed once (a ``Letter`` hash hashes its ``Fraction`` scale)."""
+    code: dict[Letter, int] = {}
+    coded = [tuple([code.setdefault(l, len(code)) for l in w]) for w in words]
+    return list(code), coded
 
 
 def _moments(scenario: Scenario, letters, subs) -> dict:
@@ -178,10 +179,11 @@ def mixed_moment(scenario: Scenario, word) -> Fraction:
     return Fraction(*_moments(scenario, letters, intervals)[coded])
 
 
-def _tcoeffs(scenario: Scenario, words) -> dict:
-    """The t-coefficients of the words, from one table of all their sub-words
-    (letters at increasing positions) solved shortest first.  The linked-
-    partition expansion, split on the block B that holds position 1, is
+def _tcoeffs(scenario: Scenario, words) -> list[Fraction]:
+    """The t-coefficients of the words, in their order, from one table of
+    all their sub-words (letters at increasing positions) solved shortest
+    first.  The linked-partition expansion, split on the block B that holds
+    position 1, is
 
         m(u) = sum_B t(u_B) * m(u_2 ... u_{b_2 - 1}) * prod_{i=2..s} m(u_{b_i} ... u_{b_{i+1} - 1}),
 
@@ -225,19 +227,20 @@ def _tcoeffs(scenario: Scenario, words) -> dict:
                 terms.append((p, q))
         r, s = prod(first[i][0] for i in sub[1:]), prod(first[i][1] for i in sub[1:])
         table[sub] = _dot([_sum(terms)], [(s, r)])
-    return {w: Fraction(*table[c]) for w, c in zip(words, coded)}
+    return [Fraction(*table[c]) for c in coded]
 
 
 def mixed_tcoeff(scenario: Scenario, word) -> Fraction:
     """The multivariate t-coefficient of the word, defined by the
     linked-partition expansion of its moment (see :func:`_tcoeffs`)."""
-    letters = _letters(word)
-    return _tcoeffs(scenario, [letters])[letters]
+    return _tcoeffs(scenario, [word])[0]
 
 
 def sum_moments(scenario: Scenario, x_id: str, y_id: str, order: int) -> MomentSequence:
     """Moments of the sum of two free generators, expanded letter by letter
-    over all words in the two generators."""
+    over all words in the two generators.  The ``nc`` cap bounds the order,
+    checked before any word is built."""
+    check_limit("nc", order)
     values = []
     for n in range(1, order + 1):
         total = Fraction(0)
@@ -249,7 +252,9 @@ def sum_moments(scenario: Scenario, x_id: str, y_id: str, order: int) -> MomentS
 
 def product_moments(scenario: Scenario, x_id: str, y_id: str, order: int) -> MomentSequence:
     """Moments of the product of two free generators, read off alternating
-    words."""
+    words.  The ``nc`` cap bounds the longest word, of 2 * order letters,
+    checked before any word is built."""
+    check_limit("nc", 2 * order)
     values = []
     for n in range(1, order + 1):
         word = [Letter(x_id if i % 2 == 0 else y_id) for i in range(2 * n)]
@@ -275,15 +280,14 @@ def freeness_vanishing_suite(scenario: Scenario, max_length: int) -> VanishingRe
     Sweeps all words of length up to ``max_length`` over the scenario's
     algebras that use at least two of them, and records any counterexample.
     """
-    ids = sorted(scenario.algebras)
-    words = [Word(tuple(Letter(a) for a in combo))
-             for n in range(2, max_length + 1) for combo in product(ids, repeat=n)
+    generators = {a: Letter(a) for a in sorted(scenario.algebras)}
+    words = [Word(tuple(map(generators.__getitem__, combo)))
+             for n in range(2, max_length + 1) for combo in product(generators, repeat=n)
              if len(set(combo)) > 1]
-    table = _tcoeffs(scenario, words)
     failures = []
-    for word in words:
+    for word, t in zip(words, _tcoeffs(scenario, words)):
         for kind, value in (("cumulant", mixed_cumulant(scenario, word)),
-                            ("t-coefficient", table[word.letters])):
+                            ("t-coefficient", t)):
             if value != 0:
                 failures.append({"word": str(word), "kind": kind, "value": str(value)})
     return VanishingReport(len(words), tuple(failures))

@@ -267,21 +267,28 @@ def _gap(a: int, end: int, linked: bool) -> tuple[Blocks, ...]:
     return tuple(p for p in _interval(a, end, linked) if len(p[0]) > 1) + rest
 
 
-def _stream(kind: type[AnyPartition], n: int) -> Iterator[AnyPartition]:
-    """NC(n) or NCL(n), by ``kind``, straight from the top-level walk."""
-    return (kind(n, blocks) for blocks in _walk(1, n, kind is NCLPartition, top=True))
+def _stream(kind: type[AnyPartition], n: int, blocks) -> Iterator[AnyPartition]:
+    """The canonical block tuples ``blocks`` of {1..n} as partitions of ``kind``."""
+    return (kind(n, b) for b in blocks)
+
+
+def iter_blocks(n: int, linked: bool, *, limit: int | None = None) -> Iterator[Blocks]:
+    """NCL(n) when ``linked``, else NC(n), as canonical block tuples in the
+    order of :func:`enumerate_ncl`/:func:`enumerate_nc`, one at a time and
+    kept nowhere: no partition object is built.  The ``ncl`` or ``nc`` cap
+    is checked here, before the first one."""
+    check_limit("ncl" if linked else "nc", n, limit)
+    return _walk(1, n, linked, top=True)
 
 
 def iter_nc(n: int, *, limit: int | None = None) -> Iterator[NCPartition]:
-    """The partitions of :func:`enumerate_nc`, in the same order, one at a
-    time and kept nowhere.  The cap is checked here, before the first one."""
-    check_limit("nc", n, limit)
-    return _stream(NCPartition, n)
+    """The partitions of :func:`enumerate_nc`, streamed by :func:`iter_blocks`."""
+    return _stream(NCPartition, n, iter_blocks(n, False, limit=limit))
 
 
 @cache
 def _nc_all(n: int) -> tuple[NCPartition, ...]:
-    return tuple(_stream(NCPartition, n))
+    return tuple(_stream(NCPartition, n, _walk(1, n, False, top=True)))
 
 
 def enumerate_nc(n: int, *, limit: int | None = None) -> tuple[NCPartition, ...]:
@@ -291,15 +298,13 @@ def enumerate_nc(n: int, *, limit: int | None = None) -> tuple[NCPartition, ...]
 
 
 def iter_ncl(n: int, *, limit: int | None = None) -> Iterator[NCLPartition]:
-    """The partitions of :func:`enumerate_ncl`, in the same order, one at a
-    time and kept nowhere.  The cap is checked here, before the first one."""
-    check_limit("ncl", n, limit)
-    return _stream(NCLPartition, n)
+    """The partitions of :func:`enumerate_ncl`, streamed by :func:`iter_blocks`."""
+    return _stream(NCLPartition, n, iter_blocks(n, True, limit=limit))
 
 
 @cache
 def _ncl_all(n: int) -> tuple[NCLPartition, ...]:
-    return tuple(_stream(NCLPartition, n))
+    return tuple(_stream(NCLPartition, n, _walk(1, n, True, top=True)))
 
 
 def enumerate_ncl(n: int, *, limit: int | None = None) -> tuple[NCLPartition, ...]:
@@ -448,9 +453,26 @@ def kreweras(gamma: NCPartition) -> NCPartition:
     counts of a partition and its complement add up to n + 1.
     """
     n = gamma.n
-    before = {b: a for blk in gamma.blocks for a, b in zip(blk[-1:] + blk[:-1], blk)}
-    # each e shares a cycle with its image pi^-1(e + 1), read mod n
-    return NCPartition(n, _join(n, ((e, before[e % n + 1]) for e in range(1, n + 1))))
+    before = [0] * (n + 1)
+    for blk in gamma.blocks:
+        prev = blk[-1]
+        for b in blk:
+            before[b] = prev
+            prev = b
+    # walk each cycle e -> pi^-1(e + 1), read mod n, from its least element:
+    # it comes out increasing, and the cycles in order of their minima
+    seen = [False] * (n + 1)
+    blocks = []
+    for start in range(1, n + 1):
+        if not seen[start]:
+            cycle = []
+            e = start
+            while not seen[e]:
+                seen[e] = True
+                cycle.append(e)
+                e = before[e % n + 1]
+            blocks.append(tuple(cycle))
+    return NCPartition(n, tuple(blocks))
 
 
 def _parity_pure(blocks: Blocks) -> bool:

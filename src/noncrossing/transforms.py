@@ -22,6 +22,7 @@ evaluations below and the ``verify`` suites check against them.  Each such
 sum is evaluated on a monomial profile: the objects of one size counted
 once by the coefficient powers they multiply.  The profiles come from the
 enumerations, never from the equations, so the two routes stay independent.
+The weight of one tree or partition is a direct product, with no profile.
 
 The cumulant generating series adds under free addition; the t-series
 multiplies under free multiplication, which :func:`verify_t_multiplicativity`
@@ -52,7 +53,6 @@ from .partitions import (
     enumerate_nc,
     is_ncls,
     kreweras,
-    non_minimal_elements,
     validate_nc,
 )
 from .trees import (
@@ -253,26 +253,39 @@ def moments_to_tcoeffs(m: MomentSequence) -> TCoeffSequence:
 
 
 def _profile(objects, statistic) -> tuple:
-    """(monomial, multiplicity) pairs: ``statistic(obj)`` lists the indices of
-    each sequence the object's weight multiplies, and a monomial sorts them
-    into (index, exponent) pairs per sequence."""
-    return tuple(Counter(
+    """(monomial, multiplicity) pairs, and per sequence the smallest order
+    that covers every index: ``statistic(obj)`` lists the indices of each
+    sequence the object's weight multiplies, and a monomial sorts them into
+    (index, exponent) pairs per sequence."""
+    monomials = tuple(Counter(
         tuple(tuple(sorted(Counter(indices).items())) for indices in statistic(obj))
         for obj in objects
     ).items())
+    needs = tuple(max((powers[-1][0] + 1 for powers in column if powers), default=0)
+                  for column in zip(*(m for m, _ in monomials)))
+    return monomials, needs
+
+
+def _order_too_low(seq, indices) -> OrderTooLow:
+    """The error of a ``seq`` too short for some of ``indices``: it names the
+    smallest index out of range."""
+    return OrderTooLow(f"need {seq.kind} of index {min(i for i in indices if i >= seq.order)}")
 
 
 def _evaluate(profile, *seqs) -> Fraction:
     """Sum of multiplicity times the product of seq.values[i] ** e, with one
-    integer numerator and denominator per monomial."""
+    integer numerator and denominator per monomial.  Each sequence's length
+    is checked once, against the order the profile needs."""
+    monomials, needs = profile
+    for k, (seq, need) in enumerate(zip(seqs, needs)):
+        if need > seq.order:
+            raise _order_too_low(seq, [i for m, _ in monomials for i, _ in m[k]])
     tables = [_pairs(seq.values) for seq in seqs]
     terms = []
-    for monomial, num in profile:
+    for monomial, num in monomials:
         den = 1
-        for seq, pairs, powers in zip(seqs, tables, monomial):
+        for pairs, powers in zip(tables, monomial):
             for i, e in powers:
-                if i >= seq.order:
-                    raise OrderTooLow(f"need {seq.kind} of index {i}")
                 p, q = pairs[i]
                 num *= p ** e
                 den *= q ** e
@@ -280,11 +293,27 @@ def _evaluate(profile, *seqs) -> Fraction:
     return Fraction(*_sum(terms))
 
 
-def _linked_indices(pi: NCLPartition) -> list[tuple[int, int]]:
-    """(position, t-index) pairs of a linked partition's t-weight: |B| - 1 at
-    each block's minimum and 0 at each non-minimal position."""
-    return ([(b[0], len(b) - 1) for b in pi.blocks]
-            + [(e, 0) for e in non_minimal_elements(pi)])
+def _product(seqs, index_lists) -> Fraction:
+    """The product of seq.values[i] over the indices listed per sequence: the
+    weight of one object, with no profile.  Each sequence's length is checked
+    once per call."""
+    num = den = 1
+    for seq, indices in zip(seqs, index_lists):
+        if indices and max(indices) >= seq.order:
+            raise _order_too_low(seq, indices)
+        values = seq.values
+        for i in indices:
+            v = values[i]
+            num *= v.numerator
+            den *= v.denominator
+    return Fraction(num, den)
+
+
+def _linked_indices(pi: NCLPartition) -> list[int]:
+    """The t-indices of a linked partition's t-weight: |B| - 1 per block, and
+    0 per non-minimal position, of which there are n - (blocks), the minima
+    being distinct."""
+    return [len(b) - 1 for b in pi.blocks] + [0] * (pi.n - len(pi.blocks))
 
 
 def _tree_indices(tree: PlanarTree) -> tuple:
@@ -298,7 +327,7 @@ def _bicolor_indices(tree: BicolorPlanarTree) -> tuple:
 @cache
 def _class_profile(n: int) -> tuple:
     members = class_members(validate_nc(n, [list(range(1, n + 1))]))
-    return _profile(members, lambda pi: ([i for _, i in _linked_indices(pi)],))
+    return _profile(members, lambda pi: (_linked_indices(pi),))
 
 
 @cache
@@ -328,7 +357,7 @@ def cumulant_via_classes(t: TCoeffSequence, n: int) -> Fraction:
 
 def eval_tree(tree: PlanarTree, t: TCoeffSequence) -> Fraction:
     """Product over the tree's elementary pieces of t_(child count)."""
-    return _evaluate(_profile((tree,), _tree_indices), t)
+    return _product((t,), _tree_indices(tree))
 
 
 def cumulant_via_trees(t: TCoeffSequence, n: int) -> Fraction:
@@ -366,7 +395,7 @@ def eval_bicolor(
 ) -> Fraction:
     """Product over vertices of t_k(first) t_{d-k}(second), where d counts
     children and k counts colour-1 children."""
-    return _evaluate(_profile((tree,), _bicolor_indices), tx, ty)
+    return _product((tx, ty), _bicolor_indices(tree))
 
 
 def _colour_counts(tree: BicolorPlanarTree):
@@ -386,8 +415,13 @@ def ncls_weight(pi: NCLPartition, tx: TCoeffSequence, ty: TCoeffSequence) -> Fra
     """
     if not is_ncls(pi):
         raise NotNclS(f"{pi} is not parity-split")
-    return _evaluate(_profile((pi,), lambda p: tuple(
-        [i for e, i in _linked_indices(p) if e % 2 == odd] for odd in (1, 0))), tx, ty)
+    odd, even = [], []
+    for b in pi.blocks:
+        (odd if b[0] & 1 else even).append(len(b) - 1)
+    # the minima are distinct: each parity's n/2 positions less its block
+    # minima are its non-minimal positions, each weighing t_0
+    half = pi.n // 2
+    return _product((tx, ty), (odd + [0] * (half - len(odd)), even + [0] * (half - len(even))))
 
 
 def t_convolve(tx: TCoeffSequence, ty: TCoeffSequence) -> TCoeffSequence:

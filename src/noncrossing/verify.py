@@ -23,8 +23,7 @@ from .partitions import (
     enumerate_ncls,
     enumerate_ncs,
     exterior_blocks,
-    iter_nc,
-    iter_ncl,
+    iter_blocks,
     kreweras,
     leq,
     non_minimal_elements,
@@ -122,30 +121,33 @@ def shifted_catalan_moments(order: int) -> MomentSequence:
 
 
 def _tally(members, ordered: bool) -> tuple[int, int | None]:
-    """How many ``members`` there are and, when they should come in canonical
-    order, the first index whose blocks do not sort strictly after the
-    previous member's (None if there is none), in one pass."""
+    """How many ``members`` there are and, when they are block tuples that
+    should come in canonical order, the first index whose blocks do not sort
+    strictly after the previous member's (None if there is none), in one
+    pass."""
     if not ordered:
         return len(members), None
     count, prev, unordered = 0, (), None
-    for count, pi in enumerate(members, 1):
-        if unordered is None and pi.blocks <= prev:
+    for count, blocks in enumerate(members, 1):
+        if unordered is None and blocks <= prev:
             unordered = count - 1
-        prev = pi.blocks
+        prev = blocks
     return count, unordered
 
 
 def counts_suite(order=None, seed=7) -> list[ReportEntry]:
     """Family sizes against their closed forms, then the paper's fixtures.
 
-    NC(n) and NCL(n) are counted as they stream from :func:`iter_nc` and
-    :func:`iter_ncl`, so none of them is kept, and each member must sort
-    strictly after the one before it: canonical order, so no member repeats.
+    NC(n) and NCL(n) are counted as block tuples as they stream from
+    :func:`iter_blocks`, so none of them is kept or built into a partition,
+    and each member must sort strictly after the one before it: canonical
+    order, so no member repeats.
     """
     # identity, largest n, enumerator per witness key, expected count, ordered
     table = (
-        ("non-crossing partition count", 10, {"got": iter_nc}, catalan, True),
-        ("linked partition count", 9, {"got": iter_ncl},
+        ("non-crossing partition count", 10, {"got": lambda n: iter_blocks(n, False)},
+         catalan, True),
+        ("linked partition count", 9, {"got": lambda n: iter_blocks(n, True)},
          lambda n: SCHROEDER[n - 1], True),
         ("planar tree count", 10, {"got": enumerate_planar_trees},
          lambda n: catalan(n - 1), False),

@@ -6,6 +6,7 @@ enumerations and transforms are checked against a second, unrelated
 computation path.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
@@ -18,11 +19,13 @@ from noncrossing.errors import (
     NotAPartition,
     NotNclS,
     OddGroundSet,
+    OrderTooLow,
 )
 from noncrossing.freeness import mixed_cumulant
 from noncrossing.partitions import (
     NCLPartition,
     NCPartition,
+    _join,
     class_members,
     connected_components,
     enumerate_nc,
@@ -36,7 +39,12 @@ from noncrossing.partitions import (
     validate_nc,
     validate_ncl,
 )
-from noncrossing.trees import BicolorPlanarTree, connected_from_tree, enumerate_planar_trees
+from noncrossing.trees import (
+    BicolorPlanarTree,
+    connected_from_tree,
+    elementary_decomposition,
+    enumerate_planar_trees,
+)
 
 
 def catalan(n: int) -> int:
@@ -150,6 +158,15 @@ def kreweras_by_search(gamma_blocks, n: int):
     coarsest = min(candidates, key=len)
     assert all(refines(other, coarsest) for other in candidates), gamma_blocks
     return coarsest
+
+
+def kreweras_by_union_find(gamma: NCPartition) -> NCPartition:
+    """The cycles of pi^-1 (1 2 ... n) as a union-find over the links
+    (e, pi^-1(e + 1)), read mod n, with the groups sorted: the reference for
+    the cycle walk of ``partitions.kreweras``."""
+    n = gamma.n
+    before = {b: a for blk in gamma.blocks for a, b in zip(blk[-1:] + blk[:-1], blk)}
+    return NCPartition(n, _join(n, ((e, before[e % n + 1]) for e in range(1, n + 1))))
 
 
 def interleaved_compatible_by_validation(gamma, bars) -> bool:
@@ -497,6 +514,50 @@ def kreweras_sum(pairs, kx_values, ky_values) -> Fraction:
     return total
 
 
+# One object as a one-monomial profile: its indices counted into sorted
+# (index, exponent) pairs per sequence, then multiplied out with an index
+# check per factor.  The references for the direct products of
+# ``transforms.eval_tree``, ``eval_bicolor`` and ``ncls_weight``.
+
+
+def weight_by_profile(seqs, index_lists) -> Fraction:
+    monomial = [sorted(Counter(indices).items()) for indices in index_lists]
+    num = den = 1
+    for seq, powers in zip(seqs, monomial):
+        for i, e in powers:
+            if i >= seq.order:
+                raise OrderTooLow(f"need {seq.kind} of index {i}")
+            num *= seq.values[i].numerator ** e
+            den *= seq.values[i].denominator ** e
+    return Fraction(num, den)
+
+
+def tree_weight_by_profile(tree, t) -> Fraction:
+    return weight_by_profile((t,), ([d for _, d in elementary_decomposition(tree)],))
+
+
+def _colour_counts(tree: BicolorPlanarTree):
+    k = sum(col for col, _ in tree.children)
+    yield k, len(tree.children) - k
+    for _, child in tree.children:
+        yield from _colour_counts(child)
+
+
+def bicolor_weight_by_profile(tree: BicolorPlanarTree, tx, ty) -> Fraction:
+    return weight_by_profile((tx, ty), tuple(zip(*_colour_counts(tree))))
+
+
+def ncls_weight_by_profile(pi: NCLPartition, tx, ty) -> Fraction:
+    """t-index |B| - 1 at each block's minimum and 0 at each non-minimal
+    position, odd positions to ``tx`` and even ones to ``ty``."""
+    if not is_ncls(pi):
+        raise NotNclS(f"{pi} is not parity-split")
+    linked = ([(b[0], len(b) - 1) for b in pi.blocks]
+              + [(e, 0) for e in non_minimal_elements(pi)])
+    return weight_by_profile((tx, ty), tuple(
+        [i for e, i in linked if e % 2 == odd] for odd in (1, 0)))
+
+
 def _block_colour(blk) -> int:
     # parity-pure inside the split family: odd positions are colour 1
     return blk[0] % 2
@@ -666,8 +727,8 @@ def mixed_moment_by_fractions(scenario, letters) -> Fraction:
     return total
 
 
-def tcoeffs_by_fractions(scenario, words) -> dict:
-    """The t-coefficient of every word (a tuple of letters), each sub-word
+def tcoeffs_by_fractions(scenario, words) -> list:
+    """The t-coefficient of every word (a tuple of letters), in order, each sub-word
     solved shortest first from its moment less every linked-partition term
     but the full block, over the non-leading letters' expectations."""
     first = {l: scenario.first_moment(l) for w in words for l in w}
@@ -690,4 +751,4 @@ def tcoeffs_by_fractions(scenario, words) -> dict:
             rest += term
         moment = mixed_moment_by_fractions(scenario, sub)
         table[sub] = (moment - rest) / prod(first[l] for l in sub[1:])
-    return {w: table[w] for w in words}
+    return [table[w] for w in words]

@@ -649,13 +649,19 @@ def _drop_one(original):
 
 
 def _drop_first(original):
-    return lambda n, **kwargs: islice(original(n, **kwargs), 1, None)
+    # the block stream of NCL(n) loses its first member
+    return lambda n, linked, **kwargs: islice(original(n, linked, **kwargs),
+                                              1 if linked else 0, None)
 
 
 def _repeat_first(original):
-    # the first member again in place of the second: the count still holds
-    def repeated(n, **kwargs):
-        members = original(n, **kwargs)
+    # the first member of NC(n) again in place of the second: the count
+    # still holds
+    def repeated(n, linked, **kwargs):
+        members = original(n, linked, **kwargs)
+        if linked:
+            yield from members
+            return
         first = next(members)
         yield first
         if next(members, None) is not None:
@@ -703,9 +709,9 @@ def _off_by_one_on_mixed_subwords(original):
          "cumulant via connected linked classes", {"sequence", "got", "expected"}),
         (verify, "eq5", "cumulant_via_trees", _off_by_one,
          "cumulant via planar tree sum", {"sequence", "got", "expected"}),
-        (verify, "counts", "iter_ncl", _drop_first, "linked partition count",
+        (verify, "counts", "iter_blocks", _drop_first, "linked partition count",
          {"got", "expected"}),
-        (verify, "counts", "iter_nc", _repeat_first, "non-crossing partition count",
+        (verify, "counts", "iter_blocks", _repeat_first, "non-crossing partition count",
          {"got", "expected", "out_of_order"}),
         (transforms, "theorem", "free_multiplicative", _off_by_one_above_first,
          "t-series multiplicativity", {"identity", "parameters", "lhs", "rhs"}),
@@ -762,7 +768,7 @@ def test_fault_injection_reports_witness(
 ], ids=["verify-pass", "verify-fail", "transform"])
 def test_closed_stdout_keeps_the_exit_code(monkeypatch, argv, corrupt, code):
     if corrupt is not None:
-        monkeypatch.setattr(verify, "iter_ncl", corrupt(verify.iter_ncl))
+        monkeypatch.setattr(verify, "iter_blocks", corrupt(verify.iter_blocks))
     read_end, write_end = os.pipe()
     os.close(read_end)
     with open(write_end, "w") as closed:

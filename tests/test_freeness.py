@@ -208,8 +208,8 @@ def test_tcoeffs_agree_with_the_fraction_recursion(seed):
     got = freeness._tcoeffs(sc, words)
     want = tcoeffs_by_fractions(sc, words)
     assert got == want
-    assert all(type(v) is F for v in got.values())
-    assert any(got[w] != 0 for w in words if len(w) > 1)
+    assert all(type(v) is F for v in got)
+    assert any(v != 0 for w, v in zip(words, got) if len(w) > 1)
     for w in words:
         assert mixed_moment(sc, w) == mixed_moment_by_fractions(sc, w)
 
@@ -240,7 +240,7 @@ def test_tcoeffs_agree_with_the_fraction_recursion_when_mixed_cumulants_do_not_v
     sc, words = _three_algebra_words(seed)
     got = freeness._tcoeffs(sc, words)
     assert got == tcoeffs_by_fractions(sc, words)
-    assert any(got[w] != 0 for w in words if len({l.algebra for l in w}) > 1)
+    assert any(v != 0 for w, v in zip(words, got) if len({l.algebra for l in w}) > 1)
     for w in words:
         assert mixed_moment(sc, w) == mixed_moment_by_fractions(sc, w)
     two = Scenario({a: sc.algebras[a] for a in "AB"})
@@ -248,7 +248,7 @@ def test_tcoeffs_agree_with_the_fraction_recursion_when_mixed_cumulants_do_not_v
     failed = [f for f in report.failures if f["kind"] == "t-coefficient"]
     assert failed
     want = tcoeffs_by_fractions(two, [tuple(Word.parse(f["word"]).letters) for f in failed])
-    assert [f["value"] for f in failed] == [str(v) for v in want.values()]
+    assert [f["value"] for f in failed] == [str(v) for v in want]
 
 
 @pytest.mark.parametrize("vanishing", [True, False])
@@ -263,7 +263,7 @@ def test_long_words_agree_with_the_partition_sums(request, vanishing):
                   for n in (10, 8))
     assert mixed_moment(sc, ten) == mixed_moment_by_fractions(sc, ten)
     got = mixed_tcoeff(sc, eight)
-    assert got == tcoeffs_by_fractions(sc, [eight])[eight]
+    assert got == tcoeffs_by_fractions(sc, [eight])[0]
     assert (got == 0) == vanishing
 
 
@@ -281,7 +281,7 @@ def test_freeness_enumerates_no_partitions(monkeypatch, capsys):
         raise AssertionError("freeness enumerated partitions")
 
     for mod in [m for name, m in sys.modules.items() if name.startswith("noncrossing")]:
-        for name in ("enumerate_nc", "enumerate_ncl", "iter_nc", "iter_ncl"):
+        for name in ("enumerate_nc", "enumerate_ncl", "iter_nc", "iter_ncl", "iter_blocks"):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, refuse)
     assert cli.main(["verify", "prop22"]) == 0
@@ -335,6 +335,37 @@ def test_sum_moments_cumulants_add(scenario, seeded_scenario):
         assert got == want
 
 
+@pytest.mark.parametrize("moments, order, error, message", [
+    (sum_moments, 13, LimitExceeded, "nc is capped at 12 (requested 13)"),
+    (product_moments, 7, LimitExceeded, "nc is capped at 12 (requested 14)"),
+    (sum_moments, 0, ValueError, "nc needs a size of at least 1 (requested 0)"),
+    (product_moments, 0, ValueError, "nc needs a size of at least 1 (requested 0)"),
+], ids=["sum", "product", "sum-zero", "product-zero"])
+def test_free_sum_and_product_check_the_cap_before_any_word(
+        monkeypatch, moments, order, error, message):
+    # the longest word is checked first: without it, a sum of order 13
+    # expands every word of length 1..12 (over a minute) before it raises
+    sc = Scenario({"X": CumulantSequence((1,) * 14), "Y": CumulantSequence((2,) * 14)})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word was expanded before the cap was checked")
+
+    monkeypatch.setattr(freeness, "mixed_moment", refuse)
+    start = time.perf_counter()
+    with pytest.raises(error) as err:
+        moments(sc, "X", "Y", order)
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == message
+
+
+def test_free_sum_and_product_at_the_cap(seeded_scenario):
+    # the largest orders the nc cap allows: words of up to 6 and 12 letters
+    kx, ky = seeded_scenario.algebras["A"], seeded_scenario.algebras["B"]
+    assert moments_to_cumulants(sum_moments(seeded_scenario, "A", "B", 6)) == free_additive(kx, ky)
+    assert product_moments(seeded_scenario, "A", "B", 6) == cumulants_to_moments(
+        CumulantSequence(tuple(free_multiplicative(kx, ky, n) for n in range(1, 7))))
+
+
 def test_product_moments_first(scenario):
     assert product_moments(scenario, "X", "Y", 1).values == (2,)
 
@@ -374,6 +405,23 @@ def test_vanishing_suite_two_algebras(scenario):
 def test_vanishing_suite_seeded(seeded_scenario):
     report = freeness_vanishing_suite(seeded_scenario, 6)
     assert report.passed
+
+
+def test_vanishing_suite_hashes_each_letter_once(monkeypatch, seeded_scenario):
+    # a Letter hash hashes its Fraction scale: the sweep hashes each letter
+    # of each word once, to code it, and looks nothing up by letters
+    hashes = 0
+    letter_hash = Letter.__hash__
+
+    def counted(letter):
+        nonlocal hashes
+        hashes += 1
+        return letter_hash(letter)
+
+    monkeypatch.setattr(Letter, "__hash__", counted)
+    report = freeness_vanishing_suite(seeded_scenario, 6)
+    assert report.passed
+    assert hashes == sum(n * (2**n - 2) for n in range(2, 7))
 
 
 def test_vanishing_suite_single_algebra():

@@ -33,6 +33,7 @@ from noncrossing.partitions import (
     exterior_blocks,
     is_ncls,
     is_ncs,
+    iter_blocks,
     iter_nc,
     iter_ncl,
     kreweras,
@@ -55,6 +56,7 @@ from oracles import (
     is_ncls_by_components,
     is_ncs_by_kreweras,
     kreweras_by_search,
+    kreweras_by_union_find,
     nc_by_first_block_size,
     nc_error_by_pairs,
     ncl_by_classes,
@@ -396,6 +398,10 @@ def test_iterators_stream_the_enumerations():
         assert tuple(iter_nc(n)) == enumerate_nc(n)
     for n in range(1, 10):
         assert tuple(iter_ncl(n)) == enumerate_ncl(n)
+    for n in range(1, 11):
+        assert tuple(iter_blocks(n, False)) == tuple(p.blocks for p in enumerate_nc(n))
+    for n in range(1, 10):
+        assert tuple(iter_blocks(n, True)) == tuple(p.blocks for p in enumerate_ncl(n))
     # the tuples are still kept
     assert enumerate_nc(7) is enumerate_nc(7)
     assert enumerate_ncl(6) is enumerate_ncl(6)
@@ -404,7 +410,9 @@ def test_iterators_stream_the_enumerations():
 @pytest.mark.parametrize("members, top, count", [
     (iter_nc, 12, catalan),
     (iter_ncl, 9, lambda n: verify.SCHROEDER[n - 1]),
-], ids=["nc", "ncl"])
+    (lambda n: iter_blocks(n, False), 12, catalan),
+    (lambda n: iter_blocks(n, True), 9, lambda n: verify.SCHROEDER[n - 1]),
+], ids=["nc", "ncl", "nc-blocks", "ncl-blocks"])
 def test_iterators_keep_nothing_of_the_widest_gap(fresh_caches, monkeypatch, members, top, count):
     # streaming the family of {1..n} caches no interval {2..n}, which would
     # hold all of the family of n - 1 for the life of the process
@@ -428,11 +436,36 @@ def test_iterators_keep_nothing_of_the_widest_gap(fresh_caches, monkeypatch, mem
     (lambda: iter_ncl(0), ValueError),
     (lambda: iter_nc(5, limit=4), LimitExceeded),
     (lambda: iter_ncl(4, limit=3), LimitExceeded),
-], ids=["nc-cap", "ncl-cap", "nc-zero", "ncl-zero", "nc-limit", "ncl-limit"])
+    (lambda: iter_blocks(13, False), LimitExceeded),
+    (lambda: iter_blocks(10, True), LimitExceeded),
+    (lambda: iter_blocks(0, False), ValueError),
+    (lambda: iter_blocks(0, True), ValueError),
+    (lambda: iter_blocks(5, False, limit=4), LimitExceeded),
+    (lambda: iter_blocks(4, True, limit=3), LimitExceeded),
+], ids=["nc-cap", "ncl-cap", "nc-zero", "ncl-zero", "nc-limit", "ncl-limit",
+        "blocks-nc-cap", "blocks-ncl-cap", "blocks-nc-zero", "blocks-ncl-zero",
+        "blocks-nc-limit", "blocks-ncl-limit"])
 def test_iterators_check_the_cap_when_called(call, error):
     # the call itself refuses, before any next(): a generator function would not
     with pytest.raises(error):
         call()
+
+
+def test_counts_suite_builds_no_counted_partition(monkeypatch):
+    # the NC and NCL count rows tally block tuples: no partition object is
+    # built from the stream.  The split families are kept tuples by design,
+    # so they are built first and only the count rows can reach the stream
+    for n in range(1, 7):
+        enumerate_ncs(n)
+    for n in range(1, 6):
+        enumerate_ncls(n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the counts suite built partitions from the stream")
+
+    monkeypatch.setattr(partitions, "_stream", refuse)
+    entries = verify.counts_suite()
+    assert entries and all(e.passed for e in entries)
 
 
 def test_counts_suite_keeps_no_counted_family(fresh_caches):
@@ -701,6 +734,13 @@ def test_kreweras_against_exhaustive_search(n):
     for gamma in enumerate_nc(n):
         want = kreweras_by_search(gamma.blocks, n)
         assert kreweras(gamma).blocks == want
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_kreweras_cycle_walk_equals_the_union_find(n):
+    # the uncached function, so the bounded memo keeps its own keys
+    for gamma in enumerate_nc(n):
+        assert kreweras.__wrapped__(gamma) == kreweras_by_union_find(gamma)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

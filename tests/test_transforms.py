@@ -32,12 +32,13 @@ from noncrossing.transforms import (
     tcoeffs_to_moments,
     verify_t_multiplicativity,
 )
-from noncrossing.transforms import _bicolor_profile, _evaluate, _power_row
+from noncrossing.transforms import _bicolor_profile, _evaluate, _power_row, _tree_profile
 from noncrossing.trees import (
     PlanarTree,
     bicolor_from_ncls,
     enumerate_bicolor,
     enumerate_bicolor_elementary,
+    enumerate_planar_trees,
 )
 from noncrossing.verify import (
     catalan_moments,
@@ -47,15 +48,18 @@ from noncrossing.verify import (
 
 from oracles import (
     bicolor_sum,
+    bicolor_weight_by_profile,
     cauchy_product_by_fractions,
     class_sum,
     cumulant_solve_by_fractions,
     kreweras_sum,
     moment_by_linked_sum,
     moment_by_nc_sum,
+    ncls_weight_by_profile,
     power_row_by_fractions,
     tcoeff_solve_by_fractions,
     tree_sum,
+    tree_weight_by_profile,
 )
 
 LEAF = PlanarTree()
@@ -328,6 +332,74 @@ def test_bicolor_kernel_equals_per_object_sums(n):
                                   (True, enumerate_bicolor_elementary(n))):
             assert _evaluate(_bicolor_profile(n, elementary), tx, ty) == bicolor_sum(
                 trees, tx.values, ty.values)
+
+
+def _outcome(weigh, *args):
+    try:
+        return weigh(*args)
+    except OrderTooLow as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_object_weights_equal_the_profile_route(seed):
+    # eval_tree, eval_bicolor and ncls_weight multiply the indices out
+    # directly; the one-object profile route is the oracle, on values with
+    # zeros and negatives
+    rng = random.Random(4000 + seed)
+    drawn = []
+    for _ in range(3):
+        values = list(_random_rationals(rng, 8))
+        values[rng.randint(1, 7)] = 0  # one zero past t_0 in each
+        drawn.append(TCoeffSequence(tuple(values)))
+    t, tx, ty = drawn
+    assert min(t.values + tx.values + ty.values) < 0
+    for n in range(1, 9):
+        for tree in enumerate_planar_trees(n):
+            assert eval_tree(tree, t) == tree_weight_by_profile(tree, t)
+    for n in range(1, 6):
+        for tree in enumerate_bicolor(n):
+            assert eval_bicolor(tree, tx, ty) == bicolor_weight_by_profile(tree, tx, ty)
+    for n in range(1, 5):
+        for pi in enumerate_ncls(n):
+            assert ncls_weight(pi, tx, ty) == ncls_weight_by_profile(pi, tx, ty)
+
+
+def test_one_object_weights_name_the_same_missing_index():
+    # sequences too short for some objects: the same value or the same
+    # OrderTooLow message, naming the smallest index out of range
+    rng = random.Random(4100)
+    short = [TCoeffSequence(_random_rationals(rng, k)) for k in (1, 2, 3)]
+    messages = set()
+    for n in range(1, 7):
+        for tree in enumerate_planar_trees(n):
+            for t in short:
+                got = _outcome(eval_tree, tree, t)
+                assert got == _outcome(tree_weight_by_profile, tree, t)
+                if isinstance(got, str):
+                    messages.add(got)
+    for n in range(1, 5):
+        for tree in enumerate_bicolor(n):
+            for tx in short:
+                for ty in short:
+                    assert (_outcome(eval_bicolor, tree, tx, ty)
+                            == _outcome(bicolor_weight_by_profile, tree, tx, ty))
+    for n in range(1, 4):
+        for pi in enumerate_ncls(n):
+            for tx in short:
+                for ty in short:
+                    assert (_outcome(ncls_weight, pi, tx, ty)
+                            == _outcome(ncls_weight_by_profile, pi, tx, ty))
+    assert messages == {f"need t-coefficient of index {i}" for i in range(1, 6)}
+
+
+def test_profile_sum_checks_each_length_once():
+    # the smallest index of the profile out of range, before any product
+    with pytest.raises(OrderTooLow, match="^need t-coefficient of index 2$"):
+        _evaluate(_tree_profile(5), TCoeffSequence((1, 1)))
+    with pytest.raises(OrderTooLow, match="^need t-coefficient of index 3$"):
+        _evaluate(_bicolor_profile(4, False), TCoeffSequence((1, 1, 1, 1)),
+                  TCoeffSequence((1, 1, 1)))
 
 
 @pytest.mark.parametrize("n", range(1, 10))
