@@ -66,4 +66,5 @@ class OrderTooLow(NonCrossingError):
 
 
 class LetterNotInDomain(NonCrossingError):
-    """A word letter has zero expectation where a division is required."""
+    """A word letter has zero expectation where a division is required, or
+    its algebra is not in the scenario."""

@@ -94,23 +94,31 @@ class Scenario:
         object.__setattr__(self, "algebras", MappingProxyType(dict(self.algebras)))
 
     def first_moment(self, letter: Letter) -> Fraction:
-        return letter.scale * self.algebras[letter.algebra].values[0]
+        return letter.scale * _cumulants(self, letter).values[0]
+
+
+def _cumulants(scenario: Scenario, letter: Letter) -> CumulantSequence:
+    """The cumulant sequence of the letter's algebra, which the scenario must hold."""
+    try:
+        return scenario.algebras[letter.algebra]
+    except KeyError:
+        raise LetterNotInDomain(
+            f"letter {letter}: algebra {letter.algebra!r} is not in the scenario") from None
 
 
 def _letters(word) -> tuple[Letter, ...]:
-    if isinstance(word, Word):
-        return word.letters
-    return tuple(word)
+    """The letters of a word, or of a sequence of letters checked as one."""
+    return (word if isinstance(word, Word) else Word(word)).letters
 
 
 def mixed_cumulant(scenario: Scenario, letters) -> Fraction:
     """Joint cumulant of the letters: zero across algebras, multilinear
-    within one."""
+    within one.  Every letter's algebra must be in the scenario."""
     letters = _letters(letters)
-    ids = {l.algebra for l in letters}
-    if len(ids) > 1:
+    seqs = {l.algebra: _cumulants(scenario, l) for l in letters}
+    if len(seqs) > 1:
         return Fraction(0)
-    seq = scenario.algebras[ids.pop()]
+    (seq,) = seqs.values()
     if len(letters) > seq.order:
         raise OrderTooLow(f"need cumulants up to order {len(letters)}")
     return prod(l.scale for l in letters) * seq.values[len(letters) - 1]

@@ -380,32 +380,24 @@ def leq(sigma: AnyPartition, pi: AnyPartition) -> bool:
     return True
 
 
-def _join(n: int, links) -> Blocks:
-    """Blocks of {1..n} after merging the two ends of every link (union-find)."""
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in links:
-        parent[find(b)] = find(a)
-    groups: dict[int, list[int]] = {}
-    for e in range(1, n + 1):
-        groups.setdefault(find(e), []).append(e)
-    return tuple(sorted(tuple(g) for g in groups.values()))
-
-
 def connected_components(pi: NCLPartition) -> NCPartition:
     """The non-crossing partition whose blocks are the components of ``pi``.
 
     Two positions are connected when a chain of pairwise-overlapping blocks
-    joins them.
+    joins them.  In block order, a block whose minimum is a non-minimal
+    position of an earlier block joins that block's component, and any
+    other block opens one at its minimum.  Reading positions 1..n by the
+    minimum of their component then gives the components canonically.
     """
-    links = ((blk[0], e) for blk in pi.blocks for e in blk[1:])
-    return NCPartition(pi.n, _join(pi.n, links))
+    least = list(range(pi.n + 1))
+    for blk in pi.blocks:
+        m = least[blk[0]]
+        for e in blk[1:]:
+            least[e] = m
+    comps: dict[int, list[int]] = {}
+    for e in range(1, pi.n + 1):
+        comps.setdefault(least[e], []).append(e)
+    return NCPartition(pi.n, tuple(map(tuple, comps.values())))
 
 
 def exterior_blocks(pi: NCLPartition) -> Blocks:
@@ -424,10 +416,14 @@ def non_minimal_elements(pi: NCLPartition) -> frozenset[int]:
 def restrict(pi: AnyPartition, subset) -> AnyPartition:
     """Restrict to ``subset`` and relabel order-isomorphically to {1..|S|}.
 
-    Every block must lie inside the subset or be disjoint from it.
+    The subset must be a nonempty set of positions in 1..n, and every block
+    must lie inside it or be disjoint from it.  The relabel is monotone, so
+    the kept blocks stay in canonical order.
     """
     positions = tuple(sorted(subset))
     index = {e: i + 1 for i, e in enumerate(positions)}
+    if not positions or positions[0] < 1 or positions[-1] > pi.n or len(index) < len(positions):
+        raise SizeMismatch(f"{list(positions)} is not a nonempty set of positions in 1..{pi.n}")
     kept = []
     for blk in pi.blocks:
         inside = [e in index for e in blk]
@@ -435,7 +431,7 @@ def restrict(pi: AnyPartition, subset) -> AnyPartition:
             kept.append(tuple(index[e] for e in blk))
         elif any(inside):
             raise BlockStraddlesSet(f"block {blk} straddles {positions}")
-    return type(pi)(len(positions), tuple(sorted(kept)))
+    return type(pi)(len(positions), tuple(kept))
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,7 @@ def cumulant_via_classes(t: TCoeffSequence, n: int) -> Fraction:
     """The n-th cumulant as a sum of t-weights over the connected class."""
     if n > t.order:
         raise OrderTooLow(f"need t-coefficients up to index {n - 1}")
+    check_limit("trees", n)
     return _evaluate(_class_profile(n), t)
 
 

@@ -127,7 +127,9 @@ def enumerate_planar_trees(n: int, *, limit: int | None = None) -> tuple[PlanarT
 
 
 def enumerate_bicolor_elementary(n: int) -> tuple[BicolorPlanarTree, ...]:
-    """The n one-level bicolor trees on n vertices, colour-1 count descending."""
+    """The n one-level bicolor trees on n vertices, colour-1 count descending;
+    n is capped like the planar trees."""
+    check_limit("trees", n)
     leaf = BicolorPlanarTree()
     out = []
     for k in range(n - 1, -1, -1):
@@ -187,14 +189,12 @@ def connected_from_tree(tree: PlanarTree) -> NCLPartition:
     """Read the blocks of a connected linked partition off a planar tree.
 
     Each vertex with children contributes the block of its own number
-    followed by its children's numbers; a single vertex gives the one-point
-    partition.
+    followed by its children's numbers, in preorder, which is canonical; a
+    single vertex gives the one-point partition.
     """
     order = vertex_order(tree)
-    blocks = [(v + 1,) + kids for v, kids in enumerate(order) if kids]
-    if not blocks:
-        blocks = [(1,)]
-    return NCLPartition(len(order), tuple(sorted(blocks)))
+    blocks = tuple((v + 1,) + kids for v, kids in enumerate(order) if kids)
+    return NCLPartition(len(order), blocks or ((1,),))
 
 
 # ---------------------------------------------------------------------------

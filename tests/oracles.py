@@ -25,9 +25,7 @@ from noncrossing.freeness import mixed_cumulant
 from noncrossing.partitions import (
     NCLPartition,
     NCPartition,
-    _join,
     class_members,
-    connected_components,
     enumerate_nc,
     enumerate_ncl,
     enumerate_ncs,
@@ -160,6 +158,31 @@ def kreweras_by_search(gamma_blocks, n: int):
     return coarsest
 
 
+def _join(n: int, links) -> tuple:
+    """Blocks of {1..n} after merging the two ends of every link (union-find)."""
+    parent = list(range(n + 1))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        parent[find(b)] = find(a)
+    groups: dict[int, list[int]] = {}
+    for e in range(1, n + 1):
+        groups.setdefault(find(e), []).append(e)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def components_by_union_find(pi: NCLPartition) -> NCPartition:
+    """The union-find over the links (min B, e): the reference for the
+    block-order pass of ``partitions.connected_components``."""
+    links = ((blk[0], e) for blk in pi.blocks for e in blk[1:])
+    return NCPartition(pi.n, _join(pi.n, links))
+
+
 def kreweras_by_union_find(gamma: NCPartition) -> NCPartition:
     """The cycles of pi^-1 (1 2 ... n) as a union-find over the links
     (e, pi^-1(e + 1)), read mod n, with the groups sorted: the reference for
@@ -202,11 +225,11 @@ def is_ncs_by_kreweras(gamma: NCPartition) -> bool:
 
 def is_ncls_by_components(pi: NCLPartition) -> bool:
     """The union-find components of ``pi`` pass :func:`is_ncs_by_kreweras`."""
-    return pi.n % 2 == 0 and is_ncs_by_kreweras(connected_components(pi))
+    return pi.n % 2 == 0 and is_ncs_by_kreweras(components_by_union_find(pi))
 
 
 def connected_by_union_find(pi: NCLPartition) -> bool:
-    return len(connected_components(pi).blocks) == 1
+    return len(components_by_union_find(pi).blocks) == 1
 
 
 # Block structure rule by rule over pairs of blocks: the references for the

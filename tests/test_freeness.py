@@ -142,6 +142,21 @@ def test_mixed_tcoeff_rejects_zero_expectation():
         mixed_tcoeff(sc, [Letter("Y", 0), Letter("Y")])
 
 
+@pytest.mark.parametrize("word_fn", [mixed_moment, mixed_cumulant, mixed_tcoeff])
+@pytest.mark.parametrize("text", ["Z", "X Z Y", "X 2*Z"])
+def test_a_letter_outside_the_scenario_is_named(scenario, word_fn, text):
+    with pytest.raises(LetterNotInDomain, match="algebra 'Z' is not in the scenario"):
+        word_fn(scenario, Word.parse(text))
+
+
+def test_mixed_cumulant_of_no_letters_is_refused_like_a_word(scenario):
+    with pytest.raises(ValueError) as err:
+        mixed_cumulant(scenario, [])
+    with pytest.raises(ValueError) as word_err:
+        Word(())
+    assert str(err.value) == str(word_err.value)
+
+
 @pytest.mark.parametrize("word_fn, length", [(mixed_tcoeff, 10), (mixed_moment, 13)])
 def test_long_words_hit_the_partition_caps(word_fn, length):
     # the ncl cap (9) bounds mixed_tcoeff's words and the nc cap (12)

@@ -50,6 +50,7 @@ from oracles import (
     brute_ncl,
     catalan,
     class_members_by_relabel,
+    components_by_union_find,
     exterior_by_pairs,
     interleaved_compatible_by_validation,
     interleaved_union_ok,
@@ -581,6 +582,25 @@ def test_connected_components_chain():
     assert connected_components(ncl(3, [[1, 2], [2, 3]])).blocks == ((1, 2, 3),)
 
 
+def test_connected_components_equal_the_union_find():
+    # the block-order pass against the union-find over the links (min B, e)
+    members = [pi for n in range(1, 9) for pi in enumerate_ncl(n)]
+    members += [pi for n in range(1, 6) for pi in enumerate_ncls(n)]
+    assert len(members) == 11_062
+    for pi in members + [ncl(12, EXAMPLE_12)]:
+        assert connected_components(pi) == components_by_union_find(pi), pi
+
+
+def test_connected_from_tree_is_canonical():
+    # preorder numbering gives the blocks in canonical order: the validator,
+    # which sorts, returns the same object
+    plain = [t for n in range(1, 11) for t in trees.enumerate_planar_trees(n)]
+    assert len(plain) == 6_918
+    for tree in plain:
+        pi = trees.connected_from_tree(tree)
+        assert validate_ncl(pi.n, pi.blocks) == pi, tree
+
+
 def test_class_members_singletons():
     zero = validate_nc(4, [[1], [2], [3], [4]])
     assert class_members(zero) == (ncl(4, [[1], [2], [3], [4]]),)
@@ -702,6 +722,35 @@ def test_restrict_identity_and_singletons():
 def test_restrict_straddle():
     with pytest.raises(BlockStraddlesSet):
         restrict(ncl(3, [[1, 2], [3]]), (2, 3))
+
+
+@pytest.mark.parametrize("subset, shown", [
+    ([1, 1, 2], "[1, 1, 2]"), ({0, 1}, "[0, 1]"), ({3, 4}, "[3, 4]"), (set(), "[]"),
+], ids=["repeat", "below", "above", "empty"])
+def test_restrict_refuses_what_is_no_set_of_positions(subset, shown):
+    pi = validate_nc(3, [[1], [2], [3]])
+    with pytest.raises(SizeMismatch) as err:
+        restrict(pi, subset)
+    assert str(err.value) == f"{shown} is not a nonempty set of positions in 1..3"
+
+
+def test_restrict_keeps_canonical_order():
+    # a monotone relabel keeps canonical blocks canonical: the validator,
+    # which sorts, returns the same object
+    zero5 = ncl(5, [[1], [2], [3], [4], [5]])
+    cases = [(ncl(12, EXAMPLE_12), (1, 4, 5, 6, 7, 8, 9)),
+             (ncl(5, [[1, 2], [2, 3], [4], [5]]), range(1, 6)),
+             (zero5, (2, 4)),
+             (validate_nc(6, [[1, 6], [2, 3], [4, 5]]), (1, 4, 5, 6))]
+    for n in range(1, 7):
+        for pi in enumerate_ncl(n):
+            comps = connected_components(pi).blocks
+            cases += [(pi, comp) for comp in comps]
+            cases.append((pi, chain.from_iterable(comps[1:]) if len(comps) > 1 else comps[0]))
+    for pi, subset in cases:
+        got = restrict(pi, subset)
+        validate = validate_ncl if isinstance(pi, NCLPartition) else validate_nc
+        assert validate(got.n, got.blocks) == got, (pi, subset)
 
 
 # ---------------------------------------------------------------------------

@@ -7,19 +7,50 @@ import inspect
 import sys
 from pathlib import Path
 
+from noncrossing import freeness, partitions, transforms
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def test_traced_layers_name_existing_functions():
     # the benchmark wraps these names; a deleted one breaks only the benchmark
-    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _spans()
     for modname, table in spans.LAYERS.items():
         mod = importlib.import_module(f"noncrossing.{modname}")
         for attr in table:
             fn = getattr(mod, attr, None)
             assert fn is not None and inspect.isfunction(inspect.unwrap(fn)), f"{modname}.{attr}"
+
+
+def test_traced_benchmark_reads_what_exists():
+    # besides the names, the traced run reads the Kreweras cache counters off
+    # the module's own kreweras (``inspect.unwrap`` would strip the cache too)
+    # and counts each vanishing-suite result by its words_checked
+    info = partitions.kreweras.cache_info()
+    assert isinstance(info.hits, int) and isinstance(info.misses, int)
+    assert inspect.isfunction(inspect.unwrap(partitions.kreweras))
+    scenario = freeness.Scenario({"X": transforms.CumulantSequence((1, 1, 1)),
+                                  "Y": transforms.CumulantSequence((2, 1, 0))})
+    report = freeness.freeness_vanishing_suite(scenario, 3)
+    _, count = _spans().LAYERS["freeness"]["freeness_vanishing_suite"]
+    assert type(report.words_checked) is int and count(report) == report.words_checked == 8
+
+
+def test_oracles_import_no_private_name():
+    # an oracle that borrows a private helper of the package is no second route
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "noncrossing" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "noncrossing":
+            assert not [a.name for a in node.names if a.name.startswith("_")], node.module
 
 
 def test_runtime_imports_are_stdlib():

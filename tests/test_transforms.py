@@ -294,6 +294,18 @@ def test_cumulant_via_classes_examples():
     assert cumulant_via_classes(TCoeffSequence((2, F(1, 2), F(-1, 8))), 3) == 0
 
 
+@pytest.mark.parametrize("cumulant, message", [
+    (lambda n: cumulant_via_classes(TCoeffSequence((1,)), n), "trees"),
+    (lambda n: cumulant_via_trees(TCoeffSequence((1,)), n), "trees"),
+    (lambda n: free_multiplicative(CumulantSequence((1,)), CumulantSequence((1,)), n), "nc"),
+], ids=["classes", "trees", "free-multiplicative"])
+def test_cumulant_sums_refuse_n_below_one_alike(cumulant, message):
+    # the size check of the cap, before any enumeration
+    with pytest.raises(ValueError) as err:
+        cumulant(0)
+    assert str(err.value) == f"{message} needs a size of at least 1 (requested 0)"
+
+
 def test_cumulant_via_trees_examples():
     assert cumulant_via_trees(TCoeffSequence((1, 1)), 2) == 1
     assert cumulant_via_trees(TCoeffSequence((1, 1, 0)), 3) == 1

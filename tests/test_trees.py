@@ -1,4 +1,5 @@
 import gc
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,18 @@ def test_bicolor_elementary():
     assert len(four) == 4
     # colour-1 child count runs n-1 .. 0
     assert [sum(1 for c, _ in t.children if c == 1) for t in four] == [3, 2, 1, 0]
+
+
+def test_bicolor_elementary_checks_the_trees_cap():
+    with pytest.raises(ValueError, match=r"trees needs a size of at least 1 \(requested 0\)"):
+        enumerate_bicolor_elementary(0)
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded, match=r"trees is capped at 10 \(requested 11\)"):
+        enumerate_bicolor_elementary(11)
+    assert time.perf_counter() - start < 0.1
+    for n in range(1, 9):
+        want = ["(" + "1()" * k + "0()" * (n - 1 - k) + ")" for k in range(n - 1, -1, -1)]
+        assert list(map(str, enumerate_bicolor_elementary(n))) == want
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 7), (4, 30), (5, 143)])
