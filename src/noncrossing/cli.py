@@ -25,7 +25,7 @@ from .errors import (
     ZeroFirstMoment,
     ZeroT0,
 )
-from .limits import DEFAULT_LIMITS
+from .limits import DEFAULT_LIMITS, check_limit
 from .partitions import enumerate_ncls, enumerate_ncs, iter_nc, iter_ncl
 from .transforms import (
     cumulants_to_moments,
@@ -153,7 +153,13 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_transform(args) -> int:
     parse, transform = _TRANSFORMS[args.direction]
-    out = transform(parse(_read_data(args.data)))
+    data = _read_data(args.data)
+    # the cap reads the list's length before any coefficient is parsed; an
+    # empty, missing or malformed list is left to the parser's own errors
+    coeffs = data.get("coeffs")
+    if isinstance(coeffs, list) and coeffs:
+        check_limit("transform", len(coeffs))
+    out = transform(parse(data))
     _print_lines([_dump(out.to_json_dict())])
     return 0
 

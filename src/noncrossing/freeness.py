@@ -37,7 +37,7 @@ from types import MappingProxyType
 
 from .errors import LetterNotInDomain, OrderTooLow
 from .limits import check_limit
-from .transforms import CumulantSequence, MomentSequence, _dot, _pairs, _sum
+from .transforms import CumulantSequence, MomentSequence, _dot, _sum
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ def _tcoeffs(scenario: Scenario, words) -> list[Fraction]:
     bounds the word length."""
     words = [_letters(w) for w in words]
     letters, coded = _code(words)
-    first = _pairs(map(scenario.first_moment, letters))
+    first = [scenario.first_moment(l).as_integer_ratio() for l in letters]
     for l, (p, _) in zip(letters, first):
         if p == 0:
             raise LetterNotInDomain(f"letter {l} has zero expectation")

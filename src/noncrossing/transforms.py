@@ -1,12 +1,15 @@
 """Exact transforms between moments, free cumulants, and t-coefficients.
 
-All arithmetic is exact rational, on integers; ``Fraction``s appear only
-at the API boundary, as the values that go in and come out.  The series
-solves run on power-table rows that each share one reduced denominator:
-a row's integer numerators are built with one lcm and reduced with one
-gcd, and each solved coefficient is one integer dot over them, kept as a
-reduced (numerator, denominator) pair.  The profile sums run on reduced
-pairs, with one lcm and one gcd per sum.
+All arithmetic is exact rational, on integers.  A coefficient sequence
+holds its coefficients as reduced (numerator, denominator) pairs, and its
+``values`` tuple of ``Fraction``s is built only when it is read, so chained
+transforms pass integers straight through.  The series solves run on
+power-table rows that each share one reduced denominator: a row's integer
+numerators are built with one lcm and reduced with one gcd.  The solve
+keeps its known coefficients as integer numerators over one running common
+denominator, so each solved coefficient is one integer dot with a row,
+reduced with one gcd.  The profile sums run on reduced pairs, with one lcm
+and one gcd per sum.
 
 The transforms solve the functional equations of the generating series
 M = sum of m_n z^n, the R-series R = sum of k_n z^n and the t-series
@@ -33,11 +36,11 @@ routes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from typing import ClassVar
+from operator import mul
 
 from .errors import (
     NotNclS,
@@ -65,61 +68,104 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
 class _CoeffSequence:
-    """Exact coefficients of one kind; ``kind`` names it in error messages."""
+    """Exact coefficients of one kind; ``kind`` names it in error messages.
 
-    values: tuple[Fraction, ...]
-    kind: ClassVar[str]
+    ``pairs`` holds each coefficient once, as a reduced (numerator,
+    denominator) pair of ints with denominator > 0, the form every solve and
+    sum computes on.  ``values`` gives them as ``Fraction``s, built the first
+    time it is read and then kept; a ``Fraction`` given to the constructor is
+    kept, not built again.  Equality and hash go by kind and value, and an
+    instance cannot be changed.
+    """
 
-    def __post_init__(self):
-        # a value that is already a Fraction is kept, not built again
-        object.__setattr__(self, "values", tuple(
-            v if type(v) is Fraction else Fraction(v) for v in self.values))
-        if not self.values:
+    __slots__ = ("pairs", "_values")
+    kind: str
+
+    def __init__(self, values):
+        values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+        self._init(tuple([(v.numerator, v.denominator) for v in values]), values)
+
+    @classmethod
+    def _from_pairs(cls, pairs: tuple):
+        """The sequence of reduced pairs; its ``values`` wait until read."""
+        seq = object.__new__(cls)
+        seq._init(pairs, None)
+        return seq
+
+    def _init(self, pairs: tuple, values) -> None:
+        if not pairs:
             raise OrderTooLow(f"a {self.kind} sequence needs at least one entry")
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_values", values)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        # a race builds equal tuples, and either one may be kept
+        values = self._values
+        if values is None:
+            values = tuple([Fraction(p, q) for p, q in self.pairs])
+            object.__setattr__(self, "_values", values)
+        return values
 
     @property
     def order(self) -> int:
-        return len(self.values)
+        return len(self.pairs)
 
     def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [str(v) for v in self.values]}
+        # str(Fraction(p, q)), with no Fraction built
+        return {"order": self.order,
+                "coeffs": [f"{p}/{q}" if q != 1 else str(p) for p, q in self.pairs]}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(values={self.values!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.values,)
 
 
-@dataclass(frozen=True)
 class MomentSequence(_CoeffSequence):
     """Moments m_1..m_N of a formal distribution."""
 
+    __slots__ = ()
     kind = "moment"
 
 
-@dataclass(frozen=True)
 class CumulantSequence(_CoeffSequence):
     """Free cumulants k_1..k_N."""
 
+    __slots__ = ()
     kind = "cumulant"
 
 
-@dataclass(frozen=True)
 class TCoeffSequence(_CoeffSequence):
     """t-coefficients t_0..t_{N-1}; the constant term must not vanish."""
 
+    __slots__ = ()
     kind = "t-coefficient"
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.values[0] == 0:
+    def _init(self, pairs: tuple, values) -> None:
+        super()._init(pairs, values)
+        if pairs[0][0] == 0:
             raise ZeroT0("the constant t-coefficient must be nonzero")
 
 
 # ---------------------------------------------------------------------------
 # series solves
-
-
-def _pairs(values) -> list[tuple[int, int]]:
-    """The reduced (numerator, denominator) pairs of ``Fraction`` values."""
-    return [(v.numerator, v.denominator) for v in values]
 
 
 def _sum(terms) -> tuple[int, int]:
@@ -166,51 +212,67 @@ def _power_row(rows: list, a: list) -> None:
     rows.append(([v // g for v in nums], den // g))
 
 
-def _solve(values, from_moments: bool, a: list, weights) -> tuple:
+def _known(xs: list, xden: int, p: int, q: int) -> int:
+    """Append p/q to the numerators ``xs`` over the common denominator
+    ``xden`` and return the new common denominator: the old one, unless q
+    does not divide it, in which case every numerator is rescaled to the
+    lcm first."""
+    f = q // gcd(xden, q)
+    if f != 1:
+        xs[:] = [v * f for v in xs]
+        xden *= f
+    xs.append(p * (xden // q))
+    return xden
+
+
+def _solve(pairs: tuple, from_moments: bool, a: list, weights) -> tuple:
     """Solve m_n = sum over i <= n of x_i w(n, i), for n = 1..order.
 
-    Given the moments it returns the x's; given the x's, the moments.  The
+    Given the moments it returns the x's; given the x's, the moments; both
+    go in and come out as reduced pairs, and no ``Fraction`` is built.  The
     weights of order n are ``weights(row)`` for row len(a) of the power
     table of the series with coefficients ``a``, which grows by m_n after
     step n: integer numerators over the row's one reduced denominator.
-    Only the diagonal weight w(n, n) is ever a divisor.  Each unknown costs
-    one lcm over the x denominators it meets, one integer dot with the
-    weight numerators and one gcd; the x's and m's are reduced pairs, and
-    ``Fraction``s are built only for the returned coefficients.
+    Only the diagonal weight w(n, n) is ever a divisor.  The known x's are
+    integer numerators over one running common denominator, rescaled only
+    when a new x's denominator does not divide it, so each unknown costs one
+    integer dot with the weight numerators and one gcd.
     """
-    check_limit("transform", len(values))
-    pairs = _pairs(values)
-    x, m = ([], pairs) if from_moments else (pairs, [])
+    check_limit("transform", len(pairs))
+    out: list = []
+    xs: list = []  # the known x's, numerators over xden
+    xden = 1
     rows: list = []
-    for n in range(1, len(pairs) + 1):
+    for n, (p, q) in enumerate(pairs, 1):
         while len(rows) <= len(a):
             _power_row(rows, a)
         w, wden = weights(rows[len(a)])
-        # the known x's: x_1..x_(n-1) when solving for x_n, else x_1..x_n
-        known = x[: n - 1] if from_moments else x[:n]
-        xden = lcm(*[q for _, q in known])
-        dot = sum(p * (xden // q) * wi for (p, q), wi in zip(known, w) if p)
+        if not from_moments:
+            xden = _known(xs, xden, p, q)
+        # x_1..x_(n-1) when solving for x_n, else x_1..x_n
+        dot = sum(map(mul, xs, w))
         if from_moments:
             # x_n = (m_n - dot / (xden wden)) / (w(n, n) / wden)
-            p, q = m[n - 1]
             num, den = p * xden * wden - q * dot, q * xden * w[n - 1]
         else:
             num, den = dot, xden * wden
         g = gcd(num, den) if den > 0 else -gcd(num, den)
-        (x if from_moments else m).append((num // g, den // g))
-        a.append(m[n - 1])
-    return tuple(Fraction(p, q) for p, q in (x if from_moments else m))
+        out.append((num // g, den // g))
+        if from_moments:
+            xden = _known(xs, xden, *out[-1])
+        a.append((p, q) if from_moments else out[-1])
+    return tuple(out)
 
 
-def _cumulant_solve(values, from_moments: bool) -> tuple:
+def _cumulant_solve(pairs: tuple, from_moments: bool) -> tuple:
     # M = R(z(1+M)): m_n = sum_k k_k [z^n](z(1+M))^k, and [z^n](z(1+M))^n = 1
-    return _solve(values, from_moments, [(1, 1)], lambda row: (row[0][1:], row[1]))
+    return _solve(pairs, from_moments, [(1, 1)], lambda row: (row[0][1:], row[1]))
 
 
-def _tcoeff_solve(values, from_moments: bool) -> tuple:
+def _tcoeff_solve(pairs: tuple, from_moments: bool) -> tuple:
     # M = z(1+M) T(M): m_n = sum_j t_j [z^(n-1)](M^j + M^(j+1)), whose
     # j = n-1 term is t_(n-1) m_1^(n-1)
-    return _solve(values, from_moments, [], lambda row: (
+    return _solve(pairs, from_moments, [], lambda row: (
         [r + s for r, s in zip(row[0], row[0][1:] + [0])], row[1]))
 
 
@@ -220,13 +282,13 @@ def _tcoeff_solve(values, from_moments: bool) -> tuple:
 
 def cumulants_to_moments(kappa: CumulantSequence) -> MomentSequence:
     """The moments whose free cumulants are ``kappa``."""
-    return MomentSequence(_cumulant_solve(kappa.values, from_moments=False))
+    return MomentSequence._from_pairs(_cumulant_solve(kappa.pairs, from_moments=False))
 
 
 def moments_to_cumulants(m: MomentSequence) -> CumulantSequence:
     """The free cumulants of ``m``; every diagonal weight is 1, so any
     moments have cumulants."""
-    return CumulantSequence(_cumulant_solve(m.values, from_moments=True))
+    return CumulantSequence._from_pairs(_cumulant_solve(m.pairs, from_moments=True))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +297,7 @@ def moments_to_cumulants(m: MomentSequence) -> CumulantSequence:
 
 def tcoeffs_to_moments(t: TCoeffSequence) -> MomentSequence:
     """The moments whose t-coefficients are ``t``."""
-    return MomentSequence(_tcoeff_solve(t.values, from_moments=False))
+    return MomentSequence._from_pairs(_tcoeff_solve(t.pairs, from_moments=False))
 
 
 def moments_to_tcoeffs(m: MomentSequence) -> TCoeffSequence:
@@ -243,9 +305,9 @@ def moments_to_tcoeffs(m: MomentSequence) -> TCoeffSequence:
 
     Order n divides by m_1^(n-1), so the first moment must be nonzero.
     """
-    if m.values[0] == 0:
+    if m.pairs[0][0] == 0:
         raise ZeroFirstMoment("t-coefficients need a nonzero first moment")
-    return TCoeffSequence(_tcoeff_solve(m.values, from_moments=True))
+    return TCoeffSequence._from_pairs(_tcoeff_solve(m.pairs, from_moments=True))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +342,7 @@ def _evaluate(profile, *seqs) -> Fraction:
     for k, (seq, need) in enumerate(zip(seqs, needs)):
         if need > seq.order:
             raise _order_too_low(seq, [i for m, _ in monomials for i, _ in m[k]])
-    tables = [_pairs(seq.values) for seq in seqs]
+    tables = [seq.pairs for seq in seqs]
     terms = []
     for monomial, num in monomials:
         den = 1
@@ -301,11 +363,11 @@ def _product(seqs, index_lists) -> Fraction:
     for seq, indices in zip(seqs, index_lists):
         if indices and max(indices) >= seq.order:
             raise _order_too_low(seq, indices)
-        values = seq.values
+        pairs = seq.pairs
         for i in indices:
-            v = values[i]
-            num *= v.numerator
-            den *= v.denominator
+            p, q = pairs[i]
+            num *= p
+            den *= q
     return Fraction(num, den)
 
 
@@ -376,7 +438,8 @@ def free_additive(kx: CumulantSequence, ky: CumulantSequence) -> CumulantSequenc
     """Cumulants add freely: the sum's cumulants are the pointwise sums."""
     if kx.order != ky.order:
         raise SizeMismatch("cumulant sequences of different orders")
-    return CumulantSequence(tuple(a + b for a, b in zip(kx.values, ky.values)))
+    return CumulantSequence._from_pairs(
+        tuple(_sum([x, y]) for x, y in zip(kx.pairs, ky.pairs)))
 
 
 def free_multiplicative(kx: CumulantSequence, ky: CumulantSequence, n: int) -> Fraction:
@@ -429,9 +492,9 @@ def t_convolve(tx: TCoeffSequence, ty: TCoeffSequence) -> TCoeffSequence:
     """Cauchy product of the two t-series prefixes, on reduced pairs."""
     if tx.order != ty.order:
         raise SizeMismatch("t-coefficient sequences of different orders")
-    x, y = _pairs(tx.values), _pairs(ty.values)
-    return TCoeffSequence(tuple(
-        Fraction(*_dot(x[: i + 1], y[i::-1])) for i in range(len(x))))
+    x, y = tx.pairs, ty.pairs
+    return TCoeffSequence._from_pairs(tuple(
+        _dot(x[: i + 1], y[i::-1]) for i in range(len(x))))
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +563,13 @@ def verify_t_multiplicativity(
     Kreweras cumulant sum.
     """
     check_limit("theorem", order, limit)
-    if mx.values[0] == 0 or my.values[0] == 0:
+    if mx.pairs[0][0] == 0 or my.pairs[0][0] == 0:
         raise ZeroFirstMoment("both factors need a nonzero first moment")
     if mx.order < order or my.order < order:
         raise OrderTooLow(f"need moments up to order {order}")
 
-    mx = MomentSequence(mx.values[:order])
-    my = MomentSequence(my.values[:order])
+    mx = MomentSequence._from_pairs(mx.pairs[:order])
+    my = MomentSequence._from_pairs(my.pairs[:order])
     kx = moments_to_cumulants(mx)
     ky = moments_to_cumulants(my)
     tx = moments_to_tcoeffs(mx)

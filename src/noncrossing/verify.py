@@ -376,27 +376,28 @@ SUITES = {
 
 
 # the largest order each suite accepts.  Every suite takes order and seed, but
-# counts reads neither and kreweras reads only the order; the others read both.
+# counts reads neither (so it has no maximum) and kreweras reads only the
+# order; the others read both.
 MAX_ORDER = {"kreweras": 8, "prop21": 10, "eq5": 10, "prop22": 6, "bridge": 5, "theorem": 6}
 
 
 def run_suites(names, *, order=None, seed=7) -> list[ReportEntry]:
     """Run the named suites ('all' for every one) and return sorted entries.
 
-    An ``order`` above the maximum of a named suite raises
-    :class:`LimitExceeded`, and one below 1 raises :class:`ValueError`,
-    before any suite runs.
+    An ``order`` below 1 raises :class:`ValueError` for every named suite,
+    counts too, and one above the maximum of a named suite raises
+    :class:`LimitExceeded`, before any suite runs.
     """
     if isinstance(names, str):
         names = list(SUITES) if names == "all" else [names]
     for name in names:
-        top = MAX_ORDER.get(name)
-        if order is None or top is None:
-            continue
+        if order is None:
+            break
         if order < 1:
             raise ValueError(f"verify {name} needs an order of at least 1 (requested {order})")
-        if order > top:
-            raise LimitExceeded(f"verify {name} runs up to order {top} (requested {order})")
+        if order > MAX_ORDER.get(name, order):
+            raise LimitExceeded(
+                f"verify {name} runs up to order {MAX_ORDER[name]} (requested {order})")
     entries = []
     for name in names:
         entries.extend(SUITES[name](order=order, seed=seed))

@@ -207,6 +207,32 @@ def test_transform_order61_exit2(direction):
     assert proc.stderr == "error: transform is capped at 60 (requested 61)\n"
 
 
+@pytest.mark.parametrize("count", [61, 300_000])
+@pytest.mark.parametrize("direction", ["m2k", "k2m", "m2t", "t2m"])
+def test_transform_cap_checked_before_any_coefficient_is_parsed(
+    monkeypatch, capsys, direction, count
+):
+    def refuse(text):
+        raise AssertionError("a coefficient was parsed before the cap was checked")
+
+    monkeypatch.setattr(cli.jsonio, "parse_fraction", refuse)
+    code = cli.main(["transform", direction, _series(["1/3"] * count)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: transform is capped at 60 (requested {count})\n"
+
+
+@pytest.mark.parametrize("data, code, message", [
+    ('{"coeffs":[]}', 4, "error: a moment sequence needs at least one entry\n"),
+    ('{"order":0}', 2, "error: missing key 'coeffs'\n"),
+    ('{"coeffs":"' + "1" * 61 + '"}', 2, "error: 'coeffs' must be a list\n"),
+    ('{"coeffs":{"a":1}}', 2, "error: 'coeffs' must be a list\n"),
+])
+def test_transform_cap_leaves_the_parser_errors(capsys, data, code, message):
+    assert cli.main(["transform", "m2k", data]) == code
+    assert capsys.readouterr() == ("", message)
+
+
 def test_transform_m2t_zero_first_moment_exit3():
     proc = run_cli("transform", "m2t", '{"order":2,"coeffs":["0","1"]}')
     assert proc.returncode == 3
@@ -449,6 +475,8 @@ def test_verify_prop21_and_eq5_at_order_10():
     [
         ("verify", "prop21", "--order", "0"),
         ("verify", "prop21", "--order", "-1"),
+        ("verify", "counts", "--order", "0"),
+        ("verify", "counts", "--order", "-1"),
         ("convolve", "--mx", SERIES, "--my", SERIES, "--order", "0"),
         ("convolve", "--mx", SERIES, "--my", SERIES, "--order", "-1"),
         ("enumerate", "nc", "-3"),

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from math import gcd
 
@@ -13,6 +16,7 @@ from noncrossing.errors import (
     ZeroFirstMoment,
     ZeroT0,
 )
+from noncrossing import transforms
 from noncrossing.partitions import enumerate_nc, enumerate_ncl, enumerate_ncls, kreweras
 from noncrossing.transforms import (
     CumulantSequence,
@@ -160,6 +164,127 @@ def test_corpus_roundtrips():
     for m in seeded_moment_corpus(20240801, 200, 8):
         assert cumulants_to_moments(moments_to_cumulants(m)) == m
         assert tcoeffs_to_moments(moments_to_tcoeffs(m)) == m
+
+
+# ---------------------------------------------------------------------------
+# the sequence contract: reduced pairs inside, Fractions when read
+
+
+KINDS = [(MomentSequence, "moment"), (CumulantSequence, "cumulant"),
+         (TCoeffSequence, "t-coefficient")]
+
+
+def _solved():
+    """One output of each solve and of t_convolve, with zeros and negatives."""
+    m = MomentSequence((F(1, 2), F(-3, 4), 2, 0, F(5, 7)))
+    t = TCoeffSequence((1, F(1, 3), -2, 0, F(-9, 10)))
+    return [moments_to_cumulants(m), cumulants_to_moments(CumulantSequence(m.values)),
+            moments_to_tcoeffs(m), tcoeffs_to_moments(t), t_convolve(t, t)]
+
+
+def test_sequences_equal_and_hash_by_kind_and_value():
+    values = (F(1), F(1, 2), F(-3))
+    m = MomentSequence(values)
+    assert m == MomentSequence((1, "1/2", F(-6, 2)))
+    assert hash(m) == hash(MomentSequence((1, "1/2", -3))) == hash((values,))
+    others = [cls(values) for cls, _ in KINDS[1:]]
+    assert all(m != o and o != m for o in others)
+    assert others[0] != others[1]
+    assert len({m, *others}) == 3
+    assert m != values and m.__eq__(values) is NotImplemented
+    # a solved sequence holds only pairs until read, and still compares by value
+    k = moments_to_cumulants(MomentSequence((1, 2, 5)))
+    assert k == CumulantSequence((1, 1, 1)) and hash(k) == hash(CumulantSequence((1, 1, 1)))
+    assert k != MomentSequence((1, 1, 1))
+
+
+@pytest.mark.parametrize("name", ["values", "pairs", "order", "kind", "other"])
+def test_sequences_refuse_assignment(name):
+    for seq in [MomentSequence((1, 2))] + _solved():
+        with pytest.raises(FrozenInstanceError):
+            setattr(seq, name, ())
+        with pytest.raises(FrozenInstanceError):
+            delattr(seq, name)
+
+
+def test_sequence_repr_is_the_dataclass_repr():
+    assert repr(MomentSequence((1, F(-1, 2)))) == \
+        "MomentSequence(values=(Fraction(1, 1), Fraction(-1, 2)))"
+    assert repr(moments_to_tcoeffs(MomentSequence((2, 3)))) == \
+        "TCoeffSequence(values=(Fraction(2, 1), Fraction(-1, 2)))"
+
+
+def test_sequences_copy_and_pickle_by_value():
+    for seq in _solved():
+        for twin in (copy.copy(seq), copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
+            assert twin == seq and type(twin) is type(seq)
+
+
+def test_to_json_dict_formats_pairs_as_fractions():
+    values = (F(0), F(7), F(-4), F(1, 3), F(-7, 2), F(10**30 + 1, 7))
+    for cls, _ in KINDS:
+        seq = cls(values[1:]) if cls is TCoeffSequence else cls(values)
+        assert seq.to_json_dict() == {"order": seq.order,
+                                      "coeffs": [str(v) for v in seq.values]}
+    for seq in _solved():
+        coeffs = seq.to_json_dict()["coeffs"]
+        assert coeffs == [str(F(p, q)) for p, q in seq.pairs]
+    assert moments_to_tcoeffs(MomentSequence((-1, 2, -5, 14))).to_json_dict() == \
+        {"order": 4, "coeffs": ["-1", "-1", "0", "0"]}
+
+
+@pytest.mark.parametrize("cls, kind", KINDS)
+def test_empty_sequence_is_too_low(cls, kind):
+    with pytest.raises(OrderTooLow) as exc:
+        cls(())
+    assert str(exc.value) == f"a {kind} sequence needs at least one entry"
+
+
+@pytest.mark.parametrize("values", [(0, 1), (F(0), F(1, 2)), ("0",)])
+def test_zero_t0_message(values):
+    with pytest.raises(ZeroT0) as exc:
+        TCoeffSequence(values)
+    assert str(exc.value) == "the constant t-coefficient must be nonzero"
+
+
+def test_values_are_the_reduced_pairs_as_fractions():
+    given = F(1, 3)
+    seq = MomentSequence((given, 4, "-6/8"))
+    assert seq.values[0] is given  # a Fraction input is not built again
+    assert seq.pairs == ((1, 3), (4, 1), (-3, 4))
+    for seq in [seq] + _solved():
+        assert all(q > 0 and gcd(p, q) == 1 for p, q in seq.pairs)
+        assert seq.values == tuple(F(p, q) for p, q in seq.pairs)
+        assert all(type(v) is F for v in seq.values)
+        assert seq.values is seq.values and seq.order == len(seq.pairs)
+
+
+def test_solves_build_no_fraction_until_values_are_read(monkeypatch):
+    m = MomentSequence((F(1, 2), F(-3, 4), 2, 0, F(5, 7)))
+    kappa = CumulantSequence(m.values)
+    t = TCoeffSequence((1, F(1, 3), -2, 0, F(-9, 10)))
+    expected = [cumulant_solve_by_fractions(m.values, from_moments=True),
+                cumulant_solve_by_fractions(m.values, from_moments=False),
+                tcoeff_solve_by_fractions(m.values, from_moments=True),
+                tcoeff_solve_by_fractions(t.values, from_moments=False),
+                cauchy_product_by_fractions(t.values, t.values)]
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(transforms, "Fraction", counting)
+    outputs = [moments_to_cumulants(m), cumulants_to_moments(kappa), moments_to_tcoeffs(m),
+               tcoeffs_to_moments(t), t_convolve(t, t)]
+    # chained solves pass pairs straight through
+    outputs.append(tcoeffs_to_moments(moments_to_tcoeffs(
+        cumulants_to_moments(moments_to_cumulants(m)))))
+    expected.append(m.values)
+    assert built == []
+    for seq, want in zip(outputs, expected):
+        assert seq.values == want
+    assert len(built) == sum(seq.order for seq in outputs)
 
 
 # ---------------------------------------------------------------------------
