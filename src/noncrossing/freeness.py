@@ -287,7 +287,11 @@ def freeness_vanishing_suite(scenario: Scenario, max_length: int) -> VanishingRe
 
     Sweeps all words of length up to ``max_length`` over the scenario's
     algebras that use at least two of them, and records any counterexample.
+    The ``ncl`` cap bounds ``max_length``, checked before any word is built;
+    below 2 there is no word, and the sweep is empty.
     """
+    if max_length >= 2:
+        check_limit("ncl", max_length)
     generators = {a: Letter(a) for a in sorted(scenario.algebras)}
     words = [Word(tuple(map(generators.__getitem__, combo)))
              for n in range(2, max_length + 1) for combo in product(generators, repeat=n)

@@ -286,6 +286,10 @@ def iter_nc(n: int, *, limit: int | None = None) -> Iterator[NCPartition]:
     return _stream(NCPartition, n, iter_blocks(n, False, limit=limit))
 
 
+# NC(n) and NCL(n) are kept once built: some callers read one size many
+# times (the validator tests once per sampled case), and collecting the
+# stream on every call doubled the test suite's time.  A caller that reads
+# a size once streams it with iter_nc/iter_ncl/iter_blocks instead.
 @cache
 def _nc_all(n: int) -> tuple[NCPartition, ...]:
     return tuple(_stream(NCPartition, n, _walk(1, n, False, top=True)))
@@ -302,7 +306,7 @@ def iter_ncl(n: int, *, limit: int | None = None) -> Iterator[NCLPartition]:
     return _stream(NCLPartition, n, iter_blocks(n, True, limit=limit))
 
 
-@cache
+@cache  # kept, like _nc_all
 def _ncl_all(n: int) -> tuple[NCLPartition, ...]:
     return tuple(_stream(NCLPartition, n, _walk(1, n, True, top=True)))
 
@@ -347,15 +351,31 @@ def _class_union(n: int, gammas) -> tuple[NCLPartition, ...]:
     return tuple(NCLPartition(n, blocks) for blocks in out)
 
 
+def _require_disjoint(gamma: AnyPartition) -> None:
+    """Raise :class:`NotAPartition`, naming an element that lies in two
+    blocks, when the block sizes of ``gamma`` do not add up to n: a linked
+    partition with links is no partition."""
+    if sum(map(len, gamma.blocks)) == gamma.n:
+        return
+    seen: set[int] = set()
+    for e in chain.from_iterable(gamma.blocks):
+        if e in seen:
+            raise NotAPartition(f"{gamma} is not a partition: {e} lies in two blocks")
+        seen.add(e)
+    raise NotAPartition(f"{gamma} is not a partition of 1..{gamma.n}")
+
+
 def class_members(gamma: NCPartition, *, limit: int | None = None) -> tuple[NCLPartition, ...]:
     """All linked partitions whose connected components are ``gamma``.
 
     The class factors over the blocks of ``gamma``: each block carries an
     independent connected class, built by recursion on the block's own
     elements.  The class size is the product of Catalan(k - 1) over block
-    sizes k.  Block sizes are capped like planar-tree enumeration, before
-    any member is built.
+    sizes k.  ``gamma`` must be a partition, a linked one only without
+    links, and block sizes are capped like planar-tree enumeration, both
+    checked before any member is built.
     """
+    _require_disjoint(gamma)
     for blk in gamma.blocks:
         check_limit("trees", len(blk), limit)
     return _class_union(gamma.n, (gamma,))
@@ -446,8 +466,10 @@ def kreweras(gamma: NCPartition) -> NCPartition:
     coarsest partition of the bars whose union with ``gamma`` stays
     non-crossing.  Its blocks are the cycles of pi^-1 (1 2 ... n), where pi
     runs through each block of ``gamma`` as an increasing cycle.  Block
-    counts of a partition and its complement add up to n + 1.
+    counts of a partition and its complement add up to n + 1.  A linked
+    partition with links is refused before anything is cached.
     """
+    _require_disjoint(gamma)
     n = gamma.n
     before = [0] * (n + 1)
     for blk in gamma.blocks:

@@ -52,11 +52,11 @@ from .errors import (
 from .limits import check_limit
 from .partitions import (
     NCLPartition,
+    NCPartition,
     class_members,
     enumerate_nc,
     is_ncls,
     kreweras,
-    validate_nc,
 )
 from .trees import (
     BicolorPlanarTree,
@@ -315,17 +315,14 @@ def moments_to_tcoeffs(m: MomentSequence) -> TCoeffSequence:
 
 
 def _profile(objects, statistic) -> tuple:
-    """(monomial, multiplicity) pairs, and per sequence the smallest order
-    that covers every index: ``statistic(obj)`` lists the indices of each
+    """The sum over ``objects`` as a polynomial: a tuple of (monomial,
+    multiplicity) pairs.  ``statistic(obj)`` lists the indices of each
     sequence the object's weight multiplies, and a monomial sorts them into
     (index, exponent) pairs per sequence."""
-    monomials = tuple(Counter(
+    return tuple(Counter(
         tuple(tuple(sorted(Counter(indices).items())) for indices in statistic(obj))
         for obj in objects
     ).items())
-    needs = tuple(max((powers[-1][0] + 1 for powers in column if powers), default=0)
-                  for column in zip(*(m for m, _ in monomials)))
-    return monomials, needs
 
 
 def _order_too_low(seq, indices) -> OrderTooLow:
@@ -336,15 +333,11 @@ def _order_too_low(seq, indices) -> OrderTooLow:
 
 def _evaluate(profile, *seqs) -> Fraction:
     """Sum of multiplicity times the product of seq.values[i] ** e, with one
-    integer numerator and denominator per monomial.  Each sequence's length
-    is checked once, against the order the profile needs."""
-    monomials, needs = profile
-    for k, (seq, need) in enumerate(zip(seqs, needs)):
-        if need > seq.order:
-            raise _order_too_low(seq, [i for m, _ in monomials for i, _ in m[k]])
+    integer numerator and denominator per monomial.  The caller checks that
+    each sequence covers every index of the profile."""
     tables = [seq.pairs for seq in seqs]
     terms = []
-    for monomial, num in monomials:
+    for monomial, num in profile:
         den = 1
         for pairs, powers in zip(tables, monomial):
             for i, e in powers:
@@ -388,7 +381,7 @@ def _bicolor_indices(tree: BicolorPlanarTree) -> tuple:
 
 @cache
 def _class_profile(n: int) -> tuple:
-    members = class_members(validate_nc(n, [list(range(1, n + 1))]))
+    members = class_members(NCPartition(n, (tuple(range(1, n + 1)),)))
     return _profile(members, lambda pi: (_linked_indices(pi),))
 
 

@@ -15,6 +15,7 @@ from noncrossing.errors import LetterNotInDomain, LimitExceeded, OrderTooLow
 from noncrossing.freeness import (
     Letter,
     Scenario,
+    VanishingReport,
     Word,
     freeness_vanishing_suite,
     mixed_cumulant,
@@ -444,6 +445,25 @@ def test_vanishing_suite_single_algebra():
     report = freeness_vanishing_suite(sc, 3)
     assert report.passed
     assert report.words_checked == 0
+
+
+@pytest.mark.parametrize("max_length", [10, 11])
+def test_vanishing_sweep_checks_the_cap_before_any_word(monkeypatch, max_length):
+    # without the check, three algebras build every mixed word up to
+    # max_length (265,686 at 11) before the first 10-letter word is refused
+    sc = Scenario({a: CumulantSequence((1,) * 14) for a in "XYZ"})
+    for short in (1, 0, -1):
+        assert freeness_vanishing_suite(sc, short) == VanishingReport(0, ())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a word was built before the cap was checked")
+
+    monkeypatch.setattr(freeness, "_tcoeffs", refuse)
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded) as err:
+        freeness_vanishing_suite(sc, max_length)
+    assert time.perf_counter() - start < 0.1
+    assert str(err.value) == f"ncl is capped at 9 (requested {max_length})"
 
 
 def test_all_mixed_words_vanish_explicitly(scenario):

@@ -648,6 +648,22 @@ def test_class_members_checks_the_cap_before_building(monkeypatch):
         class_members(gamma, limit=3)
 
 
+def test_class_members_refuses_a_linked_partition(monkeypatch):
+    # the blocks of (1,2,4)(2,3) would give the class member
+    # (1,2)(2,3)(2,4), which validate_ncl rejects
+    def refuse(*args):
+        raise AssertionError("built before the partition was checked")
+
+    monkeypatch.setattr(partitions, "_block_class", refuse)
+    with pytest.raises(NotAPartition) as err:
+        class_members(validate_ncl(4, [[1, 2, 4], [2, 3]]))
+    assert str(err.value) == "(1,2,4)(2,3) is not a partition: 2 lies in two blocks"
+    monkeypatch.undo()
+    # with no links, a linked partition is a partition
+    unlinked = class_members(validate_ncl(4, [[1, 3], [2], [4]]))
+    assert unlinked == class_members(validate_nc(4, [[1, 3], [2], [4]]))
+
+
 @pytest.mark.parametrize("k", range(1, 11))
 def test_block_class_equals_tree_relabel(k):
     # the block (1..k), and for k <= 8 seeded blocks with gaps between them
@@ -776,6 +792,17 @@ def test_kreweras_memo_is_bounded():
     for gamma in enumerate_nc(10)[:4200]:
         kreweras(gamma)
     assert kreweras.cache_info().currsize <= 4096
+
+
+def test_kreweras_refuses_a_linked_partition(fresh_caches):
+    # the cycle walk of (1,2)(2,3) gives the block (1, 3, 2), which is not
+    # increasing, and the memo would keep it
+    with pytest.raises(NotAPartition) as err:
+        partitions.kreweras(validate_ncl(3, [[1, 2], [2, 3]]))
+    assert str(err.value) == "(1,2)(2,3) is not a partition: 2 lies in two blocks"
+    assert partitions.kreweras.cache_info().currsize == 0
+    # with no links, a linked partition is a partition
+    assert partitions.kreweras(validate_ncl(3, [[1], [2, 3]])).blocks == ((1, 3), (2,))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -36,7 +36,7 @@ from noncrossing.transforms import (
     tcoeffs_to_moments,
     verify_t_multiplicativity,
 )
-from noncrossing.transforms import _bicolor_profile, _evaluate, _power_row, _tree_profile
+from noncrossing.transforms import _bicolor_profile, _evaluate, _power_row, _profile, _tree_indices
 from noncrossing.trees import (
     PlanarTree,
     bicolor_from_ncls,
@@ -530,13 +530,29 @@ def test_one_object_weights_name_the_same_missing_index():
     assert messages == {f"need t-coefficient of index {i}" for i in range(1, 6)}
 
 
-def test_profile_sum_checks_each_length_once():
-    # the smallest index of the profile out of range, before any product
-    with pytest.raises(OrderTooLow, match="^need t-coefficient of index 2$"):
-        _evaluate(_tree_profile(5), TCoeffSequence((1, 1)))
-    with pytest.raises(OrderTooLow, match="^need t-coefficient of index 3$"):
-        _evaluate(_bicolor_profile(4, False), TCoeffSequence((1, 1, 1, 1)),
-                  TCoeffSequence((1, 1, 1)))
+def test_profile_sum_checks_each_length_once(monkeypatch):
+    # each public sum checks its sequences' orders itself, before any
+    # profile is built; a profile is only its polynomial
+    def refuse(*args):
+        raise AssertionError("a profile was built before the order check")
+
+    for builder in ("_class_profile", "_tree_profile", "_kreweras_profile"):
+        monkeypatch.setattr(transforms, builder, refuse)
+    t = TCoeffSequence((1, 1))
+    short, long = CumulantSequence((1, 1, 1)), CumulantSequence((1,) * 5)
+    for call, message in (
+        (lambda: cumulant_via_classes(t, 5), "need t-coefficients up to index 4"),
+        (lambda: cumulant_via_trees(t, 5), "need t-coefficients up to index 4"),
+        (lambda: free_multiplicative(short, long, 4), "need cumulants up to order 4"),
+        (lambda: free_multiplicative(long, short, 4), "need cumulants up to order 4"),
+    ):
+        with pytest.raises(OrderTooLow, match=f"^{message}$"):
+            call()
+    # STAR3 and CHAIN3 by their elementary degrees: t_0^2 t_2 and t_0 t_1^2
+    profile = _profile(enumerate_planar_trees(3), _tree_indices)
+    assert type(profile) is tuple
+    assert all(type(num) is int for _, num in profile)
+    assert dict(profile) == {(((0, 2), (2, 1)),): 1, (((0, 1), (1, 2)),): 1}
 
 
 @pytest.mark.parametrize("n", range(1, 10))
