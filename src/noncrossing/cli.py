@@ -151,15 +151,22 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _cmd_transform(args) -> int:
-    parse, transform = _TRANSFORMS[args.direction]
-    data = _read_data(args.data)
-    # the cap reads the list's length before any coefficient is parsed; an
-    # empty, missing or malformed list is left to the parser's own errors
+def _read_series(raw: str) -> dict:
+    """A series object whose ``coeffs`` list is within the ``transform`` cap.
+
+    The cap reads the list's length before any coefficient is parsed; an
+    empty, missing or malformed list is left to the parser's own errors.
+    """
+    data = _read_data(raw)
     coeffs = data.get("coeffs")
     if isinstance(coeffs, list) and coeffs:
         check_limit("transform", len(coeffs))
-    out = transform(parse(data))
+    return data
+
+
+def _cmd_transform(args) -> int:
+    parse, transform = _TRANSFORMS[args.direction]
+    out = transform(parse(_read_series(args.data)))
     _print_lines([_dump(out.to_json_dict())])
     return 0
 
@@ -222,14 +229,13 @@ def _cmd_convolve(args) -> int:
              if getattr(args, a) is not None and getattr(args, a) is not False]
     if stray:
         raise ValueError(f"--{stray[0].replace('_', '-')} is not read by convolve {mode}")
+    # both lists are checked against the transform cap before either is parsed
     if t_mode:
         _flag_limits(args, None)
-        tx = jsonio.parse_tcoeffs(_read_data(args.tx))
-        ty = jsonio.parse_tcoeffs(_read_data(args.ty))
+        tx, ty = map(jsonio.parse_tcoeffs, [_read_series(args.tx), _read_series(args.ty)])
         _print_lines([_dump(t_convolve(tx, ty).to_json_dict())])
         return 0
-    mx = jsonio.parse_moments(_read_data(args.mx))
-    my = jsonio.parse_moments(_read_data(args.my))
+    mx, my = map(jsonio.parse_moments, [_read_series(args.mx), _read_series(args.my)])
     order = args.order
     if order is not None and order < 1:
         raise ValueError(f"--order must be at least 1 (requested {order})")

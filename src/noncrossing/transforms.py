@@ -4,12 +4,12 @@ All arithmetic is exact rational, on integers.  A coefficient sequence
 holds its coefficients as reduced (numerator, denominator) pairs, and its
 ``values`` tuple of ``Fraction``s is built only when it is read, so chained
 transforms pass integers straight through.  The series solves run on
-power-table rows that each share one reduced denominator: a row's integer
-numerators are built with one lcm and reduced with one gcd.  The solve
-keeps its known coefficients as integer numerators over one running common
-denominator, so each solved coefficient is one integer dot with a row,
-reduced with one gcd.  The profile sums run on reduced pairs, with one lcm
-and one gcd per sum.
+power-table rows that each share one reduced denominator: a row takes one
+lcm, one plain indexed multiply-add loop per nonzero coefficient, and a gcd
+division only when the gcd exceeds 1.  The known coefficients are integer
+numerators over one running common denominator, so each solved coefficient
+is one C-level integer dot with a row, reduced with one gcd.  The profile
+sums run on reduced pairs, with one lcm and one gcd per sum.
 
 The transforms solve the functional equations of the generating series
 M = sum of m_n z^n, the R-series R = sum of k_n z^n and the t-series
@@ -40,7 +40,7 @@ from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .errors import (
     NotNclS,
@@ -192,24 +192,30 @@ def _power_row(rows: list, a: list) -> None:
     j = 0..d (the coefficient is 0 for j > d), in lowest terms as a whole:
     den > 0 and gcd(den, *nums) == 1.  The a_i are reduced pairs.  Row d
     reads only a_1..a_d, so a solve may extend ``a`` between rows.
+
+    A^j = A * A^(j-1), and A^(j-1) starts at z^(j-1), so row d adds up
+    a_i times row d-i, shifted by one, over the nonzero a_i.
     """
     d = len(rows)
     if d == 0:
         rows.append(([1], 1))
         return
-    # A^j = A * A^(j-1), and A^(j-1) starts at z^(j-1): entry j sums
-    # a_i [z^(d-i)] A^(j-1) over i, each a_i times row d-i shifted by one
-    terms = [(p, q * rows[d - i][1], rows[d - i][0])
-             for i, (p, q) in enumerate(a[:d], 1) if p]
-    den = lcm(*[s for _, s, _ in terms])
+    terms = []
+    den = 1
+    for (p, q), (src, sden) in zip(a, reversed(rows)):  # a_i with row d-i
+        if p:
+            s = q * sden
+            den = lcm(den, s)
+            terms.append((p, s, src))
     nums = [0] * (d + 1)
     for p, s, src in terms:
         f = p * (den // s)
-        for k, v in enumerate(src):
-            if v:
-                nums[k + 1] += f * v
+        k = 1
+        for v in src:
+            nums[k] += f * v
+            k += 1
     g = gcd(den, *nums)
-    rows.append(([v // g for v in nums], den // g))
+    rows.append((nums, den) if g == 1 else ([v // g for v in nums], den // g))
 
 
 def _known(xs: list, xden: int, p: int, q: int) -> int:
@@ -225,35 +231,40 @@ def _known(xs: list, xden: int, p: int, q: int) -> int:
     return xden
 
 
-def _solve(pairs: tuple, from_moments: bool, a: list, weights) -> tuple:
+def _solve(pairs: tuple, from_moments: bool, tseries: bool) -> tuple:
     """Solve m_n = sum over i <= n of x_i w(n, i), for n = 1..order.
 
     Given the moments it returns the x's; given the x's, the moments; both
     go in and come out as reduced pairs, and no ``Fraction`` is built.  The
-    weights of order n are ``weights(row)`` for row len(a) of the power
-    table of the series with coefficients ``a``, which grows by m_n after
-    step n: integer numerators over the row's one reduced denominator.
-    Only the diagonal weight w(n, n) is ever a divisor.  The known x's are
-    integer numerators over one running common denominator, rescaled only
-    when a new x's denominator does not divide it, so each unknown costs one
-    integer dot with the weight numerators and one gcd.
+    weights of order n come from row len(a) of the power table of the
+    series with coefficients ``a``, which grows by m_n after step n:
+    integer numerators over the row's one reduced denominator.  Cumulants
+    (M = R(z(1+M)), m_n = sum_k k_k [z^n](z(1+M))^k, ``a`` = z(1+M)) weigh
+    by the row from index 1; t-coefficients (M = z(1+M) T(M), m_n = sum_j
+    t_j [z^(n-1)](M^j + M^(j+1)), ``a`` = M) by row[j] + row[j+1], added
+    at C level inside the dot.  Either way the diagonal weight, the only
+    divisor, is the row's last entry.  The known x's are integer numerators
+    over one running common denominator, rescaled only when a new x's
+    denominator does not divide it, so each unknown costs one C-level
+    integer dot with the row and one gcd.
     """
     check_limit("transform", len(pairs))
     out: list = []
     xs: list = []  # the known x's, numerators over xden
     xden = 1
+    a: list = [] if tseries else [(1, 1)]
     rows: list = []
-    for n, (p, q) in enumerate(pairs, 1):
+    for p, q in pairs:
         while len(rows) <= len(a):
             _power_row(rows, a)
-        w, wden = weights(rows[len(a)])
+        row, wden = rows[len(a)]
         if not from_moments:
             xden = _known(xs, xden, p, q)
         # x_1..x_(n-1) when solving for x_n, else x_1..x_n
-        dot = sum(map(mul, xs, w))
+        dot = sum(map(mul, xs, map(add, row, row[1:] + [0]) if tseries else row[1:]))
         if from_moments:
             # x_n = (m_n - dot / (xden wden)) / (w(n, n) / wden)
-            num, den = p * xden * wden - q * dot, q * xden * w[n - 1]
+            num, den = p * xden * wden - q * dot, q * xden * row[-1]
         else:
             num, den = dot, xden * wden
         g = gcd(num, den) if den > 0 else -gcd(num, den)
@@ -264,31 +275,19 @@ def _solve(pairs: tuple, from_moments: bool, a: list, weights) -> tuple:
     return tuple(out)
 
 
-def _cumulant_solve(pairs: tuple, from_moments: bool) -> tuple:
-    # M = R(z(1+M)): m_n = sum_k k_k [z^n](z(1+M))^k, and [z^n](z(1+M))^n = 1
-    return _solve(pairs, from_moments, [(1, 1)], lambda row: (row[0][1:], row[1]))
-
-
-def _tcoeff_solve(pairs: tuple, from_moments: bool) -> tuple:
-    # M = z(1+M) T(M): m_n = sum_j t_j [z^(n-1)](M^j + M^(j+1)), whose
-    # j = n-1 term is t_(n-1) m_1^(n-1)
-    return _solve(pairs, from_moments, [], lambda row: (
-        [r + s for r, s in zip(row[0], row[0][1:] + [0])], row[1]))
-
-
 # ---------------------------------------------------------------------------
 # moment <-> cumulant
 
 
 def cumulants_to_moments(kappa: CumulantSequence) -> MomentSequence:
     """The moments whose free cumulants are ``kappa``."""
-    return MomentSequence._from_pairs(_cumulant_solve(kappa.pairs, from_moments=False))
+    return MomentSequence._from_pairs(_solve(kappa.pairs, from_moments=False, tseries=False))
 
 
 def moments_to_cumulants(m: MomentSequence) -> CumulantSequence:
     """The free cumulants of ``m``; every diagonal weight is 1, so any
     moments have cumulants."""
-    return CumulantSequence._from_pairs(_cumulant_solve(m.pairs, from_moments=True))
+    return CumulantSequence._from_pairs(_solve(m.pairs, from_moments=True, tseries=False))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,7 @@ def moments_to_cumulants(m: MomentSequence) -> CumulantSequence:
 
 def tcoeffs_to_moments(t: TCoeffSequence) -> MomentSequence:
     """The moments whose t-coefficients are ``t``."""
-    return MomentSequence._from_pairs(_tcoeff_solve(t.pairs, from_moments=False))
+    return MomentSequence._from_pairs(_solve(t.pairs, from_moments=False, tseries=True))
 
 
 def moments_to_tcoeffs(m: MomentSequence) -> TCoeffSequence:
@@ -307,7 +306,7 @@ def moments_to_tcoeffs(m: MomentSequence) -> TCoeffSequence:
     """
     if m.pairs[0][0] == 0:
         raise ZeroFirstMoment("t-coefficients need a nonzero first moment")
-    return TCoeffSequence._from_pairs(_tcoeff_solve(m.pairs, from_moments=True))
+    return TCoeffSequence._from_pairs(_solve(m.pairs, from_moments=True, tseries=True))
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +535,10 @@ class MultiplicativityReport:
         }
 
 
-def _check(identity: str, parameters: dict, lhs, rhs) -> IdentityCheck:
+def _check(identity: str, parameters: dict, lhs, rhs, fmt=str) -> IdentityCheck:
     # a passing check formats neither side
     return IdentityCheck(identity, parameters,
-                         None if lhs == rhs else {"lhs": str(lhs), "rhs": str(rhs)})
+                         None if lhs == rhs else {"lhs": fmt(lhs), "rhs": fmt(rhs)})
 
 
 def verify_t_multiplicativity(
@@ -575,16 +574,11 @@ def verify_t_multiplicativity(
     t_routed = moments_to_tcoeffs(m_xy)  # via the product's moments
     t_convolved = t_convolve(tx, ty)  # via the series product
 
-    checks = []
-    for i in range(order):
-        checks.append(
-            _check(
-                "t-coefficient product rule",
-                {"index": i},
-                t_routed.values[i],
-                t_convolved.values[i],
-            )
-        )
+    # reduced pairs are equal exactly when their values are; only a
+    # witness builds Fractions
+    checks = [_check("t-coefficient product rule", {"index": i}, routed, convolved,
+                     lambda pair: str(Fraction(*pair)))
+              for i, (routed, convolved) in enumerate(zip(t_routed.pairs, t_convolved.pairs))]
     for m in range(1, order + 1):
         elementary = PlanarTree((PlanarTree(),) * (m - 1))
         lhs = eval_tree(elementary, t_routed)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 from .errors import LimitExceeded
 from .freeness import Scenario, freeness_vanishing_suite
@@ -93,16 +93,18 @@ def _entry(suite, identity, parameters, witness=None) -> ReportEntry:
 
 def seeded_moment_corpus(seed: int, count: int, order: int) -> list[MomentSequence]:
     """Deterministic random rational moment sequences with a nonzero first
-    moment."""
+    moment, built as reduced pairs; their ``values`` wait until read."""
     rng = random.Random(seed)
     nonzero = [x for x in range(-6, 7) if x != 0]
     out = []
     for _ in range(count):
-        values = []
+        pairs = []
         for i in range(order):
             num = rng.choice(nonzero) if i == 0 else rng.randint(-6, 6)
-            values.append(Fraction(num, rng.randint(1, 4)))
-        out.append(MomentSequence(tuple(values)))
+            den = rng.randint(1, 4)
+            g = gcd(num, den)
+            pairs.append((num // g, den // g))
+        out.append(MomentSequence._from_pairs(tuple(pairs)))
     return out
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import islice
 from math import comb
 
@@ -220,6 +221,28 @@ def test_transform_cap_checked_before_any_coefficient_is_parsed(
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err == f"error: transform is capped at 60 (requested {count})\n"
+
+
+@pytest.mark.parametrize("count", [61, 300_000])
+@pytest.mark.parametrize("mode", ["t", "m"])
+@pytest.mark.parametrize("long_side", ["x", "y"])
+def test_convolve_caps_each_series_before_any_coefficient_is_parsed(
+    monkeypatch, capsys, mode, long_side, count
+):
+    def refuse(text):
+        raise AssertionError("a coefficient was parsed before the cap was checked")
+
+    monkeypatch.delenv("NCL_LIMITS", raising=False)
+    monkeypatch.setattr(cli.jsonio, "parse_fraction", refuse)
+    series = {"x": _series(["1"] * 3), "y": _series(["1"] * 3)}
+    series[long_side] = _series(["1/3"] * count)
+    start = time.perf_counter()
+    code = cli.main(["convolve", f"--{mode}x", series["x"], f"--{mode}y", series["y"]])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"error: transform is capped at 60 (requested {count})\n"
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("data, code, message", [

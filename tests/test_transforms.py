@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import pickle
 import random
 from dataclasses import FrozenInstanceError
@@ -16,7 +18,7 @@ from noncrossing.errors import (
     ZeroFirstMoment,
     ZeroT0,
 )
-from noncrossing import transforms
+from noncrossing import cli, transforms
 from noncrossing.partitions import enumerate_nc, enumerate_ncl, enumerate_ncls, kreweras
 from noncrossing.transforms import (
     CumulantSequence,
@@ -379,6 +381,37 @@ def test_power_rows_are_in_lowest_terms():
             for (nums, den), row in zip(rows, expected):
                 assert den > 0 and gcd(den, *nums) == 1
                 assert [F(v, den) for v in nums] == row
+
+
+def _pinned_series(order):
+    """The series of one order that the transform pin runs: seeded inputs
+    with denominators 1, up to 4 and up to 1000, then the edge inputs."""
+    inputs = [_random_rationals(random.Random(100 * order + max_den), order, max_den)
+              for max_den in (1, 4, 1000)]
+    inputs += _edge_inputs(order).values()
+    return [json.dumps({"order": order, "coeffs": [str(v) for v in values]})
+            for values in inputs]
+
+
+def test_transform_bytes_pinned(monkeypatch, capsys):
+    # stdout, stderr and the exit code of every direction at orders that
+    # cross the row kernel's edges, and of convolve --tx/--ty on the same
+    # series (each with the next one), pinned across rewrites of the solves
+    monkeypatch.delenv("NCL_LIMITS", raising=False)
+    transcript = []
+    for order in (1, 2, 9, 12, 13, 60):
+        series = _pinned_series(order)
+        argvs = [["transform", direction, data]
+                 for data in series for direction in ("m2k", "k2m", "m2t", "t2m")]
+        argvs += [["convolve", "--tx", x, "--ty", y]
+                  for x, y in zip(series, series[1:] + series[:1])]
+        for argv in argvs:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            transcript.append(f"{' '.join(argv)}\n{code}\n{captured.out}{captured.err}")
+    assert len(transcript) == 6 * 8 * 5
+    digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
+    assert digest == "c5db96b1db69a3b877572fe70dce9199310e43c28ec8dba4f0f1e57e53372a32"
 
 
 # ---------------------------------------------------------------------------
