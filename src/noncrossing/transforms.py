@@ -61,7 +61,6 @@ from .partitions import (
 from .trees import (
     BicolorPlanarTree,
     PlanarTree,
-    elementary_decomposition,
     enumerate_bicolor,
     enumerate_bicolor_elementary,
     enumerate_planar_trees,
@@ -371,11 +370,11 @@ def _linked_indices(pi: NCLPartition) -> list[int]:
 
 
 def _tree_indices(tree: PlanarTree) -> tuple:
-    return ([d for _, d in elementary_decomposition(tree)],)
+    return (tree.word,)
 
 
 def _bicolor_indices(tree: BicolorPlanarTree) -> tuple:
-    return tuple(zip(*_colour_counts(tree)))
+    return (tree.word[::2], tree.word[1::2])
 
 
 @cache
@@ -452,14 +451,6 @@ def eval_bicolor(
     """Product over vertices of t_k(first) t_{d-k}(second), where d counts
     children and k counts colour-1 children."""
     return _product((tx, ty), _bicolor_indices(tree))
-
-
-def _colour_counts(tree: BicolorPlanarTree):
-    """(colour-1, colour-0) child counts per vertex, in preorder."""
-    k = sum(col for col, _ in tree.children)
-    yield k, len(tree.children) - k
-    for _, child in tree.children:
-        yield from _colour_counts(child)
 
 
 def ncls_weight(pi: NCLPartition, tx: TCoeffSequence, ty: TCoeffSequence) -> Fraction:

@@ -4,69 +4,172 @@ Vertices of a planar tree are numbered in depth-first preorder (root
 first, siblings left to right).  Connected linked partitions of {1..n}
 correspond to planar trees with n vertices: each block becomes the
 depth-one subtree rooted at the vertex numbered by the block minimum.
-
 Bicolor planar trees colour every edge 0 or 1, with colour-1 children
 preceding colour-0 children at each vertex.  Bicolor trees with n
 vertices correspond to the parity-split linked partitions of {1..2n}.
+
+A tree is stored as its preorder child-count ``word``: a planar tree's
+Łukasiewicz word, one child count per vertex, or for a bicolor tree the
+flattened (colour-1, colour-0) counts per vertex.  The weights and the
+bijections read the word; ``children`` is derived from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cache
-from itertools import count
 
 from .errors import NotConnected, NotNclS
 from .limits import check_limit
 from .partitions import NCLPartition, is_ncls
 
 
-@dataclass(frozen=True)
-class PlanarTree:
-    """A rooted tree with ordered children."""
+class _Tree:
+    """A tree stored as its word: ``_width`` child counts per vertex, one
+    per edge colour in ``_colours`` (None: a planar tree's edges carry no
+    colour).  Equality, hash and pickling go by the word, and an instance
+    cannot be changed."""
 
-    children: tuple["PlanarTree", ...] = ()
+    __slots__ = ("word",)
+    _width: int
+    _colours: tuple
+
+    def __init__(self, children=()):
+        word = [0] * self._width
+        for entry in children:
+            slot, child = self._slot(entry, word)
+            if not isinstance(child, type(self)):
+                raise TypeError(f"a child of a {type(self).__name__} must be one too, "
+                                f"not {type(child).__name__}")
+            word[slot] += 1
+            word += child.word
+        object.__setattr__(self, "word", tuple(word))
+
+    @staticmethod
+    def _slot(entry, counts) -> tuple:
+        """The index of the count, among the root's ``counts`` so far, that
+        ``entry`` adds to, and its child; a planar tree's entry is a child."""
+        return 0, entry
+
+    @classmethod
+    def _from_word(cls, word: tuple):
+        """The tree of a valid preorder word, taken as it is."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "word", word)
+        return tree
 
     @property
     def size(self) -> int:
-        return 1 + sum(c.size for c in self.children)
+        return len(self.word) // self._width
+
+    def _subtrees(self) -> list:
+        """The root's children, left to right, each the shortest run of
+        vertices that completes a subtree."""
+        word, width = self.word, self._width
+        starts, missing = [], 0  # missing: vertices the current child still needs
+        for i in range(width, len(word), width):
+            if not missing:
+                starts.append(i)
+            missing += (word[i] + word[i + 1] if width == 2 else word[i]) - (missing > 0)
+        return [self._from_word(word[a:b]) for a, b in zip(starts, starts[1:] + [len(word)])]
+
+    def _preorder(self) -> list:
+        """Per vertex in preorder, the colour of the edge above it (None at
+        the root and in a planar tree) and how many subtrees end with it."""
+        word, width, colours = self.word, self._width, self._colours
+        ones, left, out = [], [], []  # per vertex with children to come: colour-1 ones, all
+        for i in range(0, len(word), width):
+            colour = None
+            if left:
+                if ones[-1]:
+                    ones[-1] -= 1
+                    colour = colours[0]
+                else:
+                    colour = colours[-1]
+                left[-1] -= 1
+            k = word[i] + word[i + 1] if width == 2 else word[i]
+            if k:
+                ones.append(word[i])
+                left.append(k)
+                out.append((colour, 0))
+            else:
+                ends = 1
+                while left and not left[-1]:
+                    left.pop()
+                    ones.pop()
+                    ends += 1
+                out.append((colour, ends))
+        return out
 
     def __str__(self) -> str:
-        return "(" + "".join(str(c) for c in self.children) + ")"
+        return "".join(("" if col is None else str(col)) + "(" + ")" * ends
+                       for col, ends in self._preorder())
 
     def to_json_dict(self) -> dict:
-        return {"children": [{"tree": c.to_json_dict()} for c in self.children]}
+        root: dict = {"children": []}
+        stack = [root["children"]]  # the child lists of the subtrees still open
+        for col, ends in self._preorder()[1:]:
+            kids: list = []
+            node = {"children": kids}
+            stack[-1].append({"tree": node} if col is None else {"color": col, "tree": node})
+            stack.append(kids)
+            if ends:
+                del stack[-ends:]
+        return root
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash(self.word)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(children={self.children!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self._from_word, (self.word,)
 
 
-@dataclass(frozen=True)
-class BicolorPlanarTree:
-    """A planar tree whose edges carry colours, 1-edges before 0-edges."""
+class PlanarTree(_Tree):
+    """A rooted tree with ordered children; a leaf's word is (0,)."""
 
-    children: tuple[tuple[int, "BicolorPlanarTree"], ...] = ()
-
-    def __post_init__(self):
-        seen_zero = False
-        for colour, _ in self.children:
-            if colour not in (0, 1):
-                raise ValueError(f"edge colour must be 0 or 1, got {colour}")
-            if colour == 0:
-                seen_zero = True
-            elif seen_zero:
-                raise ValueError("colour-1 children must precede colour-0 children")
+    __slots__ = ()
+    _width = 1
+    _colours = (None,)
 
     @property
-    def size(self) -> int:
-        return 1 + sum(c.size for _, c in self.children)
+    def children(self) -> tuple[PlanarTree, ...]:
+        return tuple(self._subtrees())
 
-    def __str__(self) -> str:
-        return "(" + "".join(f"{col}{c}" for col, c in self.children) + ")"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "children": [
-                {"color": col, "tree": c.to_json_dict()} for col, c in self.children
-            ]
-        }
+class BicolorPlanarTree(_Tree):
+    """A planar tree whose edges carry colours, 1-edges before 0-edges; a
+    leaf's word is (0, 0)."""
+
+    __slots__ = ()
+    _width = 2
+    _colours = (1, 0)
+
+    @staticmethod
+    def _slot(entry, counts) -> tuple:
+        colour, child = entry
+        if colour not in (0, 1):
+            raise ValueError(f"edge colour must be 0 or 1, got {colour}")
+        if colour == 1 and counts[1]:
+            raise ValueError("colour-1 children must precede colour-0 children")
+        return (0 if colour else 1), child
+
+    @property
+    def children(self) -> tuple[tuple[int, BicolorPlanarTree], ...]:
+        return tuple(zip([1] * self.word[0] + [0] * self.word[1], self._subtrees()))
 
 
 # ---------------------------------------------------------------------------
@@ -75,49 +178,33 @@ class BicolorPlanarTree:
 
 def vertex_order(tree: PlanarTree) -> tuple[tuple[int, ...], ...]:
     """Preorder numbering: entry k-1 lists the numbers of vertex k's children."""
-    result: list[tuple[int, ...]] = []
-    _number(tree, result)
-    return tuple(result)
-
-
-def _number(node: PlanarTree, result: list) -> int:
-    """Give ``node`` the next preorder number, len(result) + 1, and its
-    subtree the numbers after it; slot number - 1 of ``result`` lists the
-    numbers of its children."""
-    slot = len(result)
-    result.append(())
-    result[slot] = tuple(_number(c, result) for c in node.children)
-    return slot + 1
+    kids: list[tuple[int, ...]] = [()] * tree.size
+    for blk in connected_from_tree(tree).blocks:
+        kids[blk[0] - 1] = blk[1:]
+    return tuple(kids)
 
 
 def elementary_decomposition(tree: PlanarTree) -> tuple[tuple[int, int], ...]:
     """One (vertex number, child count) pair per vertex, leaves included."""
-    return tuple((v + 1, len(kids)) for v, kids in enumerate(vertex_order(tree)))
+    return tuple(enumerate(tree.word, 1))
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
 
-@cache
-def _forests(m: int, trees) -> tuple[tuple, ...]:
-    """Ordered sequences of trees, drawn from ``trees(size)``, with m vertices
-    in total; ``trees`` is :func:`_trees` or :func:`_bicolor`."""
-    if m == 0:
-        return ((),)
-    out = []
-    for s in range(1, m + 1):
-        for t in trees(s):
-            for rest in _forests(m - s, trees):
-                out.append((t,) + rest)
-    return tuple(out)
+# A tree with n > 1 vertices is its root's first subtree, of s vertices,
+# followed by the rest of the root's children: the children of a tree with
+# n - s vertices.  Both enumerations run over s, then the first subtree,
+# then the rest, so a tree's word is built from two words already listed.
 
 
 @cache
 def _trees(n: int) -> tuple[PlanarTree, ...]:
     if n == 1:
         return (PlanarTree(),)
-    return tuple(PlanarTree(f) for f in _forests(n - 1, _trees))
+    return tuple(PlanarTree._from_word((rest.word[0] + 1,) + first.word + rest.word[1:])
+                 for s in range(1, n) for first in _trees(s) for rest in _trees(n - s))
 
 
 def enumerate_planar_trees(n: int, *, limit: int | None = None) -> tuple[PlanarTree, ...]:
@@ -130,23 +217,24 @@ def enumerate_bicolor_elementary(n: int) -> tuple[BicolorPlanarTree, ...]:
     """The n one-level bicolor trees on n vertices, colour-1 count descending;
     n is capped like the planar trees."""
     check_limit("trees", n)
-    leaf = BicolorPlanarTree()
-    out = []
-    for k in range(n - 1, -1, -1):
-        children = ((1, leaf),) * k + ((0, leaf),) * (n - 1 - k)
-        out.append(BicolorPlanarTree(children))
-    return tuple(out)
+    return tuple(BicolorPlanarTree._from_word((k, n - 1 - k) + (0, 0) * (n - 1))
+                 for k in range(n - 1, -1, -1))
 
 
 @cache
 def _bicolor(n: int) -> tuple[BicolorPlanarTree, ...]:
+    """Per ordered forest of the root's children, every colouring, colour-1
+    count descending; the rest of a forest is listed as the tree whose
+    children it is, all of colour 1."""
     if n == 1:
         return (BicolorPlanarTree(),)
     out = []
-    for f in _forests(n - 1, _bicolor):
-        for k in range(len(f), -1, -1):
-            children = tuple((1, t) for t in f[:k]) + tuple((0, t) for t in f[k:])
-            out.append(BicolorPlanarTree(children))
+    for s in range(1, n):
+        rests = [r.word for r in _bicolor(n - s) if r.word[1] == 0]
+        for first in _bicolor(s):
+            for rest in rests:
+                d, forest = rest[0] + 1, first.word + rest[2:]
+                out += [BicolorPlanarTree._from_word((k, d - k) + forest) for k in range(d, -1, -1)]
     return tuple(out)
 
 
@@ -165,24 +253,15 @@ def tree_from_connected(pi: NCLPartition) -> PlanarTree:
 
     ``pi`` must be connected; its links (min B, e) form a forest, so that is
     sum(|B| - 1) = n - 1.  Block (m, ...) becomes vertex m with children
-    numbered by its other elements; preorder numbering gives back the labels.
+    numbered by its other elements, and preorder numbering gives back the
+    labels, so the word holds |B| - 1 at min B and 0 at every other vertex.
     """
     if sum(map(len, pi.blocks)) - len(pi.blocks) != pi.n - 1:
         raise NotConnected(f"{pi} has more than one connected component")
-    min_of = {blk[0]: blk for blk in pi.blocks}
-    tree = _subtree_at(1, min_of)
-    # with every block taken, the tree has 1 + sum(|B| - 1) = n vertices
-    assert not min_of, "a block hangs below no vertex"
-    return tree
-
-
-def _subtree_at(e: int, min_of: dict) -> PlanarTree:
-    """The subtree of vertex e: its children are the other elements of the
-    block with minimum e, if there is one, taken out of ``min_of``."""
-    blk = min_of.pop(e, None)
-    if blk is None:
-        return PlanarTree()
-    return PlanarTree(tuple(_subtree_at(x, min_of) for x in blk[1:]))
+    word = [0] * pi.n
+    for blk in pi.blocks:
+        word[blk[0] - 1] = len(blk) - 1
+    return PlanarTree._from_word(tuple(word))
 
 
 def connected_from_tree(tree: PlanarTree) -> NCLPartition:
@@ -190,95 +269,112 @@ def connected_from_tree(tree: PlanarTree) -> NCLPartition:
 
     Each vertex with children contributes the block of its own number
     followed by its children's numbers, in preorder, which is canonical; a
-    single vertex gives the one-point partition.
+    single vertex gives the one-point partition.  One scan of the word
+    finds them: each vertex after the root is the next child of the
+    innermost vertex still missing children.
     """
-    order = vertex_order(tree)
-    blocks = tuple((v + 1,) + kids for v, kids in enumerate(order) if kids)
-    return NCLPartition(len(order), blocks or ((1,),))
+    word = tree.word
+    blocks, missing = [], []  # missing: blocks still short of children, innermost last
+    for v, k in enumerate(word, 1):
+        if missing:
+            missing[-1].append(v)
+            if len(missing[-1]) > word[missing[-1][0] - 1]:
+                missing.pop()
+        if k:
+            blocks.append([v])
+            missing.append(blocks[-1])
+    return NCLPartition(len(word), tuple(map(tuple, blocks)) or ((1,),))
 
 
 # ---------------------------------------------------------------------------
 # parity-split linked partitions <-> bicolor trees
+#
+# Each vertex owns a span of two positions per vertex of its subtree, read
+# left to right: entered along a colour-c edge, it reads its first position,
+# whose block lists the own positions of its colour-(1-c) children, then
+# their spans, then its own position, listing its colour-c children, then
+# theirs.  The root is entered along colour 0 at position 1.  Blocks are
+# parity-pure, so an odd own position is entered along colour 1.
 
 
 def bicolor_from_ncls(pi: NCLPartition) -> BicolorPlanarTree:
     """λ: the bicolor tree with n vertices of a parity-split linked
     partition of {1..2n}.
 
-    The positions are read once, left to right, in the order in which
-    :func:`ncls_from_bicolor` writes them.  Reading a position opens the
-    block that starts there, if any; its other elements are the own
-    positions of the children it lists.  The root reads position 1 for its
-    colour-1 children and then the next position for its colour-0 children.
-    A vertex entered along a colour-c edge first reads the next position
-    for its colour-(1-c) children, and then its own position for its
-    colour-c children.  The paper's construction through exterior blocks is
-    kept as an independent reference in ``tests/oracles.py``.
+    One pass over the blocks from the right gives every span: a block's
+    first child starts one past its minimum, each later one past its
+    predecessor's end, and an own position's span ends with its last
+    child's.  An explicit stack then visits the own positions in preorder.
+    The paper's exterior-block construction is an independent reference in
+    ``tests/oracles.py``.
     """
     if not is_ncls(pi):
         raise NotNclS(f"{pi} is not parity-split")
-    min_of = {blk[0]: blk for blk in pi.blocks}
-    colour1, last = _read_children(1, min_of, 0)
-    colour0, last = _read_children(0, min_of, last)
-    assert last == pi.n
-    return BicolorPlanarTree(colour1 + colour0)
-
-
-def _read_children(colour: int, min_of: dict, last: int) -> tuple:
-    """Read position last + 1: the block starting there lists the own
-    positions of children entered along ``colour`` edges.  Returns those
-    (colour, child) pairs and the last position read."""
-    last += 1
-    out = []
-    for own in min_of.get(last, ())[1:]:
-        opposite, last = _read_children(1 - colour, min_of, last)
-        assert last + 1 == own, "a vertex reads its own position next"
-        same, last = _read_children(colour, min_of, last)
-        out.append((colour, BicolorPlanarTree(
-            same + opposite if colour else opposite + same
-        )))
-    return tuple(out), last
+    listed = [()] * (pi.n + 1)
+    end = list(range(pi.n + 1))
+    start = [0] * (pi.n + 1)
+    for blk in reversed(pi.blocks):
+        listed[blk[0]], at = blk[1:], blk[0]
+        for child in blk[1:]:
+            start[child], at = at + 1, end[child]
+        end[blk[0]] = at
+    root = end[1] + 1
+    start[root] = 1
+    word, stack = [], [root]
+    while stack:
+        own = stack.pop()
+        if own & 1:
+            ones, zeros = listed[own], listed[start[own]]
+        else:
+            ones, zeros = listed[start[own]], listed[own]
+        word += (len(ones), len(zeros))
+        stack += (ones + zeros)[::-1]
+    assert len(word) == pi.n
+    return BicolorPlanarTree._from_word(tuple(word))
 
 
 def ncls_from_bicolor(tree: BicolorPlanarTree) -> NCLPartition:
     """Unfold a bicolor tree with n vertices into its partition of {1..2n}.
 
-    Positions are assigned by the interleaved traversal which, at every
-    vertex, first emits the opposite-colour element, then the subtrees of
-    the opposite colour, then the vertex's own element, then the subtrees
-    of its own colour.  Each vertex then contributes its opposite-colour
-    block, and its own-colour block when it has own-colour children.
+    One pass from the last vertex back finds where each vertex's colour-0
+    subtrees start (``mid``) and its subtree ends (``end``) in the word.  A
+    pass in preorder then places the children: colour-d ones are listed at
+    the own position if d is the incoming colour, else at the first, and
+    their spans follow it.  A first position's block is a singleton until
+    it lists a child; an own position's exists only if it does, or at the
+    root.
     """
-    positions = count(1)
-    blocks: list[tuple[int, ...]] = []
-    odd_root = next(positions)
-    colour1 = [c for col, c in tree.children if col == 1]
-    colour0 = [c for col, c in tree.children if col == 0]
-    colour1_owns = [_unfold(c, 1, positions, blocks) for c in colour1]
-    even_root = next(positions)
-    colour0_owns = [_unfold(c, 0, positions, blocks) for c in colour0]
-    blocks.append((odd_root, *colour1_owns))
-    blocks.append((even_root, *colour0_owns))
-
-    n2 = next(positions) - 1
-    # two positions per vertex: the root's, and one per own position listed
-    assert n2 == 2 * (1 + sum(map(len, blocks)) - len(blocks))
-    result = NCLPartition(n2, tuple(sorted(blocks)))
+    word = tree.word
+    nv = len(word) // 2
+    end, mid, done = [0] * nv, [0] * nv, []
+    for v in range(nv - 1, -1, -1):  # the ends of v's children top the stack, first child's last
+        ones = word[2 * v]
+        k = ones + word[2 * v + 1]
+        if k:
+            end[v], mid[v] = done[-k], done[-ones] if ones else v + 1
+            del done[-k:]
+        else:
+            end[v] = mid[v] = v + 1
+        done.append(end[v])
+    # the root reads position 1, its colour-1 spans, then its own position
+    first, own, colour = [1] * nv, [2 * mid[0]] * nv, [0] * nv
+    blocks: list = [None] * (2 * nv + 1)  # by minimum
+    blocks[1], blocks[own[0]] = (1,), (own[0],)
+    for v in range(nv):
+        if end[v] == v + 1:  # a leaf lists no children
+            continue
+        c, u = colour[v], v + 1
+        for d, stop in ((1, mid[v]), (0, end[v])):
+            at = own[v] if d == c else first[v]
+            blk, q = [at], at + 1
+            while u < stop:
+                first[u], colour[u], blocks[q] = q, d, (q,)
+                # after its first position come its opposite-colour subtrees
+                own[u] = q + 1 + 2 * (end[u] - mid[u] if d else mid[u] - u - 1)
+                blk.append(own[u])
+                q, u = q + 2 * (end[u] - u), end[u]
+            if len(blk) > 1:
+                blocks[at] = tuple(blk)
+    result = NCLPartition(2 * nv, tuple(filter(None, blocks)))
     assert is_ncls(result)
     return result
-
-
-def _unfold(node: BicolorPlanarTree, incoming: int, positions, blocks: list) -> int:
-    """Assign positions to ``node``, entered along an ``incoming`` edge, and
-    its subtrees, taking them from ``positions``; append their blocks to
-    ``blocks`` and return the node's own position."""
-    opposite = [c for col, c in node.children if col != incoming]
-    same = [c for col, c in node.children if col == incoming]
-    other_pos = next(positions)
-    opposite_owns = [_unfold(c, 1 - incoming, positions, blocks) for c in opposite]
-    own_pos = next(positions)
-    same_owns = [_unfold(c, incoming, positions, blocks) for c in same]
-    blocks.append((other_pos, *opposite_owns))
-    if same_owns:
-        blocks.append((own_pos, *same_owns))
-    return own_pos

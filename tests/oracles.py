@@ -39,8 +39,8 @@ from noncrossing.partitions import (
 )
 from noncrossing.trees import (
     BicolorPlanarTree,
+    PlanarTree,
     connected_from_tree,
-    elementary_decomposition,
     enumerate_planar_trees,
 )
 
@@ -537,6 +537,66 @@ def kreweras_sum(pairs, kx_values, ky_values) -> Fraction:
     return total
 
 
+# Nested walks over ``children``: the definitions the trees had as nested
+# frozen dataclasses, the references for the word-backed trees.
+
+
+def _subtrees(tree) -> list:
+    if isinstance(tree, BicolorPlanarTree):
+        return [child for _, child in tree.children]
+    return list(tree.children)
+
+
+def rebuild_by_walk(tree):
+    """The tree built again, leaves first, through the public constructor."""
+    if isinstance(tree, BicolorPlanarTree):
+        return BicolorPlanarTree(tuple((col, rebuild_by_walk(c)) for col, c in tree.children))
+    return PlanarTree(tuple(rebuild_by_walk(c) for c in tree.children))
+
+
+def size_by_walk(tree) -> int:
+    return 1 + sum(size_by_walk(c) for c in _subtrees(tree))
+
+
+def str_by_walk(tree) -> str:
+    if isinstance(tree, BicolorPlanarTree):
+        return "(" + "".join(f"{col}{str_by_walk(c)}" for col, c in tree.children) + ")"
+    return "(" + "".join(str_by_walk(c) for c in tree.children) + ")"
+
+
+def _tuple_repr(items: list) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def repr_by_walk(tree) -> str:
+    """What ``@dataclass(frozen=True)`` printed for the nested trees."""
+    if isinstance(tree, BicolorPlanarTree):
+        kids = [_tuple_repr([repr(col), repr_by_walk(c)]) for col, c in tree.children]
+    else:
+        kids = [repr_by_walk(c) for c in tree.children]
+    return f"{type(tree).__qualname__}(children={_tuple_repr(kids)})"
+
+
+def vertex_order_by_walk(tree) -> tuple:
+    """Per vertex in preorder, its children's preorder numbers, numbered by
+    a recursive walk."""
+    order: list = []
+    _number_by_walk(tree, order)
+    return tuple(order)
+
+
+def _number_by_walk(node, order: list) -> int:
+    slot = len(order)
+    order.append(())
+    order[slot] = tuple(_number_by_walk(c, order) for c in _subtrees(node))
+    return slot + 1
+
+
+def elementary_by_walk(tree) -> tuple:
+    """(vertex number, child count) per vertex in preorder."""
+    return tuple((v + 1, len(kids)) for v, kids in enumerate(vertex_order_by_walk(tree)))
+
+
 # One object as a one-monomial profile: its indices counted into sorted
 # (index, exponent) pairs per sequence, then multiplied out with an index
 # check per factor.  The references for the direct products of
@@ -556,18 +616,20 @@ def weight_by_profile(seqs, index_lists) -> Fraction:
 
 
 def tree_weight_by_profile(tree, t) -> Fraction:
-    return weight_by_profile((t,), ([d for _, d in elementary_decomposition(tree)],))
+    return weight_by_profile((t,), ([d for _, d in elementary_by_walk(tree)],))
 
 
-def _colour_counts(tree: BicolorPlanarTree):
+def colour_counts_by_walk(tree: BicolorPlanarTree):
+    """(colour-1, colour-0) child counts per vertex, in preorder, by a
+    nested walk over ``children``."""
     k = sum(col for col, _ in tree.children)
     yield k, len(tree.children) - k
     for _, child in tree.children:
-        yield from _colour_counts(child)
+        yield from colour_counts_by_walk(child)
 
 
 def bicolor_weight_by_profile(tree: BicolorPlanarTree, tx, ty) -> Fraction:
-    return weight_by_profile((tx, ty), tuple(zip(*_colour_counts(tree))))
+    return weight_by_profile((tx, ty), tuple(zip(*colour_counts_by_walk(tree))))
 
 
 def ncls_weight_by_profile(pi: NCLPartition, tx, ty) -> Fraction:

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from noncrossing import cli, freeness, transforms, verify
+from noncrossing import cli, freeness, render, transforms, verify
 from noncrossing.partitions import NCPartition
+from noncrossing.trees import enumerate_bicolor, enumerate_planar_trees
 
 
 def run_cli(*args, stdin=None):
@@ -60,12 +61,27 @@ def test_enumerate_text_format():
      "63c91f09f417cf8e8abd3612a84980a83dcbf68c32b8e5959258c3994755fe96"),
     (("ncl", "9", "--format", "json"),
      "4afd004c3d8fd23f9daee4c878e7294609bad0c3b4da7b6328c711a174ee4da3"),
+    (("trees", "10", "--format", "json"),
+     "e98e88d5f5f5b3bdc152261bf9bcc3d4f82083cd2847ed71bd681372864592fa"),
+    (("trees", "10", "--format", "text"),
+     "e50b0a9aa059bfa1a75f6a4f16a99a84a7606f97dca1cd730ec6422453e6be08"),
+    (("bicolor", "7", "--format", "json"),
+     "7d7a76eb6a384f8ec2d7af01801a278ae85815079396230c525fe88dede10f3f"),
 ])
 def test_enumerate_bytes_pinned(args, digest):
     # streamed output keeps the bytes of the dumps built from whole tuples
     proc = run_cli("enumerate", *args)
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+def test_tree_render_bytes_pinned():
+    # every planar tree to 7 vertices and every bicolor tree to 5, drawn
+    drawings = [render.render(t) for n in range(1, 8) for t in enumerate_planar_trees(n)]
+    drawings += [render.render(t) for n in range(1, 6) for t in enumerate_bicolor(n)]
+    assert len(drawings) == 380
+    assert hashlib.sha256("\n\n".join(drawings).encode()).hexdigest() == (
+        "e9d451a6e6d89562a38eac1cdf98b9f0541b297d7b1ec43b8ea6aef37da512c1")
 
 
 def test_enumerate_over_cap_prints_nothing():

@@ -1,5 +1,8 @@
+import copy
 import gc
+import pickle
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +34,15 @@ from noncrossing.trees import (
 from oracles import (
     bicolor_by_exterior_blocks,
     catalan,
+    colour_counts_by_walk,
     connected_by_union_find,
+    elementary_by_walk,
     is_ncls_by_components,
+    rebuild_by_walk,
+    repr_by_walk,
+    size_by_walk,
+    str_by_walk,
+    vertex_order_by_walk,
 )
 
 LEAF = PlanarTree()
@@ -44,6 +54,96 @@ EXAMPLE3_TREE = PlanarTree((PlanarTree((LEAF,)), PlanarTree((LEAF, LEAF))))
 
 def ncl(n, blocks):
     return validate_ncl(n, blocks)
+
+
+# ---------------------------------------------------------------------------
+# the representation: preorder child-count words behind the tree API
+
+PLAIN_DOMAIN = [t for n in range(1, 11) for t in enumerate_planar_trees(n)]
+BICOLOR_DOMAIN = [t for n in range(1, 8) for t in enumerate_bicolor(n)]
+
+
+def test_words_of_small_trees():
+    assert LEAF.word == (0,) and BicolorPlanarTree().word == (0, 0)
+    assert EXAMPLE3_TREE.word == (2, 1, 0, 2, 0, 0)
+    leaf = BicolorPlanarTree()
+    assert BicolorPlanarTree(((1, BicolorPlanarTree(((0, leaf),))), (0, leaf))).word == \
+        (1, 1, 0, 1, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("domain", [PLAIN_DOMAIN, BICOLOR_DOMAIN], ids=["plain", "bicolor"])
+def test_trees_rebuild_from_their_children(domain):
+    # every planar tree to 10 vertices and every bicolor tree to 7
+    assert len(domain) in (6918, 4787)
+    for tree in domain:
+        twin = rebuild_by_walk(tree)
+        assert twin == tree and hash(twin) == hash(tree) and twin.word == tree.word
+        assert tree.size == size_by_walk(tree)
+        assert str(tree) == str_by_walk(tree)
+        assert repr(tree) == repr_by_walk(tree)
+
+
+def test_tree_repr_is_the_dataclass_repr():
+    leaf = BicolorPlanarTree()
+    assert repr(LEAF) == "PlanarTree(children=())"
+    assert repr(PlanarTree((LEAF,))) == "PlanarTree(children=(PlanarTree(children=()),))"
+    assert repr(PlanarTree((PlanarTree((LEAF,)), LEAF))) == (
+        "PlanarTree(children=(PlanarTree(children=(PlanarTree(children=()),)), "
+        "PlanarTree(children=())))")
+    assert repr(BicolorPlanarTree(((1, leaf),))) == \
+        "BicolorPlanarTree(children=((1, BicolorPlanarTree(children=())),))"
+    assert repr(BicolorPlanarTree(((1, BicolorPlanarTree(((0, leaf),))), (0, leaf)))) == (
+        "BicolorPlanarTree(children=((1, BicolorPlanarTree(children=((0, "
+        "BicolorPlanarTree(children=())),))), (0, BicolorPlanarTree(children=()))))")
+
+
+@pytest.mark.parametrize("domain", [PLAIN_DOMAIN, BICOLOR_DOMAIN], ids=["plain", "bicolor"])
+def test_trees_copy_and_pickle_by_value(domain):
+    for twins in (list(map(copy.copy, domain)), copy.deepcopy(domain),
+                  pickle.loads(pickle.dumps(domain))):
+        assert twins == domain
+        assert all(type(a) is type(b) and hash(a) == hash(b) for a, b in zip(twins, domain))
+
+
+@pytest.mark.parametrize("tree", [EXAMPLE3_TREE, BicolorPlanarTree(((0, BicolorPlanarTree()),))])
+def test_trees_cannot_be_changed(tree):
+    for name in ("word", "children", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(tree, name, ())
+        with pytest.raises(FrozenInstanceError):
+            delattr(tree, name)
+
+
+def test_decompositions_match_nested_walks():
+    for tree in PLAIN_DOMAIN:
+        assert vertex_order(tree) == vertex_order_by_walk(tree)
+        assert elementary_decomposition(tree) == elementary_by_walk(tree)
+    for tree in BICOLOR_DOMAIN:
+        assert tuple(zip(tree.word[::2], tree.word[1::2])) == tuple(colour_counts_by_walk(tree))
+
+
+def test_plain_tree_refuses_a_bicolor_child():
+    with pytest.raises(TypeError, match="not BicolorPlanarTree$"):
+        PlanarTree((BicolorPlanarTree(),))
+
+
+def test_plain_tree_refuses_a_child_that_is_no_tree():
+    with pytest.raises(TypeError, match="not int$"):
+        PlanarTree((1,))
+
+
+def test_bicolor_tree_refuses_a_plain_child():
+    with pytest.raises(TypeError, match="not PlanarTree$"):
+        BicolorPlanarTree(((1, PlanarTree()),))
+
+
+def test_children_given_as_a_list_build_the_tuple_tree():
+    leaf = BicolorPlanarTree()
+    for listed, tupled in ((PlanarTree([LEAF, STAR3]), PlanarTree((LEAF, STAR3))),
+                           (BicolorPlanarTree([(1, leaf), (0, leaf)]),
+                            BicolorPlanarTree(((1, leaf), (0, leaf))))):
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert listed.children == tupled.children and type(listed.children) is tuple
 
 
 # ---------------------------------------------------------------------------
