@@ -185,7 +185,7 @@ def _cmd_biject(args) -> int:
     else:  # lambda-inv
         tree = jsonio.parse_tree(data)
         if isinstance(tree, PlanarTree):
-            if tree.children:
+            if tree.size > 1:
                 raise NotNclS("expected a bicolor tree (colours missing)")
             tree = BicolorPlanarTree()
         out = ncls_from_bicolor(tree)
@@ -326,8 +326,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # the JSON codec and the tree traversals recurse once per level;
-        # the decoder's own limit bounds the depth of every input tree
+        # the JSON codec and jsonio's tree parse recurse once per level; the
+        # decoder's own limit bounds the depth of every input tree
         print("error: the input or result is nested too deeply for JSON", file=sys.stderr)
         return 2
 

@@ -246,28 +246,27 @@ def mixed_tcoeff(scenario: Scenario, word) -> Fraction:
 
 def sum_moments(scenario: Scenario, x_id: str, y_id: str, order: int) -> MomentSequence:
     """Moments of the sum of two free generators, expanded letter by letter
-    over all words in the two generators.  The ``nc`` cap bounds the order,
-    checked before any word is built."""
+    over all words in the two generators.  Every contiguous piece of a word
+    is a shorter word, so one :func:`_moments` table holds them all.  The
+    ``nc`` cap bounds the order, checked before any word is built."""
     check_limit("nc", order)
-    values = []
-    for n in range(1, order + 1):
-        total = Fraction(0)
-        for combo in product((x_id, y_id), repeat=n):
-            total += mixed_moment(scenario, [Letter(a) for a in combo])
-        values.append(total)
-    return MomentSequence(tuple(values))
+    words = [w for n in range(1, order + 1) for w in product((0, 1), repeat=n)]
+    moment = _moments(scenario, [Letter(x_id), Letter(y_id)], words)
+    return MomentSequence._from_pairs(tuple(
+        _sum([moment[w] for w in product((0, 1), repeat=n)]) for n in range(1, order + 1)))
 
 
 def product_moments(scenario: Scenario, x_id: str, y_id: str, order: int) -> MomentSequence:
     """Moments of the product of two free generators, read off alternating
-    words.  The ``nc`` cap bounds the longest word, of 2 * order letters,
-    checked before any word is built."""
+    words from one :func:`_moments` table of their intervals.  The ``nc``
+    cap bounds the longest word, of 2 * order letters, checked before any
+    word is built."""
     check_limit("nc", 2 * order)
-    values = []
-    for n in range(1, order + 1):
-        word = [Letter(x_id if i % 2 == 0 else y_id) for i in range(2 * n)]
-        values.append(mixed_moment(scenario, word))
-    return MomentSequence(tuple(values))
+    alternating = (0, 1) * (order + 1)
+    intervals = [alternating[a:a + n] for n in range(1, 2 * order + 1) for a in (0, 1)]
+    moment = _moments(scenario, [Letter(x_id), Letter(y_id)], intervals)
+    return MomentSequence._from_pairs(tuple(moment[alternating[:2 * n]]
+                                            for n in range(1, order + 1)))
 
 
 @dataclass(frozen=True)

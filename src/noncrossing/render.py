@@ -53,30 +53,17 @@ def render_partition(pi: NCPartition | NCLPartition) -> str:
 
 
 def render_tree(tree: PlanarTree | BicolorPlanarTree) -> str:
-    lines = ["o"]
-    _walk(tree, "", lines)
+    # a vertex at depth d is a child of the last one seen at depth d - 1:
+    # prefixes[d - 1] starts the lines of that one's children
+    lines, prefixes = ["o"], [""] * tree.size
+    vertices = tree._vertices()
+    next(vertices)  # the root, the first line
+    for depth, colour, ones, left in vertices:
+        prefix = prefixes[depth - 1]
+        lines.append(prefix + (":-o" if colour == 0 else "|-o"))
+        # below it, a rail runs on to a younger sibling: solid if one of colour 1
+        prefixes[depth] = prefix + ("| " if ones else ": " if left else "  ")
     return "\n".join(lines)
-
-
-def _colored_children(node) -> list:
-    if isinstance(node, BicolorPlanarTree):
-        return list(node.children)
-    return [(1, c) for c in node.children]
-
-
-def _walk(node, prefix: str, lines: list) -> None:
-    """Append one line per descendant of ``node``, each under ``prefix``."""
-    kids = _colored_children(node)
-    for i, (colour, child) in enumerate(kids):
-        edge = "|-" if colour == 1 else ":-"
-        lines.append(prefix + edge + "o")
-        last = i == len(kids) - 1
-        if last:
-            continuation = "  "
-        else:
-            rest = kids[i + 1 :]
-            continuation = "| " if any(c == 1 for c, _ in rest) else ": "
-        _walk(child, prefix + continuation, lines)
 
 
 def render(obj) -> str:

@@ -73,49 +73,53 @@ class _Tree:
             missing += (word[i] + word[i + 1] if width == 2 else word[i]) - (missing > 0)
         return [self._from_word(word[a:b]) for a, b in zip(starts, starts[1:] + [len(word)])]
 
-    def _preorder(self) -> list:
-        """Per vertex in preorder, the colour of the edge above it (None at
-        the root and in a planar tree) and how many subtrees end with it."""
+    def _vertices(self):
+        """Per vertex in preorder: its depth, the colour of the edge above it
+        (None at the root and in a planar tree), and how many younger
+        siblings follow it, colour-1 ones and all (a planar tree's siblings
+        all count as colour 1).  One scan of the word, with no recursion."""
         word, width, colours = self.word, self._width, self._colours
-        ones, left, out = [], [], []  # per vertex with children to come: colour-1 ones, all
+        yield 0, None, 0, 0
+        # per ancestor of the next vertex, how many of its children are still
+        # to come: [colour 1, all]; top is the innermost, the next one's parent
+        stack, top = [], [0, 0]
         for i in range(0, len(word), width):
-            colour = None
-            if left:
-                if ones[-1]:
-                    ones[-1] -= 1
-                    colour = colours[0]
-                else:
-                    colour = colours[-1]
-                left[-1] -= 1
             k = word[i] + word[i + 1] if width == 2 else word[i]
             if k:
-                ones.append(word[i])
-                left.append(k)
-                out.append((colour, 0))
+                top = [word[i], k]
+                stack.append(top)
+            else:  # a leaf: close the ancestors with no child to come, the root last
+                while not top[1]:
+                    if len(stack) < 2:
+                        return
+                    del stack[-1]
+                    top = stack[-1]
+            top[1] -= 1
+            if top[0]:
+                top[0] -= 1
+                yield len(stack), colours[0], top[0], top[1]
             else:
-                ends = 1
-                while left and not left[-1]:
-                    left.pop()
-                    ones.pop()
-                    ends += 1
-                out.append((colour, ends))
-        return out
+                yield len(stack), colours[-1], 0, top[1]
 
     def __str__(self) -> str:
-        return "".join(("" if col is None else str(col)) + "(" + ")" * ends
-                       for col, ends in self._preorder())
+        # each vertex first closes the subtrees at its depth and deeper
+        out, last = [], -1
+        for depth, col, _, _ in self._vertices():
+            out.append(")" * (last - depth + 1) + ("" if col is None else str(col)) + "(")
+            last = depth
+        return "".join(out) + ")" * (last + 1)
 
     def to_json_dict(self) -> dict:
-        root: dict = {"children": []}
-        stack = [root["children"]]  # the child lists of the subtrees still open
-        for col, ends in self._preorder()[1:]:
+        # a vertex at depth d is a child of the last one seen at depth d - 1:
+        # lists[d] holds that one's child list, and lists[0] the root
+        top: list = []
+        lists = [top] + [None] * self.size
+        for depth, col, _, _ in self._vertices():
             kids: list = []
             node = {"children": kids}
-            stack[-1].append({"tree": node} if col is None else {"color": col, "tree": node})
-            stack.append(kids)
-            if ends:
-                del stack[-ends:]
-        return root
+            lists[depth].append({"tree": node} if col is None else {"color": col, "tree": node})
+            lists[depth + 1] = kids
+        return top[0]["tree"]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -577,6 +577,26 @@ def repr_by_walk(tree) -> str:
     return f"{type(tree).__qualname__}(children={_tuple_repr(kids)})"
 
 
+def render_tree_by_walk(tree) -> str:
+    """The drawing ``render`` made by walking nested children: a vertex's
+    children are drawn under its prefix, each continued by a solid rail if
+    a colour-1 sibling follows it, a dashed one if only colour-0 ones do."""
+    lines = ["o"]
+    _draw_by_walk(tree, "", lines)
+    return "\n".join(lines)
+
+
+def _draw_by_walk(node, prefix: str, lines: list) -> None:
+    if isinstance(node, BicolorPlanarTree):
+        kids = list(node.children)
+    else:
+        kids = [(1, c) for c in node.children]
+    for i, (colour, child) in enumerate(kids):
+        lines.append(prefix + ("|-o" if colour == 1 else ":-o"))
+        rest = [c for c, _ in kids[i + 1:]]
+        _draw_by_walk(child, prefix + ("  " if not rest else "| " if 1 in rest else ": "), lines)
+
+
 def vertex_order_by_walk(tree) -> tuple:
     """Per vertex in preorder, its children's preorder numbers, numbered by
     a recursive walk."""

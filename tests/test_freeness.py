@@ -360,18 +360,47 @@ def test_sum_moments_cumulants_add(scenario, seeded_scenario):
 def test_free_sum_and_product_check_the_cap_before_any_word(
         monkeypatch, moments, order, error, message):
     # the longest word is checked first: without it, a sum of order 13
-    # expands every word of length 1..12 (over a minute) before it raises
+    # solves one table of every word of 1..13 letters (about a minute)
     sc = Scenario({"X": CumulantSequence((1,) * 14), "Y": CumulantSequence((2,) * 14)})
 
     def refuse(*args, **kwargs):
         raise AssertionError("a word was expanded before the cap was checked")
 
     monkeypatch.setattr(freeness, "mixed_moment", refuse)
+    monkeypatch.setattr(freeness, "_moments", refuse)
     start = time.perf_counter()
     with pytest.raises(error) as err:
         moments(sc, "X", "Y", order)
     assert time.perf_counter() - start < 0.1
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("x_id, y_id", [("X", "Y"), ("Y", "X"), ("X", "X")])
+def test_free_sum_and_product_solve_one_table(monkeypatch, x_id, y_id):
+    # each solves one table of every word's intervals, and reads the moments
+    # mixed_moment gives word by word
+    # twelve cumulants each: with x_id == y_id a product word is one pure word
+    sc = Scenario({"X": CumulantSequence((1, -2, F(1, 3), 0, 5, F(-7, 2), 2) + (1,) * 5),
+                   "Y": CumulantSequence((F(1, 2), 1, 0, F(-4, 5), 3, 1, F(2, 9)) + (-1,) * 5)})
+    xy = (Letter(x_id), Letter(y_id))
+    want_sum = [sum(mixed_moment(sc, [xy[i] for i in w]) for w in product((0, 1), repeat=n))
+                for n in range(1, 8)]
+    want_product = [mixed_moment(sc, list(xy) * n) for n in range(1, 7)]
+    calls = []
+
+    def counted(*args, _moments=freeness._moments):
+        calls.append(args)
+        return _moments(*args)
+
+    monkeypatch.setattr(freeness, "_moments", counted)
+    for order in range(1, 8):
+        calls.clear()
+        assert list(sum_moments(sc, x_id, y_id, order).values) == want_sum[:order]
+        assert len(calls) == 1
+        if order <= 6:
+            calls.clear()
+            assert list(product_moments(sc, x_id, y_id, order).values) == want_product[:order]
+            assert len(calls) == 1
 
 
 def test_free_sum_and_product_at_the_cap(seeded_scenario):

@@ -16,7 +16,7 @@ from noncrossing.trees import (
     enumerate_planar_trees,
 )
 
-from oracles import render_by_pairs
+from oracles import render_by_pairs, render_tree_by_walk
 
 
 def test_render_isolated_points():
@@ -95,6 +95,37 @@ def test_render_tree_sibling_edges():
     tree = BicolorPlanarTree(((1, leaf), (0, leaf)))
     art = render_tree(tree)
     assert art.splitlines() == ["o", "|-o", ":-o"]
+
+
+@pytest.mark.parametrize("kind, sizes", [("plain", range(1, 11)), ("bicolor", range(1, 8))])
+def test_render_tree_matches_nested_walk(kind, sizes):
+    # every planar tree to 10 vertices and every bicolor tree to 7
+    enum = enumerate_planar_trees if kind == "plain" else enumerate_bicolor
+    for n in sizes:
+        for tree in enum(n):
+            assert render_tree(tree) == render_tree_by_walk(tree), tree.word
+
+
+@pytest.mark.parametrize("kind", ["plain", "bicolor"])
+def test_deep_trees_render_print_and_dump(kind):
+    # a 3,000-deep path, bicolor edges alternating 1, 0, 1, ...; nothing
+    # here may recurse once per level
+    depth = 3000
+    tree = PlanarTree() if kind == "plain" else BicolorPlanarTree()
+    for level in range(depth - 1, 0, -1):
+        tree = PlanarTree((tree,)) if kind == "plain" else BicolorPlanarTree(((level % 2, tree),))
+    lines = render(tree).splitlines()
+    assert len(lines) == depth and lines[0] == "o"
+    assert lines[2] == ("  :-o" if kind == "bicolor" else "  |-o")
+    assert lines[-1] == "  " * (depth - 2) + "|-o"  # the last edge, at odd depth, is colour 1
+    text = str(tree)
+    assert text.count("(") == depth and text.endswith(")" * depth)
+    node, levels = tree.to_json_dict(), 1
+    while node["children"]:
+        (entry,) = node["children"]
+        assert entry.get("color") == (None if kind == "plain" else levels % 2)
+        node, levels = entry["tree"], levels + 1
+    assert levels == depth
 
 
 def test_render_leaves_no_reference_cycles():

@@ -94,3 +94,16 @@ def test_freeness_imports_no_enumerator():
             assert node.module is not None, f"freeness imports modules {names}"
             for name in names:
                 assert not name.startswith(("enumerate_", "iter_")), f"freeness imports {name}"
+
+
+def test_render_reads_trees_through_one_scan():
+    # the word layout stays behind ``trees``: render reads neither a tree's
+    # nested children nor its word, and no function of it calls itself
+    tree = ast.parse((ROOT / "src" / "noncrossing" / "render.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in ("children", "word"), f"render reads .{node.attr}"
+        if isinstance(node, ast.FunctionDef):
+            called = {c.func.id for c in ast.walk(node)
+                      if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+            assert node.name not in called, f"render.{node.name} calls itself"
