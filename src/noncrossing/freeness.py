@@ -28,42 +28,42 @@ keyed by sub-word holds everything both recursions read.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import prod
 from types import MappingProxyType
 
-from .errors import LetterNotInDomain, OrderTooLow
+from .errors import Frozen, LetterNotInDomain, OrderTooLow
 from .limits import check_limit
 from .transforms import CumulantSequence, MomentSequence, _dot, _sum
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Letter:
+
+class Letter(Frozen):
     """A scaled generator: ``scale`` times the generator of ``algebra``."""
 
-    algebra: str
-    scale: Fraction = Fraction(1)
+    __slots__ = _fields = ("algebra", "scale")
 
-    def __post_init__(self):
-        object.__setattr__(self, "scale", Fraction(self.scale))
+    def __init__(self, algebra: str, scale=Fraction(1)):
+        _set(self, "algebra", algebra)
+        _set(self, "scale", Fraction(scale))
 
     def __str__(self) -> str:
         return self.algebra if self.scale == 1 else f"{self.scale}*{self.algebra}"
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """A nonempty product of letters."""
 
-    letters: tuple[Letter, ...]
+    __slots__ = _fields = ("letters",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if not self.letters:
+    def __init__(self, letters):
+        letters = tuple(letters)
+        if not letters:
             raise ValueError("a word needs at least one letter")
+        _set(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -84,14 +84,13 @@ class Word:
         return cls(tuple(letters))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Frozen):
     """Mutually free generators, one per algebra id, in a read-only mapping."""
 
-    algebras: Mapping[str, CumulantSequence]
+    __slots__ = _fields = ("algebras",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "algebras", MappingProxyType(dict(self.algebras)))
+    def __init__(self, algebras: Mapping[str, CumulantSequence]):
+        _set(self, "algebras", MappingProxyType(dict(algebras)))
 
     def first_moment(self, letter: Letter) -> Fraction:
         return letter.scale * _cumulants(self, letter).values[0]
@@ -269,12 +268,15 @@ def product_moments(scenario: Scenario, x_id: str, y_id: str, order: int) -> Mom
                                             for n in range(1, order + 1)))
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    """Outcome of the mixed-word vanishing sweep."""
+class VanishingReport(Frozen):
+    """Outcome of the mixed-word vanishing sweep: the number of words
+    checked and a tuple of witnesses ``{"word", "kind", "value"}``."""
 
-    words_checked: int
-    failures: tuple[dict, ...]  # witnesses {"word", "kind", "value"}
+    __slots__ = _fields = ("words_checked", "failures")
+
+    def __init__(self, words_checked: int, failures: tuple[dict, ...]):
+        _set(self, "words_checked", words_checked)
+        _set(self, "failures", failures)
 
     @property
     def passed(self) -> bool:

@@ -12,7 +12,6 @@ least two elements.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain, product
 
@@ -20,6 +19,7 @@ from .errors import (
     BadLink,
     BlockStraddlesSet,
     Crossing,
+    Frozen,
     NonCrossingError,
     NotACover,
     NotAPartition,
@@ -32,11 +32,28 @@ Block = tuple[int, ...]
 Blocks = tuple[Block, ...]
 
 
-class _PartitionBase:
-    """Shared behaviour of the two partition families."""
+_set = object.__setattr__
 
-    n: int
-    blocks: Blocks
+
+class _PartitionBase(Frozen):
+    """Shared behaviour of the two partition families: the ground set size
+    ``n`` and the canonical ``blocks``, compared and hashed as ``(n, blocks)``."""
+
+    __slots__ = _fields = ("n", "blocks")
+
+    def __init__(self, n: int, blocks: Blocks):
+        _set(self, "n", n)
+        _set(self, "blocks", blocks)
+
+    # spelled out, not looped over the fields: the Kreweras cache hashes
+    # and compares partitions
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.blocks) == (other.n, other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.blocks))
 
     def __str__(self) -> str:
         return "".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks)
@@ -45,20 +62,16 @@ class _PartitionBase:
         return {"n": self.n, "blocks": [list(b) for b in self.blocks]}
 
 
-@dataclass(frozen=True)
 class NCPartition(_PartitionBase):
     """A non-crossing partition.  Build one with :func:`validate_nc`."""
 
-    n: int
-    blocks: Blocks
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NCLPartition(_PartitionBase):
     """A non-crossing linked partition.  Build one with :func:`validate_ncl`."""
 
-    n: int
-    blocks: Blocks
+    __slots__ = ()
 
 
 AnyPartition = NCPartition | NCLPartition

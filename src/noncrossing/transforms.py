@@ -36,13 +36,13 @@ routes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 from operator import add, mul
 
 from .errors import (
+    Frozen,
     NotNclS,
     OrderTooLow,
     SizeMismatch,
@@ -67,7 +67,7 @@ from .trees import (
 )
 
 
-class _CoeffSequence:
+class _CoeffSequence(Frozen):
     """Exact coefficients of one kind; ``kind`` names it in error messages.
 
     ``pairs`` holds each coefficient once, as a reduced (numerator,
@@ -79,6 +79,7 @@ class _CoeffSequence:
     """
 
     __slots__ = ("pairs", "_values")
+    _fields = ("values",)
     kind: str
 
     def __init__(self, values):
@@ -123,15 +124,6 @@ class _CoeffSequence:
 
     def __hash__(self) -> int:
         return hash((self.values,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(values={self.values!r})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return type(self), (self.values,)
@@ -484,15 +476,20 @@ def t_convolve(tx: TCoeffSequence, ty: TCoeffSequence) -> TCoeffSequence:
 # multiplicativity verifier
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+_set = object.__setattr__
+
+
+class IdentityCheck(Frozen):
     """One checked identity: a name, its parameters, and a witness that is
     present exactly when the identity failed.  A failure cannot be stored
     without its witness, so it always says what went wrong."""
 
-    identity: str
-    parameters: dict
-    witness: dict | None = None
+    __slots__ = _fields = ("identity", "parameters", "witness")
+
+    def __init__(self, identity: str, parameters: dict, witness: dict | None = None):
+        _set(self, "identity", identity)
+        _set(self, "parameters", parameters)
+        _set(self, "witness", witness)
 
     @property
     def passed(self) -> bool:
@@ -509,10 +506,14 @@ class IdentityCheck:
         return entry
 
 
-@dataclass(frozen=True)
-class MultiplicativityReport:
-    order: int
-    checks: tuple[IdentityCheck, ...] = field(default_factory=tuple)
+class MultiplicativityReport(Frozen):
+    """The checks of :func:`verify_t_multiplicativity` at one order."""
+
+    __slots__ = _fields = ("order", "checks")
+
+    def __init__(self, order: int, checks: tuple[IdentityCheck, ...] = ()):
+        _set(self, "order", order)
+        _set(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

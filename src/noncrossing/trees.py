@@ -16,15 +16,14 @@ bijections read the word; ``children`` is derived from it.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from functools import cache
 
-from .errors import NotConnected, NotNclS
+from .errors import Frozen, NotConnected, NotNclS
 from .limits import check_limit
 from .partitions import NCLPartition, is_ncls
 
 
-class _Tree:
+class _Tree(Frozen):
     """A tree stored as its word: ``_width`` child counts per vertex, one
     per edge colour in ``_colours`` (None: a planar tree's edges carry no
     colour).  Equality, hash and pickling go by the word, and an instance
@@ -130,13 +129,23 @@ class _Tree:
         return hash(self.word)
 
     def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(children={self.children!r})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        # the nested ``Name(children=(...))`` text from one scan: a vertex
+        # opens its text, and is closed (with a trailing comma if it has one
+        # child) before the next vertex at its depth or nearer the root
+        word, width, name = self.word, self._width, type(self).__qualname__
+        out, closers = [], []
+        for i, (depth, col, _, rest) in enumerate(self._vertices()):
+            while len(closers) > depth:
+                out.append(closers.pop())
+            kids = word[width * i] + word[width * i + 1] if width == 2 else word[i]
+            close = ",))" if kids == 1 else "))"
+            if col is None:
+                out.append(f"{name}(children=(")
+            else:
+                out.append(f"({col}, {name}(children=(")
+                close += ")"
+            closers.append(close + ", " if rest else close)
+        return "".join(out) + "".join(reversed(closers))
 
     def __reduce__(self):
         return self._from_word, (self.word,)

@@ -10,7 +10,6 @@ suites back the CLI ``verify`` command and the acceptance tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -62,12 +61,17 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-@dataclass(frozen=True)
 class ReportEntry(IdentityCheck):
     """A checked identity tagged with the suite that checked it; its JSON
     form is the identity's plus ``"suite"``."""
 
-    suite: str = field(kw_only=True)
+    __slots__ = ("suite",)
+    _fields = IdentityCheck._fields + __slots__
+
+    def __init__(self, identity: str, parameters: dict, witness: dict | None = None, *,
+                 suite: str):
+        super().__init__(identity, parameters, witness)
+        object.__setattr__(self, "suite", suite)
 
     def to_json_dict(self) -> dict:
         return {**super().to_json_dict(), "suite": self.suite}

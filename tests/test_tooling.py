@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -107,3 +108,24 @@ def test_render_reads_trees_through_one_scan():
             called = {c.func.id for c in ast.walk(node)
                       if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
             assert node.name not in called, f"render.{node.name} calls itself"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # importing dataclasses pulls in inspect, ast and more, about 1 MiB of
+    # peak RSS per process; FrozenInstanceError is imported only when raised
+    code = (
+        "import sys, noncrossing.cli\n"
+        "loaded = [m for m in ('dataclasses', 'inspect') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "from dataclasses import FrozenInstanceError\n"
+        "from noncrossing import NCPartition\n"
+        "try:\n"
+        "    NCPartition(1, ((1,),)).n = 2\n"
+        "except FrozenInstanceError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('an NCPartition took an assignment')\n"
+    )
+    # the inherited environment, PYTHONPATH included, as the CLI tests run
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -97,6 +97,25 @@ def test_tree_repr_is_the_dataclass_repr():
         "BicolorPlanarTree(children=())),))), (0, BicolorPlanarTree(children=()))))")
 
 
+@pytest.mark.parametrize("kind", ["plain", "bicolor"])
+def test_deep_tree_repr_does_not_recurse(kind):
+    # a 3,000-deep path, bicolor edges alternating 1, 0, 1, ...: one scan,
+    # not a rebuild of the subtrees at every level
+    depth = 3000
+    tree = PlanarTree() if kind == "plain" else BicolorPlanarTree()
+    for level in range(depth - 1, 0, -1):
+        tree = PlanarTree((tree,)) if kind == "plain" else BicolorPlanarTree(((level % 2, tree),))
+    start = time.perf_counter()
+    text = repr(tree)
+    assert time.perf_counter() - start < 1
+    if kind == "plain":
+        assert text == "PlanarTree(children=(" * depth + "))" + ",))" * (depth - 1)
+    else:
+        opens = "".join(f"({level % 2}, BicolorPlanarTree(children=(" for level in range(1, depth))
+        assert text == ("BicolorPlanarTree(children=(" + opens + ")))"
+                        + ",)))" * (depth - 2) + ",))")
+
+
 @pytest.mark.parametrize("domain", [PLAIN_DOMAIN, BICOLOR_DOMAIN], ids=["plain", "bicolor"])
 def test_trees_copy_and_pickle_by_value(domain):
     for twins in (list(map(copy.copy, domain)), copy.deepcopy(domain),
