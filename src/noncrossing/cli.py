@@ -101,7 +101,10 @@ def _flag_limits(args, kind: str | None) -> dict[str, int]:
     return flags
 
 
-def _resolve_limit(args, kind: str, n: int | None) -> int | None:
+def _resolve_limit(args, kind: str) -> int:
+    """The cap in force for ``kind``: the default unless ``--limit`` or
+    ``NCL_LIMITS`` overrides it.  ``--unsafe-limits`` only confirms an
+    override above the default; on its own it raises no cap."""
     # NCL_LIMITS is shell-wide, so only its entry for ``kind`` applies
     env = os.environ.get("NCL_LIMITS", "")
     overrides = _parse_limit_specs(s for s in env.split(",") if s.strip())
@@ -114,9 +117,7 @@ def _resolve_limit(args, kind: str, n: int | None) -> int | None:
                 f"requires --unsafe-limits"
             )
         return cap
-    if args.unsafe_limits:
-        return n
-    return None
+    return DEFAULT_LIMITS[kind]
 
 
 def _print_lines(lines) -> None:
@@ -144,7 +145,7 @@ def _enumeration_lines(objects, fmt: str):
 
 
 def _cmd_enumerate(args) -> int:
-    limit = _resolve_limit(args, args.kind, args.n)
+    limit = _resolve_limit(args, args.kind)
     # the enumerator checks the cap before it yields, so a refusal prints nothing
     objects = _ENUMERATORS[args.kind](args.n, limit=limit)
     _print_lines(_enumeration_lines(objects, args.format))
@@ -239,10 +240,9 @@ def _cmd_convolve(args) -> int:
     order = args.order
     if order is not None and order < 1:
         raise ValueError(f"--order must be at least 1 (requested {order})")
-    limit = _resolve_limit(args, "theorem", order)
+    limit = _resolve_limit(args, "theorem")
     if order is None:
-        # the cap in force, from --limit or NCL_LIMITS, bounds the default order
-        order = min(mx.order, my.order, DEFAULT_LIMITS["theorem"] if limit is None else limit)
+        order = min(mx.order, my.order, limit)
     report = verify_t_multiplicativity(mx, my, order, limit=limit)
     _print_lines([json.dumps(report.to_json_dict(), sort_keys=True, indent=2)])
     return 0 if report.passed else 1
@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     except NonCrossingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

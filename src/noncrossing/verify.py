@@ -16,6 +16,7 @@ from math import comb, gcd
 
 from .errors import LimitExceeded
 from .freeness import Scenario, freeness_vanishing_suite
+from .limits import DEFAULT_LIMITS
 from .partitions import (
     connected_components,
     enumerate_nc,
@@ -218,37 +219,35 @@ def _compatible(gaps, bars) -> bool:
     return not any(mask & gaps[low] for low, mask in bars)
 
 
-def kreweras_suite(order=None, seed=7) -> list[ReportEntry]:
-    entries = []
-    top = order or 8
-    for n in range(1, top + 1):
-        bad = None
-        for gamma in enumerate_nc(n):
-            if len(gamma.blocks) + len(kreweras(gamma).blocks) != n + 1:
-                bad = {"partition": str(gamma), "complement": str(kreweras(gamma))}
-                break
-        entries.append(
-            _entry("kreweras", "block count identity", {"n": n}, bad)
-        )
-    for n in range(1, min(top, 6) + 1):
-        bad = None
+def _first_witness(fault, items) -> dict | None:
+    """The first witness ``fault`` returns for one of ``items``, or None."""
+    return next((w for w in map(fault, items) if w is not None), None)
+
+
+def kreweras_suite(order, seed=7) -> list[ReportEntry]:
+    def count_fault(gamma):
+        kr = kreweras(gamma)
+        if len(gamma.blocks) + len(kr.blocks) != gamma.n + 1:
+            return {"partition": str(gamma), "complement": str(kr)}
+
+    entries = [_entry("kreweras", "block count identity", {"n": n},
+                      _first_witness(count_fault, enumerate_nc(n)))
+               for n in range(1, order + 1)]
+    for n in range(1, min(order, 6) + 1):
         candidates = [(sigma, *_interleaving(sigma)) for sigma in enumerate_nc(n)]
-        for gamma, gaps, _ in candidates:
+
+        def maximality_fault(candidate):
+            gamma, gaps, _ = candidate
             kr = kreweras(gamma)
             if not _compatible(gaps, _interleaving(kr)[1]):
-                bad = {"partition": str(gamma), "complement": str(kr),
-                       "reason": "complement not compatible"}
-                break
+                return {"partition": str(gamma), "complement": str(kr),
+                        "reason": "complement not compatible"}
             for other, _, bars in candidates:
                 if _compatible(gaps, bars) and not leq(other, kr):
-                    bad = {"partition": str(gamma), "complement": str(kr),
-                           "coarser": str(other)}
-                    break
-            if bad:
-                break
-        entries.append(
-            _entry("kreweras", "complement maximality", {"n": n}, bad)
-        )
+                    return {"partition": str(gamma), "complement": str(kr),
+                            "coarser": str(other)}
+        entries.append(_entry("kreweras", "complement maximality", {"n": n},
+                              _first_witness(maximality_fault, candidates)))
     return entries
 
 
@@ -263,6 +262,12 @@ def _corpus_with_fixtures(seed, count, order):
     return corpus
 
 
+def _pairs_with_fixtures(seed, count, order) -> list[tuple]:
+    """The fixture pair, then the ``count`` seeded sequences two by two."""
+    *seeded, catalan_seq, shifted_seq = _corpus_with_fixtures(seed, count, order)
+    return [(catalan_seq, shifted_seq), *zip(seeded[0::2], seeded[1::2])]
+
+
 @lru_cache(maxsize=1)  # prop21 and eq5 share one corpus
 def _cumulant_route_targets(seed, top) -> tuple:
     corpus = _corpus_with_fixtures(seed, CORPUS_SIZE, top)
@@ -272,75 +277,59 @@ def _cumulant_route_targets(seed, top) -> tuple:
 def _cumulant_route_suite(suite, identity, cumulant_via, order, seed):
     """Check ``cumulant_via(t, n)`` against the cumulants of every corpus
     sequence; both transforms run once per sequence, outside the n loop."""
-    top = order or 7
-    targets = _cumulant_route_targets(seed, top)
+    targets = _cumulant_route_targets(seed, order)
     entries = []
-    for n in range(1, top + 1):
-        bad = None
-        for idx, (kappa, t) in enumerate(targets):
+    for n in range(1, order + 1):
+        def fault(indexed):
+            idx, (kappa, t) = indexed
             got = cumulant_via(t, n)
             if got != kappa.values[n - 1]:
-                bad = {"sequence": idx, "got": str(got),
-                       "expected": str(kappa.values[n - 1])}
-                break
-        entries.append(_entry(suite, identity, {"n": n, "sequences": len(targets)}, bad))
+                return {"sequence": idx, "got": str(got), "expected": str(kappa.values[n - 1])}
+        entries.append(_entry(suite, identity, {"n": n, "sequences": len(targets)},
+                              _first_witness(fault, enumerate(targets))))
     return entries
 
 
-def prop21_suite(order=None, seed=7) -> list[ReportEntry]:
+def prop21_suite(order, seed=7) -> list[ReportEntry]:
     return _cumulant_route_suite("prop21", "cumulant via connected linked classes",
                                  cumulant_via_classes, order, seed)
 
 
-def eq5_suite(order=None, seed=7) -> list[ReportEntry]:
+def eq5_suite(order, seed=7) -> list[ReportEntry]:
     return _cumulant_route_suite("eq5", "cumulant via planar tree sum",
                                  cumulant_via_trees, order, seed)
 
 
-def prop22_suite(order=None, seed=7) -> list[ReportEntry]:
-    top = order or 6
-    rng_corpus = seeded_moment_corpus(seed, 2, top)
-    scenario = Scenario(
-        {
-            "X": CumulantSequence(rng_corpus[0].values),
-            "Y": CumulantSequence(rng_corpus[1].values),
-        }
-    )
-    report = freeness_vanishing_suite(scenario, top)
+def prop22_suite(order, seed=7) -> list[ReportEntry]:
+    x, y = seeded_moment_corpus(seed, 2, order)
+    scenario = Scenario({"X": CumulantSequence(x.values), "Y": CumulantSequence(y.values)})
+    report = freeness_vanishing_suite(scenario, order)
     return [
         _entry("prop22", "mixed words have vanishing cumulants and t-coefficients",
-               {"max_length": top, "words": report.words_checked},
+               {"max_length": order, "words": report.words_checked},
                report.failures[0] if report.failures else None)
     ]
 
 
-def bridge_suite(order=None, seed=7) -> list[ReportEntry]:
-    top = order or 5
-    corpus = _corpus_with_fixtures(seed, 2, max(top, 2))
-    pairs = [(corpus[-2], corpus[-1]), (corpus[0], corpus[1])]
+def bridge_suite(order, seed=7) -> list[ReportEntry]:
     entries = []
-    for pair_idx, (ma, mb) in enumerate(pairs):
+    for pair_idx, (ma, mb) in enumerate(_pairs_with_fixtures(seed, 2, max(order, 2))):
         tx = moments_to_tcoeffs(ma)
         ty = moments_to_tcoeffs(mb)
         kx = moments_to_cumulants(ma)
         ky = moments_to_cumulants(mb)
-        for n in range(1, top + 1):
-            bad = None
-            total = Fraction(0)
-            for pi in enumerate_ncls(n):
-                weight = ncls_weight(pi, tx, ty)
-                total += weight
-                via_tree = eval_bicolor(bicolor_from_ncls(pi), tx, ty)
-                if weight != via_tree and bad is None:
-                    bad = {"partition": str(pi), "weight": str(weight),
-                           "tree value": str(via_tree)}
-            entries.append(
-                _entry("bridge", "split-partition weight equals bicolor evaluation",
-                       {"n": n, "pair": pair_idx}, bad)
-            )
-            tree_total = sum(
-                (eval_bicolor(b, tx, ty) for b in enumerate_bicolor(n)), Fraction(0)
-            )
+
+        def fault(weighed):
+            pi, weight = weighed
+            via_tree = eval_bicolor(bicolor_from_ncls(pi), tx, ty)
+            if weight != via_tree:
+                return {"partition": str(pi), "weight": str(weight), "tree value": str(via_tree)}
+        for n in range(1, order + 1):
+            weighed = [(pi, ncls_weight(pi, tx, ty)) for pi in enumerate_ncls(n)]
+            entries.append(_entry("bridge", "split-partition weight equals bicolor evaluation",
+                                  {"n": n, "pair": pair_idx}, _first_witness(fault, weighed)))
+            total = sum((weight for _, weight in weighed), Fraction(0))
+            tree_total = sum((eval_bicolor(b, tx, ty) for b in enumerate_bicolor(n)), Fraction(0))
             km = free_multiplicative(kx, ky, n)
             entries.append(
                 _entry("bridge", "aggregate split weights give the product cumulant",
@@ -351,22 +340,17 @@ def bridge_suite(order=None, seed=7) -> list[ReportEntry]:
     return entries
 
 
-def theorem_suite(order=None, seed=7) -> list[ReportEntry]:
-    top = order or 5
-    corpus = seeded_moment_corpus(seed, CORPUS_SIZE, top)
-    pairs = list(zip(corpus[0::2], corpus[1::2]))
-    pairs.insert(0, (catalan_moments(top), shifted_catalan_moments(top)))
+def theorem_suite(order, seed=7) -> list[ReportEntry]:
+    def fault(check):
+        if not check.passed:
+            return {"identity": check.identity, "parameters": check.parameters, **check.witness}
+
     entries = []
-    for pair_idx, (ma, mb) in enumerate(pairs):
-        report = verify_t_multiplicativity(ma, mb, top)
-        first = next((c for c in report.checks if not c.passed), None)
-        entries.append(
-            _entry("theorem", "t-series multiplicativity",
-                   {"order": top, "pair": pair_idx, "checks": len(report.checks)},
-                   None if first is None else {"identity": first.identity,
-                                               "parameters": first.parameters,
-                                               **first.witness})
-        )
+    for pair_idx, (ma, mb) in enumerate(_pairs_with_fixtures(seed, CORPUS_SIZE, order)):
+        report = verify_t_multiplicativity(ma, mb, order)
+        entries.append(_entry("theorem", "t-series multiplicativity",
+                              {"order": order, "pair": pair_idx, "checks": len(report.checks)},
+                              _first_witness(fault, report.checks)))
     return entries
 
 
@@ -381,31 +365,32 @@ SUITES = {
 }
 
 
-# the largest order each suite accepts.  Every suite takes order and seed, but
-# counts reads neither (so it has no maximum) and kreweras reads only the
-# order; the others read both.
-MAX_ORDER = {"kreweras": 8, "prop21": 10, "eq5": 10, "prop22": 6, "bridge": 5, "theorem": 6}
+# each suite's (default, maximum) order; counts reads none.  Four maxima are the
+# caps their suites enumerate under.  kreweras and prop22 stay well below theirs
+# (nc, ncl): NC(n) grows about fourfold per n, and mixed words double per letter.
+ORDERS = {"kreweras": (8, 8), "prop21": (7, DEFAULT_LIMITS["trees"]), "prop22": (6, 6),
+          "eq5": (7, DEFAULT_LIMITS["trees"]), "bridge": (5, DEFAULT_LIMITS["ncls"]),
+          "theorem": (5, DEFAULT_LIMITS["theorem"])}
 
 
 def run_suites(names, *, order=None, seed=7) -> list[ReportEntry]:
     """Run the named suites ('all' for every one) and return sorted entries.
 
-    An ``order`` below 1 raises :class:`ValueError` for every named suite,
-    counts too, and one above the maximum of a named suite raises
+    Each suite runs to ``order``, or else to its :data:`ORDERS` default.  An
+    ``order`` below 1 raises :class:`ValueError` for every named suite, counts
+    too, and one above the maximum of a named suite raises
     :class:`LimitExceeded`, before any suite runs.
     """
     if isinstance(names, str):
         names = list(SUITES) if names == "all" else [names]
+    runs = []
     for name in names:
-        if order is None:
-            break
-        if order < 1:
+        default, top = ORDERS.get(name, (None, None))
+        if order is not None and order < 1:
             raise ValueError(f"verify {name} needs an order of at least 1 (requested {order})")
-        if order > MAX_ORDER.get(name, order):
-            raise LimitExceeded(
-                f"verify {name} runs up to order {MAX_ORDER[name]} (requested {order})")
-    entries = []
-    for name in names:
-        entries.extend(SUITES[name](order=order, seed=seed))
+        if order is not None and top is not None and order > top:
+            raise LimitExceeded(f"verify {name} runs up to order {top} (requested {order})")
+        runs.append((name, default if order is None else order))
+    entries = [e for name, resolved in runs for e in SUITES[name](order=resolved, seed=seed)]
     entries.sort(key=lambda e: (e.suite, e.identity, str(sorted(e.parameters.items()))))
     return entries

@@ -7,6 +7,7 @@ import sys
 import time
 from itertools import islice
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -497,10 +498,46 @@ def test_verify_order_above_suite_maximum_exit2():
     assert proc.stdout == ""
     assert proc.stderr == "error: verify prop21 runs up to order 10 (requested 20)\n"
     # all checks every suite that reads --order; counts reads none
-    assert verify.MAX_ORDER.keys() == set(verify.SUITES) - {"counts"}
+    assert verify.ORDERS.keys() == set(verify.SUITES) - {"counts"}
     proc = run_cli("verify", "all", "--order", "7")
     assert proc.returncode == 2
     assert "prop22 runs up to order 6" in proc.stderr
+
+
+def test_readme_order_table_matches_the_suites():
+    # the README's | Suite | Default | Maximum | table is verify.ORDERS
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| Suite | Default | Maximum |\n| --- | --- | --- |\n")[1]
+    rows = {}
+    for line in table.splitlines():
+        if not line.startswith("|"):
+            break
+        suite, default, maximum = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[suite.strip("`")] = (int(default), int(maximum))
+    assert rows == verify.ORDERS
+
+
+def test_verify_transcripts_pinned(monkeypatch, capsys):
+    # stdout and exit code of every suite at order 1, its default and its
+    # maximum (with --order, and once without), of counts, and of all at its
+    # defaults and at --order 1..5, in both formats; the (default, maximum)
+    # orders are written out, not read from the table this pin guards
+    orders = {"kreweras": (8, 8), "prop21": (7, 10), "prop22": (6, 6), "eq5": (7, 10),
+              "bridge": (5, 5), "theorem": (5, 6)}
+    monkeypatch.delenv("NCL_LIMITS", raising=False)
+    runs = [["verify", "counts"], ["verify", "all"]]
+    runs += [["verify", "all", "--order", str(k)] for k in range(1, 6)]
+    for suite, (default, maximum) in orders.items():
+        runs.append(["verify", suite])
+        runs += [["verify", suite, "--order", str(k)] for k in sorted({1, default, maximum})]
+    transcript = []
+    for argv in runs:
+        for fmt in ("text", "json"):
+            code = cli.main([*argv, "--format", fmt])
+            captured = capsys.readouterr()
+            transcript.append(f"{' '.join(argv)} {fmt}\n{code}\n{captured.out}{captured.err}")
+    digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
+    assert digest == "8eec57d8ecf0d9e31e134521a467c8154e166a51321f98c8bcd5fef612b2d1fc"
 
 
 def test_verify_prop21_and_eq5_at_order_10():
@@ -653,6 +690,27 @@ def test_convolve_default_order_follows_the_cap(monkeypatch, capsys, inputs, env
     assert (code, err) == (0, "")
     data = json.loads(out)
     assert data["order"] == order and data["pass"] is True
+
+
+CATALAN8 = '{"order":8,"coeffs":["1","2","5","14","42","132","429","1430"]}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["enumerate", "nc", "13"], "nc is capped at 12 (requested 13)"),
+        (["enumerate", "ncls", "6"], "ncls is capped at 5 (requested 6)"),
+        (["convolve", "--mx", CATALAN8, "--my", CATALAN8, "--order", "8"],
+         "theorem is capped at 6 (requested 8)"),
+    ],
+    ids=["nc", "ncls", "convolve"],
+)
+def test_bare_unsafe_limits_raises_no_cap(monkeypatch, capsys, argv, message):
+    # the flag only confirms a --limit or NCL_LIMITS override above the default
+    monkeypatch.delenv("NCL_LIMITS", raising=False)
+    code = cli.main([*argv, "--unsafe-limits"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_convolve_requires_arguments():
