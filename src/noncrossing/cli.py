@@ -7,6 +7,9 @@ for enumerations); identical invocations produce identical bytes.
 Exit codes: 0 success, 1 verification failure, 2 usage or cap errors,
 3 vanishing-first-moment errors, 4 domain violations.  A reader that
 closes stdout early (``| head``) changes none of them.
+
+Each subcommand imports the modules it runs when it runs, so a process
+compiles only those: ``transform`` loads no partition or tree module.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 
-from . import jsonio, render, verify
+from . import jsonio
 from .errors import (
     LimitExceeded,
     NonCrossingError,
@@ -25,44 +29,30 @@ from .errors import (
     ZeroFirstMoment,
     ZeroT0,
 )
-from .limits import DEFAULT_LIMITS, check_limit
-from .partitions import enumerate_ncls, enumerate_ncs, iter_nc, iter_ncl
-from .transforms import (
-    cumulants_to_moments,
-    moments_to_cumulants,
-    moments_to_tcoeffs,
-    t_convolve,
-    tcoeffs_to_moments,
-    verify_t_multiplicativity,
-)
-from .trees import (
-    BicolorPlanarTree,
-    PlanarTree,
-    bicolor_from_ncls,
-    connected_from_tree,
-    enumerate_bicolor,
-    enumerate_planar_trees,
-    ncls_from_bicolor,
-    tree_from_connected,
-)
+from .limits import DEFAULT_LIMITS, check_limit, too_many_digits
 
-# NC(n) and NCL(n) stream, so a dump keeps none of them
+# kind -> (module, enumerator); NC(n) and NCL(n) stream, so a dump keeps
+# none of them
 _ENUMERATORS = {
-    "nc": iter_nc,
-    "ncl": iter_ncl,
-    "ncs": enumerate_ncs,
-    "ncls": enumerate_ncls,
-    "trees": enumerate_planar_trees,
-    "bicolor": enumerate_bicolor,
+    "nc": ("partitions", "iter_nc"),
+    "ncl": ("partitions", "iter_ncl"),
+    "ncs": ("partitions", "enumerate_ncs"),
+    "ncls": ("partitions", "enumerate_ncls"),
+    "trees": ("trees", "enumerate_planar_trees"),
+    "bicolor": ("trees", "enumerate_bicolor"),
 }
 
-# direction -> (input parser, transform)
+# direction -> (input parser in jsonio, transform in transforms)
 _TRANSFORMS = {
-    "m2k": (jsonio.parse_moments, moments_to_cumulants),
-    "k2m": (jsonio.parse_cumulants, cumulants_to_moments),
-    "m2t": (jsonio.parse_moments, moments_to_tcoeffs),
-    "t2m": (jsonio.parse_tcoeffs, tcoeffs_to_moments),
+    "m2k": ("parse_moments", "moments_to_cumulants"),
+    "k2m": ("parse_cumulants", "cumulants_to_moments"),
+    "m2t": ("parse_moments", "moments_to_tcoeffs"),
+    "t2m": ("parse_tcoeffs", "tcoeffs_to_moments"),
 }
+
+# sorted(verify.SUITES), named here so that building the parser imports no
+# suite; a test keeps the two equal
+_SUITES = ("bridge", "counts", "eq5", "kreweras", "prop21", "prop22", "theorem")
 
 
 def _dump(obj) -> str:
@@ -72,7 +62,12 @@ def _dump(obj) -> str:
 def _read_data(raw: str) -> dict:
     if raw == "-":
         raw = sys.stdin.read()
-    data = json.loads(raw)
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the decoder's int() refuses an integer over the digit limit
+        raise too_many_digits("an input integer") from None
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     return data
@@ -146,8 +141,10 @@ def _enumeration_lines(objects, fmt: str):
 
 def _cmd_enumerate(args) -> int:
     limit = _resolve_limit(args, args.kind)
+    module, name = _ENUMERATORS[args.kind]
+    enumerator = getattr(import_module(f".{module}", __package__), name)
     # the enumerator checks the cap before it yields, so a refusal prints nothing
-    objects = _ENUMERATORS[args.kind](args.n, limit=limit)
+    objects = enumerator(args.n, limit=limit)
     _print_lines(_enumeration_lines(objects, args.format))
     return 0
 
@@ -166,13 +163,24 @@ def _read_series(raw: str) -> dict:
 
 
 def _cmd_transform(args) -> int:
+    from . import transforms
+
     parse, transform = _TRANSFORMS[args.direction]
-    out = transform(parse(_read_series(args.data)))
+    out = getattr(transforms, transform)(getattr(jsonio, parse)(_read_series(args.data)))
     _print_lines([_dump(out.to_json_dict())])
     return 0
 
 
 def _cmd_biject(args) -> int:
+    from .trees import (
+        BicolorPlanarTree,
+        PlanarTree,
+        bicolor_from_ncls,
+        connected_from_tree,
+        ncls_from_bicolor,
+        tree_from_connected,
+    )
+
     data = _read_data(args.data)
     if args.direction == "theta":
         out = tree_from_connected(jsonio.parse_ncl(data))
@@ -195,6 +203,8 @@ def _cmd_biject(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import render
+
     data = _read_data(args.data)
     if "blocks" in data:
         obj = jsonio.parse_ncl(data)
@@ -207,6 +217,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     entries = verify.run_suites(args.suite, order=args.order, seed=args.seed)
     passed = all(e.passed for e in entries)
     if args.format == "json":
@@ -220,6 +232,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
+    from .transforms import t_convolve, verify_t_multiplicativity
+
     t_mode = args.tx is not None and args.ty is not None
     if not t_mode and (args.mx is None or args.my is None):
         raise ValueError("convolve needs either --tx/--ty or --mx/--my")
@@ -290,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("verify", help="run identity suites")
-    p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
+    p.add_argument("suite", choices=[*_SUITES, "all"])
     p.add_argument("--order", type=int, default=None)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--format", choices=["json", "text"], default="json")

@@ -2,38 +2,60 @@
 
 Rationals travel as strings ("3/4", "-2") so no precision is lost in
 a number type.  Producers emit canonical block order; parsers accept
-blocks in any order.
+blocks in any order.  The partition, tree and scenario modules are
+imported by the parsers that return their types, so parsing a series
+loads none of them.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import chain
 
-from .freeness import Scenario
-from .partitions import NCLPartition, NCPartition, validate_nc, validate_ncl
+from .limits import too_many_digits
 from .transforms import (
     CumulantSequence,
     MomentSequence,
     TCoeffSequence,
 )
-from .trees import BicolorPlanarTree, PlanarTree
+
+# sign, integer part, then a denominator or a fractional part: ASCII only
+_COEFFICIENT = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?").fullmatch
 
 
 def parse_fraction(text) -> Fraction:
-    """A string holding an integer, ``a/b`` or a plain decimal, or a JSON
-    number; other values are refused by type alone.  Exponent strings are
-    refused: ``Fraction`` would expand "1e3000000" into digits before any cap
-    applies, while a JSON number is already bounded by the decoder."""
-    if type(text) not in (str, int, float):
-        raise ValueError(f"a coefficient is a string or a number, not {type(text).__name__}")
-    if isinstance(text, str) and ("e" in text or "E" in text):
+    """A JSON number, or a string of an optional sign and ASCII digits,
+    then optionally ``/`` or ``.`` and more digits ("-2", "3/4", "0.125");
+    other values are refused by type alone.
+
+    The string grammar is the package's own, the same on every interpreter:
+    ``Fraction`` accepts exponents (it would expand "1e3000000" into digits
+    before any cap applies), and by version underscores, spaces and other
+    scripts' digits.  A JSON number is already bounded by the decoder.
+    """
+    kind = type(text)
+    if kind is not str:
+        if kind is int:
+            return Fraction(text)
+        if kind is float:
+            return Fraction(str(text))
+        raise ValueError(f"a coefficient is a string or a number, not {kind.__name__}")
+    match = _COEFFICIENT(text)
+    if match is None:
         raise ValueError(f"{text!r} is not an integer, a/b or a plain decimal")
+    sign, whole, over, frac = match.groups()
     try:
-        return Fraction(str(text))
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        num, den = int(whole), int(over or 1)
+        if frac:
+            den = 10 ** len(frac)
+            num = num * den + int(frac)
+    except ValueError:  # the digits are ASCII, so only the digit limit fails
+        raise too_many_digits("an input coefficient") from None
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(-num if sign == "-" else num, den)
 
 
 def _require(data: dict, key: str):
@@ -69,16 +91,24 @@ def _blocks(data: dict) -> list:
 
 
 def parse_nc(data: dict) -> NCPartition:
+    from .partitions import validate_nc
+
     return validate_nc(_require_int(data, "n"), _blocks(data))
 
 
 def parse_ncl(data: dict) -> NCLPartition:
+    from .partitions import validate_ncl
+
     return validate_ncl(_require_int(data, "n"), _blocks(data))
 
 
 def parse_tree(data: dict) -> PlanarTree | BicolorPlanarTree:
     """Parse a tree; entries with a ``color`` key yield a bicolor tree."""
-    return _parse_bicolor(data) if _uses_colors(data) else _parse_plain(data)
+    from .trees import BicolorPlanarTree, PlanarTree
+
+    if _uses_colors(data):
+        return _parse_bicolor(data, BicolorPlanarTree)
+    return _parse_plain(data, PlanarTree)
 
 
 def _entries(data: dict) -> list[dict]:
@@ -97,13 +127,14 @@ def _uses_colors(data: dict) -> bool:
     return any("color" in e or _uses_colors(e["tree"]) for e in _entries(data))
 
 
-def _parse_plain(data: dict) -> PlanarTree:
-    return PlanarTree(tuple(_parse_plain(e["tree"]) for e in _entries(data)))
+# each recursion takes the tree class from parse_tree, which imports it once
+def _parse_plain(data: dict, tree: type) -> PlanarTree:
+    return tree(tuple(_parse_plain(e["tree"], tree) for e in _entries(data)))
 
 
-def _parse_bicolor(data: dict) -> BicolorPlanarTree:
-    return BicolorPlanarTree(tuple(
-        (_require_int(e, "color"), _parse_bicolor(e["tree"]))
+def _parse_bicolor(data: dict, tree: type) -> BicolorPlanarTree:
+    return tree(tuple(
+        (_require_int(e, "color"), _parse_bicolor(e["tree"], tree))
         for e in _entries(data)
     ))
 
@@ -129,6 +160,8 @@ def parse_tcoeffs(data: dict) -> TCoeffSequence:
 
 
 def parse_scenario(data: dict) -> Scenario:
+    from .freeness import Scenario
+
     specs = _require(data, "algebras")
     if not isinstance(specs, dict):
         raise ValueError("'algebras' must be an object")

@@ -4,7 +4,11 @@ Every enumerator is capped so that a typo cannot trigger a combinatorial
 explosion.  Caps can be overridden per call (``limit=``) and from the CLI.
 The ``transform`` cap bounds the order of the four moment transforms, whose
 exact solves take at least cubic time in the order; it has no override.
+The interpreter's own limit on the digits of an integer read from or
+written as text is reported as a usage error of the package's own.
 """
+
+import sys
 
 from .errors import LimitExceeded
 
@@ -28,3 +32,12 @@ def check_limit(kind: str, n: int, limit: int | None = None) -> None:
     cap = DEFAULT_LIMITS[kind] if limit is None else limit
     if n > cap:
         raise LimitExceeded(f"{kind} is capped at {cap} (requested {n})")
+
+
+def too_many_digits(what: str) -> ValueError:
+    """The usage error for ``what``, an integer with more decimal digits than
+    the interpreter converts to or from text, in place of the interpreter's
+    message, which names a setting of its own."""
+    # only an interpreter with the limit raises the error this replaces
+    return ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+                      f"the limit on integers read or written as text")

@@ -26,6 +26,8 @@ sum is evaluated on a monomial profile: the objects of one size counted
 once by the coefficient powers they multiply.  The profiles come from the
 enumerations, never from the equations, so the two routes stay independent.
 The weight of one tree or partition is a direct product, with no profile.
+The enumerators are imported only by the functions that read them, so the
+series solves load no partition or tree module.
 
 The cumulant generating series adds under free addition; the t-series
 multiplies under free multiplication, which :func:`verify_t_multiplicativity`
@@ -49,22 +51,7 @@ from .errors import (
     ZeroFirstMoment,
     ZeroT0,
 )
-from .limits import check_limit
-from .partitions import (
-    NCLPartition,
-    NCPartition,
-    class_members,
-    enumerate_nc,
-    is_ncls,
-    kreweras,
-)
-from .trees import (
-    BicolorPlanarTree,
-    PlanarTree,
-    enumerate_bicolor,
-    enumerate_bicolor_elementary,
-    enumerate_planar_trees,
-)
+from .limits import check_limit, too_many_digits
 
 
 class _CoeffSequence(Frozen):
@@ -114,8 +101,11 @@ class _CoeffSequence(Frozen):
 
     def to_json_dict(self) -> dict:
         # str(Fraction(p, q)), with no Fraction built
-        return {"order": self.order,
-                "coeffs": [f"{p}/{q}" if q != 1 else str(p) for p, q in self.pairs]}
+        try:
+            coeffs = [f"{p}/{q}" if q != 1 else str(p) for p, q in self.pairs]
+        except ValueError:  # only an integer over the digit limit fails
+            raise too_many_digits(f"a result {self.kind}") from None
+        return {"order": self.order, "coeffs": coeffs}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -371,23 +361,31 @@ def _bicolor_indices(tree: BicolorPlanarTree) -> tuple:
 
 @cache
 def _class_profile(n: int) -> tuple:
+    from .partitions import NCPartition, class_members
+
     members = class_members(NCPartition(n, (tuple(range(1, n + 1)),)))
     return _profile(members, lambda pi: (_linked_indices(pi),))
 
 
 @cache
 def _tree_profile(n: int) -> tuple:
+    from .trees import enumerate_planar_trees
+
     return _profile(enumerate_planar_trees(n), _tree_indices)
 
 
 @cache
 def _kreweras_profile(n: int) -> tuple:
+    from .partitions import enumerate_nc, kreweras
+
     return _profile(enumerate_nc(n), lambda gamma: (
         [len(b) - 1 for b in gamma.blocks], [len(b) - 1 for b in kreweras(gamma).blocks]))
 
 
 @cache
 def _bicolor_profile(n: int, elementary: bool) -> tuple:
+    from .trees import enumerate_bicolor, enumerate_bicolor_elementary
+
     trees = (enumerate_bicolor_elementary(n) if elementary
              else enumerate_bicolor(n, limit=max(n, 7)))
     return _profile(trees, _bicolor_indices)
@@ -452,6 +450,8 @@ def ncls_weight(pi: NCLPartition, tx: TCoeffSequence, ty: TCoeffSequence) -> Fra
     argument ones, and each non-minimal position a constant term of its
     parity's argument.
     """
+    from .partitions import is_ncls
+
     if not is_ncls(pi):
         raise NotNclS(f"{pi} is not parity-split")
     odd, even = [], []
@@ -546,6 +546,8 @@ def verify_t_multiplicativity(
     aggregate identity equating the tree sum, the bicolor tree sum, and the
     Kreweras cumulant sum.
     """
+    from .trees import PlanarTree
+
     check_limit("theorem", order, limit)
     if mx.pairs[0][0] == 0 or my.pairs[0][0] == 0:
         raise ZeroFirstMoment("both factors need a nonzero first moment")

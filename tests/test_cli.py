@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -273,6 +274,48 @@ def test_transform_cap_leaves_the_parser_errors(capsys, data, code, message):
     assert capsys.readouterr() == ("", message)
 
 
+@pytest.mark.parametrize("text", ["1_000", "1/2_0", "1.5_0", "\u0663", "1/\u0663", " 1", "1 ",
+                                  "3 / 4", ".5", "5.", "+", "1/-2", "0x10", "1e5", ""])
+def test_coefficient_outside_the_grammar_exit2(capsys, text):
+    # one ASCII grammar on every interpreter: Fraction accepts underscores
+    # from 3.11 on, and spaces and other scripts' digits on every version
+    assert cli.main(["transform", "m2k", json.dumps({"coeffs": ["1", text]})]) == 2
+    assert capsys.readouterr() == ("", f"error: {text!r} is not an integer, a/b or a plain decimal\n")
+
+
+@pytest.fixture
+def digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter converts integers of any length to and from text")
+    return limit
+
+
+def _over_digit_limit(what: str, limit: int) -> str:
+    return f"error: {what} has more than {limit} digits, the limit on integers read or written as text\n"
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["transform", "m2k", '{"coeffs":[1,%s]}'], "an input integer"),
+    (["biject", "theta", '{"n":1,"blocks":[[%s]]}'], "an input integer"),
+    (["transform", "m2k", '{"coeffs":["1","%s"]}'], "an input coefficient"),
+    (["transform", "k2m", '{"coeffs":["1/%s"]}'], "an input coefficient"),
+    (["transform", "m2t", '{"coeffs":["1.%s"]}'], "an input coefficient"),
+])
+def test_integer_over_the_digit_limit_exit2(capsys, digit_limit, argv, what):
+    # the interpreter's own message names a setting of its own, not the input
+    *head, data = argv
+    assert cli.main([*head, data % ("7" * (digit_limit + 700))]) == 2
+    assert capsys.readouterr() == ("", _over_digit_limit(what, digit_limit))
+
+
+def test_result_over_the_digit_limit_exit2(capsys, digit_limit):
+    # kappa_2 = m_2 - m_1^2 has about twice the digits of m_1
+    m1 = "9" * (digit_limit * 3 // 4)
+    assert cli.main(["transform", "m2k", f'{{"coeffs":[{m1},0]}}']) == 2
+    assert capsys.readouterr() == ("", _over_digit_limit("a result cumulant", digit_limit))
+
+
 def test_transform_m2t_zero_first_moment_exit3():
     proc = run_cli("transform", "m2t", '{"order":2,"coeffs":["0","1"]}')
     assert proc.returncode == 3
@@ -502,6 +545,13 @@ def test_verify_order_above_suite_maximum_exit2():
     proc = run_cli("verify", "all", "--order", "7")
     assert proc.returncode == 2
     assert "prop22 runs up to order 6" in proc.stderr
+
+
+def test_verify_choices_are_the_suites():
+    # the parser names the suites without importing verify
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert suite.choices == sorted(verify.SUITES) + ["all"]
 
 
 def test_readme_order_table_matches_the_suites():

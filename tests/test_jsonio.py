@@ -34,9 +34,16 @@ def test_parse_fraction_names_only_the_type(value, name):
     assert str(info.value) == f"a coefficient is a string or a number, not {name}"
 
 
-@pytest.mark.parametrize("text, value", [("-7", -7), ("3/4", 0.75), ("0.125", 0.125), (2, 2), (1e-05, Fraction(1, 100000))])
+@pytest.mark.parametrize("text, value", [("-7", -7), ("3/4", 0.75), ("0.125", 0.125), (2, 2), (1e-05, Fraction(1, 100000)),
+                                         ("+3", 3), ("-0.50", -0.5), ("007", 7), ("-10/20", -0.5), ("-0", 0)])
 def test_parse_fraction_forms(text, value):
     assert jsonio.parse_fraction(text) == value
+
+
+@given(st.from_regex(r"[+-]?[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?", fullmatch=True))
+@settings(max_examples=200, deadline=None)
+def test_parse_fraction_keeps_the_value_of_every_string_in_its_grammar(text):
+    assert jsonio.parse_fraction(text) == Fraction(text)
 
 
 def test_partition_roundtrip_fixture():

@@ -68,7 +68,8 @@ def test_runtime_imports_are_stdlib():
 
 
 # each module may import only from the modules before it, so the package has
-# no import cycle and no import deferred into a function to dodge one
+# no import cycle; an import deferred into a function (ast.walk sees it too)
+# is there only to keep start-up small, never to dodge a cycle
 IMPORT_ORDER = ("errors", "limits", "partitions", "trees", "transforms", "freeness",
                 "jsonio", "render", "verify", "cli")
 
@@ -95,6 +96,82 @@ def test_freeness_imports_no_enumerator():
             assert node.module is not None, f"freeness imports modules {names}"
             for name in names:
                 assert not name.startswith(("enumerate_", "iter_")), f"freeness imports {name}"
+
+
+def test_series_modules_import_no_enumerator():
+    # the series route (jsonio's series parsers and the transforms' solves)
+    # loads no partition, tree or freeness module; the functions that
+    # enumerate import them when called
+    for name in ("transforms", "jsonio"):
+        tree = ast.parse((ROOT / "src" / "noncrossing" / f"{name}.py").read_text())
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                for target in targets:
+                    assert target not in ("partitions", "trees", "freeness"), \
+                        f"{name} imports {target} at module level"
+
+
+LISTED = """
+import sys
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "noncrossing")),
+      file=sys.stderr)
+"""
+
+SESSION = """
+from noncrossing import jsonio, transforms
+m = jsonio.parse_moments({"coeffs": ["1", "2", "5", "-3/4", "0.5"]})
+assert transforms.cumulants_to_moments(transforms.moments_to_cumulants(m)) == m
+assert transforms.tcoeffs_to_moments(transforms.moments_to_tcoeffs(m)) == m
+"""
+
+# what ``python -m noncrossing transform m2k ...`` runs
+TRANSFORM = """
+import runpy, sys
+sys.argv[1:] = ["transform", "m2k", '{"coeffs":["1","2","5"]}']
+try:
+    runpy.run_module("noncrossing", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+"""
+
+
+def test_series_route_loads_no_enumerator():
+    series = {"noncrossing", "noncrossing.errors", "noncrossing.limits",
+              "noncrossing.transforms", "noncrossing.jsonio"}
+    for code, expected in (
+        ("import noncrossing.cli", series | {"noncrossing.cli"}),
+        (SESSION, series),
+        (TRANSFORM, series | {"noncrossing.cli"}),
+    ):
+        # the inherited environment, PYTHONPATH included, as the CLI tests run
+        proc = subprocess.run([sys.executable, "-c", code + LISTED],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stderr.split()) == expected, code
+
+
+def test_package_names_resolve_to_their_modules():
+    # each public name is its module's own object, whichever is read first
+    import noncrossing
+
+    assert len(noncrossing.__all__) == len(set(noncrossing.__all__)) == 74
+    for name in noncrossing.__all__:
+        value = getattr(noncrossing, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    code = (
+        "import noncrossing\n"
+        "names = dir(noncrossing)\n"
+        "missing = set(noncrossing.__all__) - set(names)\n"
+        "assert not missing, missing\n"
+        f"for module in {IMPORT_ORDER!r}:\n"
+        "    assert module in names and getattr(noncrossing, module).__name__ == "
+        "'noncrossing.' + module, module\n"
+        "from noncrossing import *\n"
+        "assert kreweras is noncrossing.partitions.kreweras\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_render_reads_trees_through_one_scan():
