@@ -28,6 +28,7 @@ from .errors import (
     NotNclS,
     ZeroFirstMoment,
     ZeroT0,
+    shorten,
 )
 from .limits import DEFAULT_LIMITS, check_limit, too_many_digits
 
@@ -75,12 +76,20 @@ def _read_data(raw: str) -> dict:
 
 def _parse_limit_specs(specs) -> dict[str, int]:
     overrides: dict[str, int] = {}
+    # int() refuses a longer digit string with a hint naming its own setting;
+    # 0 means no limit, as before Python 3.11
+    max_digits = getattr(sys, "get_int_max_str_digits", int)()
     for spec in specs:
         kind, _, value = spec.partition("=")
         kind, value = kind.strip(), value.strip()
+        quoted = shorten(repr(spec))
         # str.isdigit alone also passes other scripts' digits; no size fits a cap of 0
-        if kind not in DEFAULT_LIMITS or not (value.isascii() and value.isdigit() and int(value)):
-            raise LimitExceeded(f"bad limit spec {spec!r}; use KIND=N")
+        if kind not in DEFAULT_LIMITS or not (value.isascii() and value.isdigit()
+                                              and value.lstrip("0")):
+            raise LimitExceeded(f"bad limit spec {quoted}; use KIND=N")
+        if max_digits and len(value) > max_digits:
+            raise LimitExceeded(f"bad limit spec {quoted}; the {kind} cap has {len(value)} "
+                                f"digits, over the limit of {max_digits} on integers read as text")
         overrides[kind] = int(value)
     return overrides
 

@@ -54,6 +54,13 @@ class Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def shorten(text: str, head: int = 40) -> str:
+    """``text``, or when longer than ``head`` characters its first ``head``,
+    ``…`` and its length, so that an error line quoting an input of any size
+    stays one short line."""
+    return text if len(text) <= head else f"{text[:head]}… ({len(text)} characters)"
+
+
 class NonCrossingError(Exception):
     """Base class for every domain error raised by this package."""
 

@@ -35,7 +35,7 @@ from math import prod
 from types import MappingProxyType
 
 from .errors import Frozen, LetterNotInDomain, OrderTooLow
-from .limits import check_limit
+from .limits import check_limit, parse_rational
 from .transforms import CumulantSequence, MomentSequence, _dot, _sum
 
 _set = object.__setattr__
@@ -73,12 +73,17 @@ class Word(Frozen):
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        """Parse ``"X Y 2*X -1/3*Y"`` into a word."""
+        """Parse ``"X Y 2*X -1/3*Y"`` into a word; a scale follows the
+        grammar of :func:`limits.parse_rational`."""
         letters = []
         for token in text.split():
             if "*" in token:
                 scale, _, algebra = token.partition("*")
-                letters.append(Letter(algebra, Fraction(scale)))
+                try:
+                    scale = parse_rational(scale)
+                except ValueError as exc:
+                    raise ValueError(f"letter {token!r}: {exc}") from None
+                letters.append(Letter(algebra, scale))
             else:
                 letters.append(Letter(token))
         return cls(tuple(letters))

@@ -10,52 +10,30 @@ loads none of them.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from itertools import chain
 
-from .limits import too_many_digits
+from .limits import parse_rational
 from .transforms import (
     CumulantSequence,
     MomentSequence,
     TCoeffSequence,
 )
 
-# sign, integer part, then a denominator or a fractional part: ASCII only
-_COEFFICIENT = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?").fullmatch
-
 
 def parse_fraction(text) -> Fraction:
-    """A JSON number, or a string of an optional sign and ASCII digits,
-    then optionally ``/`` or ``.`` and more digits ("-2", "3/4", "0.125");
-    other values are refused by type alone.
-
-    The string grammar is the package's own, the same on every interpreter:
-    ``Fraction`` accepts exponents (it would expand "1e3000000" into digits
-    before any cap applies), and by version underscores, spaces and other
-    scripts' digits.  A JSON number is already bounded by the decoder.
+    """A JSON number, or a string in the grammar of
+    :func:`limits.parse_rational` ("-2", "3/4", "0.125"); other values are
+    refused by type alone.  A JSON number is already bounded by the decoder.
     """
     kind = type(text)
-    if kind is not str:
-        if kind is int:
-            return Fraction(text)
-        if kind is float:
-            return Fraction(str(text))
-        raise ValueError(f"a coefficient is a string or a number, not {kind.__name__}")
-    match = _COEFFICIENT(text)
-    if match is None:
-        raise ValueError(f"{text!r} is not an integer, a/b or a plain decimal")
-    sign, whole, over, frac = match.groups()
-    try:
-        num, den = int(whole), int(over or 1)
-        if frac:
-            den = 10 ** len(frac)
-            num = num * den + int(frac)
-    except ValueError:  # the digits are ASCII, so only the digit limit fails
-        raise too_many_digits("an input coefficient") from None
-    if not den:
-        raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(-num if sign == "-" else num, den)
+    if kind is str:
+        return parse_rational(text)
+    if kind is int:
+        return Fraction(text)
+    if kind is float:
+        return Fraction(str(text))
+    raise ValueError(f"a coefficient is a string or a number, not {kind.__name__}")
 
 
 def _require(data: dict, key: str):

@@ -5,10 +5,13 @@ explosion.  Caps can be overridden per call (``limit=``) and from the CLI.
 The ``transform`` cap bounds the order of the four moment transforms, whose
 exact solves take at least cubic time in the order; it has no override.
 The interpreter's own limit on the digits of an integer read from or
-written as text is reported as a usage error of the package's own.
+written as text is reported as a usage error of the package's own, and
+rational numbers are read from text by one grammar of the package's own.
 """
 
+import re
 import sys
+from fractions import Fraction
 
 from .errors import LimitExceeded
 
@@ -41,3 +44,31 @@ def too_many_digits(what: str) -> ValueError:
     # only an interpreter with the limit raises the error this replaces
     return ValueError(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
                       f"the limit on integers read or written as text")
+
+
+# sign, integer part, then a denominator or a fractional part: ASCII only
+_RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?").fullmatch
+
+
+def parse_rational(text: str) -> Fraction:
+    """A string of an optional sign and ASCII digits, then optionally ``/``
+    or ``.`` and more digits ("-2", "3/4", "0.125"), as a ``Fraction``.
+
+    The grammar is the same on every interpreter: ``Fraction`` accepts
+    exponents (it would expand "1e3000000" into digits before any cap
+    applies), and by version underscores, spaces and other scripts' digits.
+    """
+    match = _RATIONAL(text)
+    if match is None:
+        raise ValueError(f"{text!r} is not an integer, a/b or a plain decimal")
+    sign, whole, over, frac = match.groups()
+    try:
+        num, den = int(whole), int(over or 1)
+        if frac:
+            den = 10 ** len(frac)
+            num = num * den + int(frac)
+    except ValueError:  # the digits are ASCII, so only the digit limit fails
+        raise too_many_digits("an input coefficient") from None
+    if not den:
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(-num if sign == "-" else num, den)

@@ -50,6 +50,7 @@ from .errors import (
     SizeMismatch,
     ZeroFirstMoment,
     ZeroT0,
+    shorten,
 )
 from .limits import check_limit, too_many_digits
 
@@ -453,7 +454,7 @@ def ncls_weight(pi: NCLPartition, tx: TCoeffSequence, ty: TCoeffSequence) -> Fra
     from .partitions import is_ncls
 
     if not is_ncls(pi):
-        raise NotNclS(f"{pi} is not parity-split")
+        raise NotNclS(f"{shorten(str(pi))} is not parity-split")
     odd, even = [], []
     for b in pi.blocks:
         (odd if b[0] & 1 else even).append(len(b) - 1)

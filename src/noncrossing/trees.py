@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .errors import Frozen, NotConnected, NotNclS
+from .errors import Frozen, NotConnected, NotNclS, shorten
 from .limits import check_limit
 from .partitions import NCLPartition, is_ncls
 
@@ -270,7 +270,7 @@ def tree_from_connected(pi: NCLPartition) -> PlanarTree:
     labels, so the word holds |B| - 1 at min B and 0 at every other vertex.
     """
     if sum(map(len, pi.blocks)) - len(pi.blocks) != pi.n - 1:
-        raise NotConnected(f"{pi} has more than one connected component")
+        raise NotConnected(f"{shorten(str(pi))} has more than one connected component")
     word = [0] * pi.n
     for blk in pi.blocks:
         word[blk[0] - 1] = len(blk) - 1
@@ -322,7 +322,7 @@ def bicolor_from_ncls(pi: NCLPartition) -> BicolorPlanarTree:
     ``tests/oracles.py``.
     """
     if not is_ncls(pi):
-        raise NotNclS(f"{pi} is not parity-split")
+        raise NotNclS(f"{shorten(str(pi))} is not parity-split")
     listed = [()] * (pi.n + 1)
     end = list(range(pi.n + 1))
     start = [0] * (pi.n + 1)

@@ -3,9 +3,6 @@ pass line.  Every comparison is exact; there are no tolerances anywhere."""
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction as F
 
@@ -64,6 +61,7 @@ from noncrossing.verify import (
     shifted_catalan_moments,
 )
 
+from harness import run_child, run_cli
 from oracles import brute_ncl, catalan, interleaved_union_ok
 
 CORPUS_SEED = 20240801
@@ -270,40 +268,30 @@ def test_criterion_11_paper_fixture():
     _passed(11, "twelve-point fixture")
 
 
-def _run(*args, stdin=None):
-    # inherited environment (PYTHONPATH included) without a caller's NCL_LIMITS
-    env = {k: v for k, v in os.environ.items() if k != "NCL_LIMITS"}
-    return subprocess.run(
-        [sys.executable, "-m", "noncrossing", *args],
-        capture_output=True,
-        text=True,
-        input=stdin,
-        env=env,
-    )
-
-
 def test_criterion_12_cli():
+    # children: only they show the python -m entry's exit codes, and equal
+    # bytes from processes that each have their own hash seed
     # determinism: identical runs produce identical bytes
-    a = _run("verify", "prop21", "--order", "4", "--seed", "7")
-    b = _run("verify", "prop21", "--order", "4", "--seed", "7")
+    a = run_child("verify", "prop21", "--order", "4", "--seed", "7")
+    b = run_child("verify", "prop21", "--order", "4", "--seed", "7")
     assert a.stdout == b.stdout and a.returncode == b.returncode == 0
-    e1 = _run("enumerate", "ncls", "3")
-    e2 = _run("enumerate", "ncls", "3")
+    e1 = run_child("enumerate", "ncls", "3")
+    e2 = run_child("enumerate", "ncls", "3")
     assert e1.stdout == e2.stdout
     assert json.loads(e1.stdout.splitlines()[-1]) == {"count": 7}
 
     # schema roundtrip through the CLI
-    out = _run("biject", "lambda", '{"n":6,"blocks":[[1],[3,5],[2,6],[4]]}')
-    back = _run("biject", "lambda-inv", out.stdout.strip())
+    out = run_cli("biject", "lambda", '{"n":6,"blocks":[[1],[3,5],[2,6],[4]]}')
+    back = run_cli("biject", "lambda-inv", out.stdout.strip())
     assert json.loads(back.stdout) == {"n": 6, "blocks": [[1], [2, 6], [3, 5], [4]]}
 
     # exit-code contract
-    assert _run("enumerate", "ncl", "10").returncode == 2
-    assert _run("transform", "m2t", '{"order":2,"coeffs":["0","1"]}').returncode == 3
-    assert _run("biject", "theta", '{"n":3,"blocks":[[1,2],[3]]}').returncode == 4
+    assert run_child("enumerate", "ncl", "10").returncode == 2
+    assert run_child("transform", "m2t", '{"order":2,"coeffs":["0","1"]}').returncode == 3
+    assert run_child("biject", "theta", '{"n":3,"blocks":[[1,2],[3]]}').returncode == 4
 
     # the full verification suite is green on a clean build
-    proc = _run("verify", "all")
+    proc = run_child("verify", "all")
     assert proc.returncode == 0, proc.stdout[-2000:]
     data = json.loads(proc.stdout)
     assert data["pass"] is True

@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import os
-import subprocess
 import sys
 import time
 from itertools import islice
@@ -18,19 +17,28 @@ from noncrossing import cli, freeness, render, transforms, verify
 from noncrossing.partitions import NCPartition
 from noncrossing.trees import enumerate_bicolor, enumerate_planar_trees
 
+from harness import open_child, run_child, run_cli
 
-def run_cli(*args, stdin=None):
-    # keep PYTHONPATH so the child can import the package from source, but
-    # drop any NCL_LIMITS the caller exported: only test_env_limits sets it
-    env = {k: v for k, v in os.environ.items() if k != "NCL_LIMITS"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "noncrossing", *args],
-        capture_output=True,
-        text=True,
-        input=stdin,
-        env=env,
-    )
-    return proc
+
+@pytest.mark.parametrize("args, stdin, exported, limits, code", [
+    (("enumerate", "nc", "3"), None, None, None, 0),
+    (("enumerate", "nc", "13"), None, None, None, 2),
+    (("transform", "m2t", '{"order":2,"coeffs":["0","1"]}'), None, None, None, 3),
+    (("biject", "theta", '{"n":3,"blocks":[[1,2],[3]]}'), None, None, None, 4),
+    (("transform", "m2t", "-"), '{"coeffs":["1","1","1"]}', None, None, 0),
+    (("transform",), None, None, None, 2),
+    (("enumerate", "nc", "3"), None, "nc=1", None, 0),
+    (("enumerate", "nc", "4"), None, None, "nc=3", 2),
+], ids=["exit0", "cap", "exit3", "exit4", "stdin", "usage", "exported-limits", "limits"])
+def test_run_cli_matches_a_child(monkeypatch, args, stdin, exported, limits, code):
+    # the reference for the in-process harness: a python -m child gives the same result
+    if exported:
+        monkeypatch.setenv("NCL_LIMITS", exported)
+    here = run_cli(*args, stdin=stdin, limits=limits)
+    child = run_child(*args, stdin=stdin, limits=limits)
+    assert here.returncode == code
+    assert (here.returncode, here.stdout, here.stderr) == (
+        child.returncode, child.stdout, child.stderr)
 
 
 def test_enumerate_nc3():
@@ -93,12 +101,9 @@ def test_enumerate_over_cap_prints_nothing():
 
 
 def test_enumerate_into_closed_pipe_exits_quietly():
-    # a reader that stops early, like `| head -1`, is the normal use of a stream
-    env = {k: v for k, v in os.environ.items() if k != "NCL_LIMITS"}
-    with subprocess.Popen(
-        [sys.executable, "-m", "noncrossing", "enumerate", "nc", "10", "--format", "text"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    ) as proc:
+    # a reader that stops early, like `| head -1`, is the normal use of a stream;
+    # only a child has a real pipe for it to close
+    with open_child("enumerate", "nc", "10", "--format", "text") as proc:
         assert proc.stdout.readline() == b"(1)(2)(3)(4)(5)(6)(7)(8)(9)(10)\n"
         proc.stdout.close()
         assert proc.wait(timeout=60) == 0
@@ -142,6 +147,23 @@ def test_limit_overrides_reject_malformed_specs(spec):
     assert f"bad limit spec {spec!r}; use KIND=N" in proc.stderr
 
 
+def _one_short_line(stderr: str) -> bool:
+    return stderr.count("\n") == 1 and stderr.endswith("\n") and len(stderr.encode()) <= 200
+
+
+@pytest.mark.parametrize("where", ["flag", "env"])
+def test_cap_over_the_digit_limit_exit2(digit_limit, where):
+    # int() of the value would fail with the interpreter's hint; the line
+    # names the kind and the digit count, and quotes only a head of the spec
+    value = "1" * (digit_limit + 700)
+    flags = ("--limit", f"nc={value}") if where == "flag" else ()
+    proc = run_cli("enumerate", "nc", "3", *flags, limits=None if flags else f"nc={value}")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: bad limit spec 'nc=111")
+    assert f"the nc cap has {digit_limit + 700} digits" in proc.stderr
+    assert _one_short_line(proc.stderr)
+
+
 CATALAN3 = '{"order":3,"coeffs":["1","2","5"]}'
 
 
@@ -158,26 +180,15 @@ CATALAN3 = '{"order":3,"coeffs":["1","2","5"]}'
 def test_caps_below_one_are_bad_specs(args, env):
     # no size fits under a cap of 0, so it is refused when read, whatever
     # the command would go on to request
-    proc = subprocess.run(
-        [sys.executable, "-m", "noncrossing", *args],
-        capture_output=True,
-        text=True,
-        env={**{k: v for k, v in os.environ.items() if k != "NCL_LIMITS"},
-             **({"NCL_LIMITS": env} if env else {})},
-    )
+    proc = run_cli(*args, limits=env)
     spec = env or args[-1]
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: bad limit spec {spec!r}; use KIND=N\n"
 
 
-def test_env_limits(monkeypatch):
-    # the child inherits the whole environment (PYTHONPATH included) plus the cap
-    monkeypatch.setenv("NCL_LIMITS", "nc=3")
-    proc = subprocess.run(
-        [sys.executable, "-m", "noncrossing", "enumerate", "nc", "4"],
-        capture_output=True,
-        text=True,
-    )
+def test_env_limits():
+    # a child process inherits the environment (PYTHONPATH included) and reads the cap there
+    proc = run_child("enumerate", "nc", "4", limits="nc=3")
     assert proc.returncode == 2
     assert "nc is capped at 3" in proc.stderr
 
@@ -664,6 +675,18 @@ def test_uncovered_elements_message_is_short():
     )
 
 
+@pytest.mark.parametrize("direction, message", [
+    ("theta", "has more than one connected component"),
+    ("lambda", "is not parity-split"),
+])
+def test_domain_error_quotes_a_head_of_the_partition(direction, message):
+    singletons = json.dumps({"n": 20000, "blocks": [[e] for e in range(1, 20001)]})
+    proc = run_cli("biject", direction, singletons)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr.startswith("error: (1)(2)(3)") and proc.stderr.endswith(f"{message}\n")
+    assert _one_short_line(proc.stderr)
+
+
 def test_verify_kreweras_passes():
     proc = run_cli("verify", "kreweras", "--order", "5", "--format", "text")
     assert proc.returncode == 0
@@ -679,6 +702,8 @@ def test_verify_counts_json_shape():
 
 
 def test_verify_determinism_same_seed():
+    # a second run reads warm caches; test_criterion_12_cli compares these
+    # bytes across two processes
     a = run_cli("verify", "prop21", "--order", "4", "--seed", "7")
     b = run_cli("verify", "prop21", "--order", "4", "--seed", "7")
     assert a.returncode == b.returncode == 0
@@ -686,8 +711,9 @@ def test_verify_determinism_same_seed():
 
 
 def test_enumerate_determinism():
-    a = run_cli("enumerate", "ncl", "4")
-    b = run_cli("enumerate", "ncl", "4")
+    # two children have their own hash seeds, so a set-order dependence shows
+    a = run_child("enumerate", "ncl", "4")
+    b = run_child("enumerate", "ncl", "4")
     assert a.stdout == b.stdout
 
 

@@ -68,6 +68,23 @@ def test_word_parse():
         Letter("Y", F(-1, 3)),
     )
     assert str(w) == "X Y 2*X -1/3*Y"
+    assert Word.parse("0.5*X").letters == (Letter("X", F(1, 2)),)
+
+
+@pytest.mark.parametrize("text, token, scale", [
+    ("X 1e10000000*X", "1e10000000*X", "1e10000000"),
+    ("1_0*X Y", "1_0*X", "1_0"),
+    ("X \u0663*Y", "\u0663*Y", "\u0663"),
+])
+def test_word_parse_refuses_scales_outside_the_grammar(text, token, scale):
+    # Fraction would expand the exponent into ten million digits, read the
+    # underscore on 3.11 only and the Arabic-Indic three as 3
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        Word.parse(text)
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == (f"letter {token!r}: {scale!r} is not an integer, a/b "
+                               "or a plain decimal")
 
 
 def test_mixed_cumulant(scenario):

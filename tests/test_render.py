@@ -1,7 +1,5 @@
 import gc
 import json
-import subprocess
-import sys
 import time
 
 import pytest
@@ -16,6 +14,7 @@ from noncrossing.trees import (
     enumerate_planar_trees,
 )
 
+from harness import run_cli
 from oracles import render_by_pairs, render_tree_by_walk
 
 
@@ -59,8 +58,7 @@ def test_render_many_blocks_quickly():
 def test_render_deep_nesting_through_cli():
     # 400 nested pairs: 400 rows of 3,200 columns, drawn without recursion
     data = {"n": 800, "blocks": [[i, 801 - i] for i in range(1, 401)]}
-    proc = subprocess.run([sys.executable, "-m", "noncrossing", "render", json.dumps(data)],
-                          capture_output=True, text=True)
+    proc = run_cli("render", json.dumps(data))
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 401
 

@@ -206,3 +206,39 @@ def test_cli_import_loads_no_dataclasses():
     # the inherited environment, PYTHONPATH included, as the CLI tests run
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# the tests that start a python -m noncrossing child, each for what only a
+# child shows; every other CLI call runs in process through harness.run_cli
+CHILD_TESTS = {
+    "test_cli.py": {
+        "test_run_cli_matches_a_child",  # the reference for the in-process runs
+        "test_enumerate_into_closed_pipe_exits_quietly",  # a real closed pipe
+        "test_env_limits",  # an inherited environment
+        "test_enumerate_determinism",  # bytes across two hash seeds
+    },
+    "test_acceptance.py": {"test_criterion_12_cli"},  # the -m entry, two hash seeds
+}
+
+
+def test_only_the_named_tests_start_a_child():
+    found = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name in ("harness.py", "test_tooling.py"):
+            continue
+        tree = ast.parse(path.read_text())
+        named = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                 and node.name in CHILD_TESTS.get(path.name, ())]
+        found[path.name] = {node.name for node in named}
+        allowed = {id(node) for test in named for node in ast.walk(test)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert "subprocess" not in [a.name for a in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "subprocess", path.name
+            elif isinstance(node, ast.Attribute) and node.attr == "executable":
+                assert not (isinstance(node.value, ast.Name) and node.value.id == "sys"), \
+                    f"{path.name} reads sys.executable"
+            elif isinstance(node, ast.Name) and node.id in ("run_child", "open_child"):
+                assert id(node) in allowed, f"{path.name}:{node.lineno} starts a child"
+    assert {name: tests for name, tests in found.items() if tests} == CHILD_TESTS

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from noncrossing.errors import (
     LimitExceeded,
+    NotNclS,
     OrderTooLow,
     SizeMismatch,
     ZeroFirstMoment,
@@ -658,6 +659,17 @@ def test_ncls_weight_examples():
     assert ncls_weight(pi2, tx, ty) == 1 * 1 * 1 * 27  # t1(X)^2 t0(X) t0(Y)^3
     pi3 = validate_ncl(2, [[1], [2]])
     assert ncls_weight(pi3, tx, ty) == 3
+
+
+def test_ncls_weight_refusal_quotes_a_head_of_the_partition():
+    from noncrossing.partitions import validate_ncl
+
+    singletons = validate_ncl(20000, [[e] for e in range(1, 20001)])
+    t = TCoeffSequence((1, 1))
+    with pytest.raises(NotNclS) as info:
+        ncls_weight(singletons, t, t)
+    assert str(info.value) == ("(1)(2)(3)(4)(5)(6)(7)(8)(9)(10)(11)(12)(… (128894 characters) "
+                               "is not parity-split")
 
 
 @pytest.mark.parametrize("n", range(1, 6))
