@@ -10,6 +10,8 @@ closes stdout early (``| head``) changes none of them.
 
 Each subcommand imports the modules it runs when it runs, so a process
 compiles only those: ``transform`` loads no partition or tree module.
+The CLI only parses arguments, dispatches and prints: every check of the
+input is made by the library function that reads it.
 """
 
 from __future__ import annotations
@@ -21,16 +23,8 @@ import sys
 from importlib import import_module
 
 from . import jsonio
-from .errors import (
-    LimitExceeded,
-    NonCrossingError,
-    NotConnected,
-    NotNclS,
-    ZeroFirstMoment,
-    ZeroT0,
-    shorten,
-)
-from .limits import DEFAULT_LIMITS, check_limit, too_many_digits
+from .errors import LimitExceeded, NonCrossingError, ZeroFirstMoment, ZeroT0, shorten
+from .limits import DEFAULT_LIMITS
 
 # kind -> (module, enumerator); NC(n) and NCL(n) stream, so a dump keeps
 # none of them
@@ -43,12 +37,21 @@ _ENUMERATORS = {
     "bicolor": ("trees", "enumerate_bicolor"),
 }
 
-# direction -> (input parser in jsonio, transform in transforms)
-_TRANSFORMS = {
-    "m2k": ("parse_moments", "moments_to_cumulants"),
-    "k2m": ("parse_cumulants", "cumulants_to_moments"),
-    "m2t": ("parse_moments", "moments_to_tcoeffs"),
-    "t2m": ("parse_tcoeffs", "tcoeffs_to_moments"),
+# command -> direction -> (input parser in jsonio, module, function); the
+# module is imported when a direction of it runs
+_ROUTES = {
+    "transform": {
+        "m2k": ("parse_moments", "transforms", "moments_to_cumulants"),
+        "k2m": ("parse_cumulants", "transforms", "cumulants_to_moments"),
+        "m2t": ("parse_moments", "transforms", "moments_to_tcoeffs"),
+        "t2m": ("parse_tcoeffs", "transforms", "tcoeffs_to_moments"),
+    },
+    "biject": {
+        "theta": ("parse_ncl", "trees", "tree_from_connected"),
+        "theta-inv": ("parse_tree", "trees", "connected_from_tree"),
+        "lambda": ("parse_ncl", "trees", "bicolor_from_ncls"),
+        "lambda-inv": ("parse_tree", "trees", "ncls_from_bicolor"),
+    },
 }
 
 # sorted(verify.SUITES), named here so that building the parser imports no
@@ -60,18 +63,17 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _read_data(raw: str) -> dict:
-    if raw == "-":
-        raw = sys.stdin.read()
+def _text(arg: str) -> str:
+    """A ``DATA`` argument: JSON text, or ``-`` to read it from stdin."""
+    return sys.stdin.read() if arg == "-" else arg
+
+
+def _integer(arg: str) -> int:
+    """``int(arg)``; a refusal quotes only the head of a long argument."""
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # the decoder's int() refuses an integer over the digit limit
-        raise too_many_digits("an input integer") from None
-    if not isinstance(data, dict):
-        raise ValueError("expected a JSON object")
-    return data
+        return int(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {shorten(repr(arg))}") from None
 
 
 def _parse_limit_specs(specs) -> dict[str, int]:
@@ -158,55 +160,12 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _read_series(raw: str) -> dict:
-    """A series object whose ``coeffs`` list is within the ``transform`` cap.
-
-    The cap reads the list's length before any coefficient is parsed; an
-    empty, missing or malformed list is left to the parser's own errors.
-    """
-    data = _read_data(raw)
-    coeffs = data.get("coeffs")
-    if isinstance(coeffs, list) and coeffs:
-        check_limit("transform", len(coeffs))
-    return data
-
-
-def _cmd_transform(args) -> int:
-    from . import transforms
-
-    parse, transform = _TRANSFORMS[args.direction]
-    out = getattr(transforms, transform)(getattr(jsonio, parse)(_read_series(args.data)))
-    _print_lines([_dump(out.to_json_dict())])
-    return 0
-
-
-def _cmd_biject(args) -> int:
-    from .trees import (
-        BicolorPlanarTree,
-        PlanarTree,
-        bicolor_from_ncls,
-        connected_from_tree,
-        ncls_from_bicolor,
-        tree_from_connected,
-    )
-
-    data = _read_data(args.data)
-    if args.direction == "theta":
-        out = tree_from_connected(jsonio.parse_ncl(data))
-    elif args.direction == "theta-inv":
-        tree = jsonio.parse_tree(data)
-        if isinstance(tree, BicolorPlanarTree):
-            raise NotConnected("expected a plain planar tree, got a bicolor one")
-        out = connected_from_tree(tree)
-    elif args.direction == "lambda":
-        out = bicolor_from_ncls(jsonio.parse_ncl(data))
-    else:  # lambda-inv
-        tree = jsonio.parse_tree(data)
-        if isinstance(tree, PlanarTree):
-            if tree.size > 1:
-                raise NotNclS("expected a bicolor tree (colours missing)")
-            tree = BicolorPlanarTree()
-        out = ncls_from_bicolor(tree)
+def _cmd_route(args) -> int:
+    """``transform`` and ``biject``: parse ``DATA`` and apply the function
+    of the direction."""
+    parse, module, name = _ROUTES[args.command][args.direction]
+    function = getattr(import_module(f".{module}", __package__), name)
+    out = function(getattr(jsonio, parse)(jsonio.read_object(args.data)))
     _print_lines([_dump(out.to_json_dict())])
     return 0
 
@@ -214,7 +173,7 @@ def _cmd_biject(args) -> int:
 def _cmd_render(args) -> int:
     from . import render
 
-    data = _read_data(args.data)
+    data = jsonio.read_object(args.data)
     if "blocks" in data:
         obj = jsonio.parse_ncl(data)
     elif "children" in data:
@@ -256,10 +215,10 @@ def _cmd_convolve(args) -> int:
     # both lists are checked against the transform cap before either is parsed
     if t_mode:
         _flag_limits(args, None)
-        tx, ty = map(jsonio.parse_tcoeffs, [_read_series(args.tx), _read_series(args.ty)])
+        tx, ty = map(jsonio.parse_tcoeffs, [*map(jsonio.read_series, (args.tx, args.ty))])
         _print_lines([_dump(t_convolve(tx, ty).to_json_dict())])
         return 0
-    mx, my = map(jsonio.parse_moments, [_read_series(args.mx), _read_series(args.my)])
+    mx, my = map(jsonio.parse_moments, [*map(jsonio.read_series, (args.mx, args.my))])
     order = args.order
     if order is not None and order < 1:
         raise ValueError(f"--order must be at least 1 (requested {order})")
@@ -279,52 +238,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def limit_flags(p):
-        p.add_argument(
-            "--limit",
-            action="append",
-            metavar="KIND=N",
-            help="override an enumeration cap (may repeat)",
-        )
-        p.add_argument(
-            "--unsafe-limits",
-            action="store_true",
-            help="allow caps above the defaults",
-        )
+        p.add_argument("--limit", action="append", metavar="KIND=N",
+                       help="override an enumeration cap (may repeat)")
+        p.add_argument("--unsafe-limits", action="store_true", help="allow caps above the defaults")
 
     p = sub.add_parser("enumerate", help="list a combinatorial family")
     p.add_argument("kind", choices=sorted(_ENUMERATORS))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.add_argument("--format", choices=["json", "text"], default="json")
     limit_flags(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("transform", help="convert between coefficient sequences")
-    p.add_argument("direction", choices=list(_TRANSFORMS))
-    p.add_argument("data", help="series JSON, or - for stdin")
-    p.set_defaults(func=_cmd_transform)
+    p.add_argument("direction", choices=list(_ROUTES["transform"]))
+    p.add_argument("data", type=_text, help="series JSON, or - for stdin")
+    p.set_defaults(func=_cmd_route)
 
     p = sub.add_parser("biject", help="apply a tree bijection")
-    p.add_argument("direction", choices=["theta", "theta-inv", "lambda", "lambda-inv"])
-    p.add_argument("data", help="object JSON, or - for stdin")
-    p.set_defaults(func=_cmd_biject)
+    p.add_argument("direction", choices=list(_ROUTES["biject"]))
+    p.add_argument("data", type=_text, help="object JSON, or - for stdin")
+    p.set_defaults(func=_cmd_route)
 
     p = sub.add_parser("render", help="draw a partition or tree as ASCII")
-    p.add_argument("data", help="object JSON, or - for stdin")
+    p.add_argument("data", type=_text, help="object JSON, or - for stdin")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("suite", choices=[*_SUITES, "all"])
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--order", type=_integer, default=None)
+    p.add_argument("--seed", type=_integer, default=7)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("convolve", help="multiply t-series or verify multiplicativity")
-    p.add_argument("--tx", help="first t-coefficient series JSON")
-    p.add_argument("--ty", help="second t-coefficient series JSON")
-    p.add_argument("--mx", help="first moment series JSON")
-    p.add_argument("--my", help="second moment series JSON")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--tx", type=_text, help="first t-coefficient series JSON")
+    p.add_argument("--ty", type=_text, help="second t-coefficient series JSON")
+    p.add_argument("--mx", type=_text, help="first moment series JSON")
+    p.add_argument("--my", type=_text, help="second moment series JSON")
+    p.add_argument("--order", type=_integer, default=None)
     limit_flags(p)
     p.set_defaults(func=_cmd_convolve)
 
@@ -336,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LimitExceeded as exc:
+    except (LimitExceeded, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ZeroFirstMoment, ZeroT0) as exc:
@@ -345,9 +296,6 @@ def main(argv=None) -> int:
     except NonCrossingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RecursionError:
         # the JSON codec and jsonio's tree parse recurse once per level; the
         # decoder's own limit bounds the depth of every input tree

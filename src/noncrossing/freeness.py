@@ -34,7 +34,7 @@ from itertools import combinations, product
 from math import prod
 from types import MappingProxyType
 
-from .errors import Frozen, LetterNotInDomain, OrderTooLow
+from .errors import Frozen, LetterNotInDomain, OrderTooLow, shorten
 from .limits import check_limit, parse_rational
 from .transforms import CumulantSequence, MomentSequence, _dot, _sum
 
@@ -48,7 +48,7 @@ class Letter(Frozen):
 
     def __init__(self, algebra: str, scale=Fraction(1)):
         _set(self, "algebra", algebra)
-        _set(self, "scale", Fraction(scale))
+        _set(self, "scale", parse_rational(scale) if isinstance(scale, str) else Fraction(scale))
 
     def __str__(self) -> str:
         return self.algebra if self.scale == 1 else f"{self.scale}*{self.algebra}"
@@ -82,7 +82,7 @@ class Word(Frozen):
                 try:
                     scale = parse_rational(scale)
                 except ValueError as exc:
-                    raise ValueError(f"letter {token!r}: {exc}") from None
+                    raise ValueError(f"letter {shorten(repr(token))}: {exc}") from None
                 letters.append(Letter(algebra, scale))
             else:
                 letters.append(Letter(token))

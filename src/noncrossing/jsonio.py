@@ -4,7 +4,8 @@ Rationals travel as strings ("3/4", "-2") so no precision is lost in
 a number type.  Producers emit canonical block order; parsers accept
 blocks in any order.  The partition, tree and scenario modules are
 imported by the parsers that return their types, so parsing a series
-loads none of them.
+loads none of them.  The series parsers check the ``transform`` cap
+against the length of the ``coeffs`` list before parsing any coefficient.
 """
 
 from __future__ import annotations
@@ -13,12 +14,33 @@ import json
 from fractions import Fraction
 from itertools import chain
 
-from .limits import parse_rational
+from .errors import shorten
+from .limits import check_limit, parse_rational, too_many_digits
 from .transforms import (
     CumulantSequence,
     MomentSequence,
     TCoeffSequence,
 )
+
+
+def read_object(text: str) -> dict:
+    """The JSON object that ``text`` holds; any other JSON value is refused."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the decoder's int() refuses an integer over the digit limit
+        raise too_many_digits("an input integer") from None
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    return data
+
+
+def read_series(text: str) -> dict:
+    """The object in ``text``, once its ``coeffs`` list is within the
+    ``transform`` cap; so a caller can check every series it takes before
+    it parses any."""
+    return _capped(read_object(text))
 
 
 def parse_fraction(text) -> Fraction:
@@ -64,7 +86,7 @@ def _blocks(data: dict) -> list:
         return blocks
     for blk in blocks:
         if not isinstance(blk, list) or not all(type(e) is int for e in blk):
-            raise ValueError(f"block {json.dumps(blk)} is not a list of integers")
+            raise ValueError(f"block {shorten(json.dumps(blk))} is not a list of integers")
     return blocks
 
 
@@ -117,8 +139,17 @@ def _parse_bicolor(data: dict, tree: type) -> BicolorPlanarTree:
     ))
 
 
+def _capped(data: dict) -> dict:
+    """``data``, once a nonempty ``coeffs`` list is within the ``transform``
+    cap; an empty, missing or malformed one is left to the parser's errors."""
+    coeffs = data.get("coeffs")
+    if isinstance(coeffs, list) and coeffs:
+        check_limit("transform", len(coeffs))
+    return data
+
+
 def _parse_coeffs(data: dict) -> tuple[Fraction, ...]:
-    coeffs = tuple(parse_fraction(c) for c in _require_list(data, "coeffs"))
+    coeffs = tuple(parse_fraction(c) for c in _require_list(_capped(data), "coeffs"))
     declared = data.get("order")
     if declared is not None and _require_int(data, "order") != len(coeffs):
         raise ValueError(f"order {declared} does not match {len(coeffs)} coefficients")

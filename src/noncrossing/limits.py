@@ -13,7 +13,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import LimitExceeded
+from .errors import LimitExceeded, shorten
 
 DEFAULT_LIMITS = {
     "nc": 12,
@@ -60,7 +60,7 @@ def parse_rational(text: str) -> Fraction:
     """
     match = _RATIONAL(text)
     if match is None:
-        raise ValueError(f"{text!r} is not an integer, a/b or a plain decimal")
+        raise ValueError(f"{shorten(repr(text))} is not an integer, a/b or a plain decimal")
     sign, whole, over, frac = match.groups()
     try:
         num, den = int(whole), int(over or 1)
@@ -70,5 +70,5 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:  # the digits are ASCII, so only the digit limit fails
         raise too_many_digits("an input coefficient") from None
     if not den:
-        raise ValueError(f"zero denominator in {text!r}")
+        raise ValueError(f"zero denominator in {shorten(repr(text))}")
     return Fraction(-num if sign == "-" else num, den)

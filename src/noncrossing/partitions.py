@@ -25,6 +25,7 @@ from .errors import (
     NotAPartition,
     OddGroundSet,
     SizeMismatch,
+    shorten,
 )
 from .limits import check_limit
 
@@ -142,9 +143,9 @@ def _name_fault(n: int, raw: list, linked: bool) -> None:
         if not elems:
             raise exc("empty block")
         if len(set(elems)) != len(elems):
-            raise exc(f"block {list(blk)} repeats an element")
+            raise exc(f"block {shorten(str(list(blk)))} repeats an element")
         if elems[0] < 1 or elems[-1] > n:
-            raise exc(f"block {list(blk)} leaves the ground set 1..{n}")
+            raise exc(f"block {shorten(str(list(blk)))} leaves the ground set 1..{n}")
         cleaned.append(elems)
     owners: dict[int, list[Block]] = {}
     for blk in sorted(cleaned):
@@ -373,9 +374,9 @@ def _require_disjoint(gamma: AnyPartition) -> None:
     seen: set[int] = set()
     for e in chain.from_iterable(gamma.blocks):
         if e in seen:
-            raise NotAPartition(f"{gamma} is not a partition: {e} lies in two blocks")
+            raise NotAPartition(f"{shorten(str(gamma))} is not a partition: {e} lies in two blocks")
         seen.add(e)
-    raise NotAPartition(f"{gamma} is not a partition of 1..{gamma.n}")
+    raise NotAPartition(f"{shorten(str(gamma))} is not a partition of 1..{gamma.n}")
 
 
 def class_members(gamma: NCPartition, *, limit: int | None = None) -> tuple[NCLPartition, ...]:
@@ -456,14 +457,16 @@ def restrict(pi: AnyPartition, subset) -> AnyPartition:
     positions = tuple(sorted(subset))
     index = {e: i + 1 for i, e in enumerate(positions)}
     if not positions or positions[0] < 1 or positions[-1] > pi.n or len(index) < len(positions):
-        raise SizeMismatch(f"{list(positions)} is not a nonempty set of positions in 1..{pi.n}")
+        raise SizeMismatch(f"{shorten(str(list(positions)))} is not a nonempty set of positions "
+                           f"in 1..{pi.n}")
     kept = []
     for blk in pi.blocks:
         inside = [e in index for e in blk]
         if all(inside):
             kept.append(tuple(index[e] for e in blk))
         elif any(inside):
-            raise BlockStraddlesSet(f"block {blk} straddles {positions}")
+            raise BlockStraddlesSet(
+                f"block {shorten(str(blk))} straddles {shorten(str(positions))}")
     return type(pi)(len(positions), tuple(kept))
 
 

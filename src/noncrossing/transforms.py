@@ -52,7 +52,7 @@ from .errors import (
     ZeroT0,
     shorten,
 )
-from .limits import check_limit, too_many_digits
+from .limits import check_limit, parse_rational, too_many_digits
 
 
 class _CoeffSequence(Frozen):
@@ -71,7 +71,9 @@ class _CoeffSequence(Frozen):
     kind: str
 
     def __init__(self, values):
-        values = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+        values = tuple(v if type(v) is Fraction
+                       else parse_rational(v) if isinstance(v, str) else Fraction(v)
+                       for v in values)
         self._init(tuple([(v.numerator, v.denominator) for v in values]), values)
 
     @classmethod
@@ -402,6 +404,10 @@ def cumulant_via_classes(t: TCoeffSequence, n: int) -> Fraction:
 
 def eval_tree(tree: PlanarTree, t: TCoeffSequence) -> Fraction:
     """Product over the tree's elementary pieces of t_(child count)."""
+    from .trees import PlanarTree
+
+    if not isinstance(tree, PlanarTree):  # the word would be read in the wrong layout
+        raise TypeError(f"eval_tree takes a PlanarTree, not {type(tree).__name__}")
     return _product((t,), _tree_indices(tree))
 
 
@@ -441,6 +447,10 @@ def eval_bicolor(
 ) -> Fraction:
     """Product over vertices of t_k(first) t_{d-k}(second), where d counts
     children and k counts colour-1 children."""
+    from .trees import BicolorPlanarTree
+
+    if not isinstance(tree, BicolorPlanarTree):  # the word would be read in the wrong layout
+        raise TypeError(f"eval_bicolor takes a BicolorPlanarTree, not {type(tree).__name__}")
     return _product((tx, ty), _bicolor_indices(tree))
 
 

@@ -284,8 +284,10 @@ def connected_from_tree(tree: PlanarTree) -> NCLPartition:
     followed by its children's numbers, in preorder, which is canonical; a
     single vertex gives the one-point partition.  One scan of the word
     finds them: each vertex after the root is the next child of the
-    innermost vertex still missing children.
+    innermost vertex still missing children.  A bicolor tree is refused.
     """
+    if isinstance(tree, BicolorPlanarTree):
+        raise NotConnected("expected a plain planar tree, got a bicolor one")
     word = tree.word
     blocks, missing = [], []  # missing: blocks still short of children, innermost last
     for v, k in enumerate(word, 1):
@@ -355,9 +357,12 @@ def ncls_from_bicolor(tree: BicolorPlanarTree) -> NCLPartition:
     the own position if d is the incoming colour, else at the first, and
     their spans follow it.  A first position's block is a singleton until
     it lists a child; an own position's exists only if it does, or at the
-    root.
+    root.  A planar tree with no colours is refused unless it is the one
+    vertex, which reads as the bicolor leaf.
     """
-    word = tree.word
+    if isinstance(tree, PlanarTree) and tree.size > 1:
+        raise NotNclS("expected a bicolor tree (colours missing)")
+    word = (0, 0) if isinstance(tree, PlanarTree) else tree.word
     nv = len(word) // 2
     end, mid, done = [0] * nv, [0] * nv, []
     for v in range(nv - 1, -1, -1):  # the ends of v's children top the stack, first child's last

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from noncrossing import cli, freeness, render, transforms, verify
+from noncrossing import cli, freeness, jsonio, render, transforms, trees, verify
+from noncrossing.errors import LimitExceeded, NotConnected, NotNclS
 from noncrossing.partitions import NCPartition
 from noncrossing.trees import enumerate_bicolor, enumerate_planar_trees
 
@@ -458,6 +459,44 @@ def test_biject_billion_point_ground_set_exit4():
                            "the smallest is 2\n")
 
 
+BICOLOR_EDGE = '{"children":[{"color":1,"tree":{"children":[]}}]}'
+PLANAR_EDGE = '{"children":[{"tree":{"children":[]}}]}'
+LONG_SERIES = {n: json.dumps({"coeffs": ["1/3"] * n}) for n in (61, 300_000)}
+
+# the refusals that a library call makes for itself: the CLI run, the input
+# that the library call parses, the jsonio parser, the trees function
+# applied to the result (None: the parser refuses) and the exception
+LIBRARY_REFUSALS = [
+    (["biject", "theta-inv", BICOLOR_EDGE], BICOLOR_EDGE, "parse_tree", "connected_from_tree",
+     NotConnected),
+    (["biject", "lambda-inv", PLANAR_EDGE], PLANAR_EDGE, "parse_tree", "ncls_from_bicolor",
+     NotNclS),
+    *[(argv, series, parse, None, LimitExceeded)
+      for series in LONG_SERIES.values() for argv, parse in [
+          (["transform", "m2k", series], "parse_moments"),
+          (["transform", "k2m", series], "parse_cumulants"),
+          (["transform", "t2m", series], "parse_tcoeffs"),
+          (["convolve", "--tx", '{"coeffs":["1"]}', "--ty", series], "parse_tcoeffs"),
+          (["convolve", "--mx", series, "--my", '{"coeffs":["1"]}'], "parse_moments"),
+      ]],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, data, parse, function, exc", LIBRARY_REFUSALS,
+    ids=[f"{a[0]}-{a[1]}-{len(d)}" for a, d, *_ in LIBRARY_REFUSALS],
+)
+def test_library_call_refuses_as_the_cli_does(capsys, argv, data, parse, function, exc):
+    # the CLI checks none of these itself: it prints the library's refusal
+    with pytest.raises(exc) as refusal:
+        parsed = getattr(jsonio, parse)(json.loads(data))
+        if function:
+            getattr(trees, function)(parsed)
+    assert type(refusal.value) is exc
+    assert cli.main(argv) == (2 if exc is LimitExceeded else 4)
+    assert capsys.readouterr() == ("", f"error: {refusal.value}\n")
+
+
 def test_render_partition():
     proc = run_cli("render", '{"n":3,"blocks":[[1],[2],[3]]}')
     assert proc.returncode == 0
@@ -685,6 +724,37 @@ def test_domain_error_quotes_a_head_of_the_partition(direction, message):
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr.startswith("error: (1)(2)(3)") and proc.stderr.endswith(f"{message}\n")
     assert _one_short_line(proc.stderr)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["transform", "m2k", json.dumps({"coeffs": ["x" * 100_000]})], 2),
+    (["transform", "m2k", json.dumps({"coeffs": ["1/" + "0" * 4000]})], 2),
+    (["render", json.dumps({"n": 1, "blocks": [list(range(1, 100_001))]})], 4),
+    (["render", json.dumps({"n": 100_000, "blocks": [[1, 1, *range(2, 100_001)]]})], 4),
+    (["render", json.dumps({"n": 3, "blocks": [["a"] * 50_000]})], 2),
+], ids=["coefficient", "zero-denominator", "block-leaves", "block-repeats", "block-not-ints"])
+def test_refusal_quoting_a_long_input_is_one_short_line(capsys, argv, code):
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and _one_short_line(err) and " characters)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "nc"],
+    ["verify", "counts", "--order"],
+    ["verify", "counts", "--seed"],
+    ["convolve", "--order"],
+], ids=["enumerate-n", "verify-order", "verify-seed", "convolve-order"])
+def test_integer_argument_refusal_quotes_a_head(digit_limit, argv):
+    # argparse's own line, but for a head of an argument too long for int()
+    value = "1" * (digit_limit + 700)
+    proc = run_cli(*argv, value)
+    *usage, last = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout) == (2, "") and usage
+    quoted = f"{repr(value)[:40]}… ({len(value) + 2} characters)"
+    assert last.endswith(f": invalid int value: {quoted}")
+    assert len(last.encode()) <= 200
+    assert run_cli(*argv, "x").stderr.endswith(": invalid int value: 'x'\n")
 
 
 def test_verify_kreweras_passes():

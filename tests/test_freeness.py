@@ -87,6 +87,20 @@ def test_word_parse_refuses_scales_outside_the_grammar(text, token, scale):
                                "or a plain decimal")
 
 
+def test_letter_scale_strings_follow_the_coefficient_grammar():
+    assert Letter("X", "-3/4") == Letter("X", F(-3, 4))
+    assert Letter("X", 0.5).scale == F(1, 2)
+    for scale in ("1e1000000", "1_0", "\u0663"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            Letter("X", scale)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == f"{scale!r} is not an integer, a/b or a plain decimal"
+    with pytest.raises(ValueError) as info:  # a long token is quoted by its head
+        Word.parse("y" * 50_000 + "*X")
+    assert len(str(info.value)) <= 200
+
+
 def test_mixed_cumulant(scenario):
     assert mixed_cumulant(scenario, [Letter("X"), Letter("Y")]) == 0
     assert mixed_cumulant(scenario, [Letter("X", 2), Letter("X")]) == 2

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncrossing import jsonio
+from noncrossing.errors import LimitExceeded
 from noncrossing.partitions import enumerate_ncl, validate_ncl
 from noncrossing.transforms import (
     CumulantSequence,
@@ -98,6 +100,19 @@ def test_series_roundtrip():
     assert jsonio.parse_tcoeffs(t.to_json_dict()) == t
     k = CumulantSequence(("0", "1"))
     assert jsonio.parse_cumulants(k.to_json_dict()) == k
+
+
+@pytest.mark.parametrize("parse", ["parse_moments", "parse_cumulants", "parse_tcoeffs"])
+def test_series_parsers_check_the_cap_before_any_coefficient(monkeypatch, parse):
+    def refuse(text):
+        raise AssertionError("a coefficient was parsed before the cap was checked")
+
+    data = {"coeffs": ["1/3"] * 300_000}
+    monkeypatch.setattr(jsonio, "parse_fraction", refuse)
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded, match=r"^transform is capped at 60 \(requested 300000\)$"):
+        getattr(jsonio, parse)(data)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_series_order_mismatch_rejected():

@@ -735,6 +735,23 @@ def test_restrict_identity_and_singletons():
     assert restrict(zero5, (2, 4)).blocks == ((1,), (2,))
 
 
+def test_refusals_quote_a_head_of_a_long_input():
+    # each line quotes the first 40 characters of the input, then its length
+    linked = ncl(20_000, [[1, 2], [2, 3], *([e] for e in range(4, 20_001))])
+    wide = validate_nc(20_000, [list(range(1, 10_001)), list(range(10_001, 20_001))])
+    for call, exc in [
+        (lambda: kreweras(linked), NotAPartition),
+        (lambda: class_members(linked), NotAPartition),
+        (lambda: restrict(wide, range(5_000, 15_001)), BlockStraddlesSet),
+        (lambda: restrict(wide, range(0, 20_000)), SizeMismatch),
+        (lambda: validate_nc(1, [list(range(1, 100_001))]), NotAPartition),
+        (lambda: validate_ncl(9, [[1, *range(1, 100_001)]]), BadLink),
+    ]:
+        with pytest.raises(exc) as info:
+            call()
+        assert len(str(info.value)) <= 200 and " characters)" in str(info.value)
+
+
 def test_restrict_straddle():
     with pytest.raises(BlockStraddlesSet):
         restrict(ncl(3, [[1, 2], [3]]), (2, 3))

@@ -86,6 +86,34 @@ def test_package_imports_follow_one_order():
                 assert IMPORT_ORDER.index(target) < rank, f"{name} imports {target}"
 
 
+def test_cli_only_dispatches():
+    # every input check belongs to the library function that reads the
+    # input, so a library call refuses what the CLI refuses: the CLI raises
+    # no domain error but its own cap refusals, and tests no library type
+    from noncrossing import errors
+
+    modules = [importlib.import_module(f"noncrossing.{name}") for name in IMPORT_ORDER[:-1]]
+    library_types = {name for module in modules for name, value in vars(module).items()
+                     if inspect.isclass(value) and value.__module__.startswith("noncrossing")}
+    domain_errors = {name for name, value in vars(errors).items() if inspect.isclass(value)
+                     and issubclass(value, errors.NonCrossingError)} - {"LimitExceeded"}
+    assert "PlanarTree" in library_types and "NotConnected" in domain_errors
+
+    def names(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))}
+
+    for node in ast.walk(ast.parse((ROOT / "src" / "noncrossing" / "cli.py").read_text())):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            assert not names(raised) & domain_errors, \
+                f"cli.py:{node.lineno} raises {ast.unparse(raised)}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("isinstance", "issubclass"):
+            assert not names(node.args[1]) & library_types, \
+                f"cli.py:{node.lineno} tests a library type"
+
+
 def test_freeness_imports_no_enumerator():
     # moments and t-coefficients come from first-block recursions; the
     # partition and tree enumerations only prove identities

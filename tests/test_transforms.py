@@ -3,6 +3,7 @@ import hashlib
 import json
 import pickle
 import random
+import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from math import gcd
@@ -445,6 +446,32 @@ def test_eval_tree_examples():
 def test_eval_tree_order_too_low():
     with pytest.raises(OrderTooLow):
         eval_tree(STAR3, TCoeffSequence((1, 1)))
+
+
+def test_tree_weights_refuse_the_other_tree_kind():
+    # each weight reads the word in its own kind's layout, so the other kind
+    # would give a wrong value, not an error
+    from noncrossing.trees import BicolorPlanarTree
+
+    t = TCoeffSequence((2, 3, 5))
+    edge = BicolorPlanarTree(((1, BicolorPlanarTree()),))
+    with pytest.raises(TypeError, match="^eval_tree takes a PlanarTree, not BicolorPlanarTree$"):
+        eval_tree(edge, t)
+    with pytest.raises(TypeError,
+                       match="^eval_bicolor takes a BicolorPlanarTree, not PlanarTree$"):
+        eval_bicolor(STAR3, t, t)
+
+
+@pytest.mark.parametrize("cls", [MomentSequence, CumulantSequence, TCoeffSequence])
+def test_sequence_strings_follow_the_coefficient_grammar(cls):
+    # Fraction(str) would read "1_0" as 10 and expand the exponent into a
+    # million digits; other values still go through Fraction
+    assert cls(("1", "-2/3", "0.5", 4, F(1, 7))).values == (1, F(-2, 3), F(1, 2), 4, F(1, 7))
+    for text in ("1_0", "1e1000000", " 1"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="is not an integer, a/b or a plain decimal$"):
+            cls(("1", text))
+        assert time.perf_counter() - start < 0.1
 
 
 def test_cumulant_via_classes_examples():

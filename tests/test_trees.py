@@ -291,6 +291,17 @@ def test_connected_from_tree_examples():
     assert connected_from_tree(LEAF) == ncl(1, [[1]])
 
 
+def test_inverse_bijections_check_the_tree_kind():
+    # each inverse reads the word in its own kind's layout: the other kind is
+    # refused, but for the one vertex, which is also the bicolor leaf
+    edge = BicolorPlanarTree(((1, BicolorPlanarTree()),))
+    with pytest.raises(NotConnected, match="^expected a plain planar tree, got a bicolor one$"):
+        connected_from_tree(edge)
+    with pytest.raises(NotNclS, match=r"^expected a bicolor tree \(colours missing\)$"):
+        ncls_from_bicolor(PlanarTree((LEAF,)))
+    assert ncls_from_bicolor(PlanarTree()) == ncls_from_bicolor(BicolorPlanarTree())
+
+
 @pytest.mark.parametrize("n", range(1, 10))
 def test_theta_roundtrip_full_domain(n):
     trees = enumerate_planar_trees(n)
