@@ -221,7 +221,7 @@ def _cmd_convolve(args) -> int:
     mx, my = map(jsonio.parse_moments, [*map(jsonio.read_series, (args.mx, args.my))])
     order = args.order
     if order is not None and order < 1:
-        raise ValueError(f"--order must be at least 1 (requested {order})")
+        raise ValueError(f"--order must be at least 1 (requested {shorten(str(order))})")
     limit = _resolve_limit(args, "theorem")
     if order is None:
         order = min(mx.order, my.order, limit)

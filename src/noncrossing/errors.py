@@ -55,10 +55,11 @@ class Frozen:
 
 
 def shorten(text: str, head: int = 40) -> str:
-    """``text``, or when longer than ``head`` characters its first ``head``,
-    ``…`` and its length, so that an error line quoting an input of any size
+    """``text``, or its first ``head`` characters, ``…`` and its length when
+    that is shorter, so that an error line quoting an input of any size
     stays one short line."""
-    return text if len(text) <= head else f"{text[:head]}… ({len(text)} characters)"
+    short = f"{text[:head]}… ({len(text)} characters)"
+    return short if len(short) < len(text) else text
 
 
 class NonCrossingError(Exception):

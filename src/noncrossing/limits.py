@@ -31,10 +31,11 @@ def check_limit(kind: str, n: int, limit: int | None = None) -> None:
     """Raise :class:`ValueError` when ``n`` is below 1, whatever the cap, and
     :class:`LimitExceeded` when it exceeds the cap for ``kind``."""
     if n < 1:
-        raise ValueError(f"{kind} needs a size of at least 1 (requested {n})")
+        raise ValueError(f"{kind} needs a size of at least 1 (requested {shorten(str(n))})")
     cap = DEFAULT_LIMITS[kind] if limit is None else limit
     if n > cap:
-        raise LimitExceeded(f"{kind} is capped at {cap} (requested {n})")
+        raise LimitExceeded(f"{kind} is capped at {shorten(str(cap))} "
+                            f"(requested {shorten(str(n))})")
 
 
 def too_many_digits(what: str) -> ValueError:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .errors import LimitExceeded
+from .errors import LimitExceeded, shorten
 from .freeness import Scenario, freeness_vanishing_suite
 from .limits import DEFAULT_LIMITS
 from .partitions import (
@@ -25,7 +25,6 @@ from .partitions import (
     exterior_blocks,
     iter_blocks,
     kreweras,
-    leq,
     non_minimal_elements,
     validate_nc,
     validate_ncl,
@@ -199,24 +198,38 @@ def counts_suite(order=None, seed=7) -> list[ReportEntry]:
     return entries
 
 
-def _interleaving(pi) -> tuple[list[int], list[tuple[int, int]]]:
-    """``pi`` interleaved with another partition.  Odd slots 2e - 1: per e, the bitmask of
-    the e' such that a block puts slots 2e and 2e' in different gaps (a <= e < b for
-    consecutive a, b, or the one that wraps).  Even slots 2e: each block's minimum and
-    bitmask."""
-    full = (1 << pi.n + 1) - 2
-    outside = [0] * (pi.n + 1)
+def _interleaving(pi) -> tuple[int, int, int]:
+    """``pi`` packed for the maximality scan, one slot of n + 1 bits per position e:
+    ``gaps`` holds in slot e the positions that a block of ``pi`` puts in another
+    gap than e (a <= e < b for consecutive a, b of the block, or the gap that wraps),
+    ``bars`` holds in slot min B the mask of each block B, and ``cover`` holds in
+    slot e the positions outside the block that holds e."""
+    n = pi.n
+    width = n + 1
+    full = (1 << width) - 2
+    ones = [0]  # ones[k]: a 1 at the bottom of every slot below k
+    for e in range(n + 1):
+        ones.append(ones[-1] | 1 << e * width)
+    gaps = bars = cover = 0
     for blk in pi.blocks:
-        gaps = [(1 << b) - (1 << a) for a, b in zip(blk, blk[1:])]
-        gaps.append(full - sum(gaps))
-        for e in range(1, pi.n + 1):
-            outside[e] |= full - next(g for g in gaps if g >> e & 1)
-    return outside, [(b[0], sum(1 << e for e in b)) for b in pi.blocks]
+        mask = spread = 0
+        for e in blk:
+            mask |= 1 << e
+            spread |= 1 << e * width
+        lo, hi = blk[0], blk[-1]
+        bars |= mask << lo * width
+        cover |= (full - mask) * spread
+        if lo < hi:
+            # a one-slot value times a 1 at the bottom of some slots fills those slots
+            gaps |= ((1 << hi) - (1 << lo)) * (ones[n + 1] - ones[hi] + ones[lo] - ones[1])
+            for a, b in zip(blk, blk[1:]):
+                gaps |= (full - (1 << b) + (1 << a)) * (ones[b] - ones[a])
+    return gaps, bars, cover
 
 
 def _compatible(gaps, bars) -> bool:
     """Does no block of ``bars`` cross a block of the partition of ``gaps``?"""
-    return not any(mask & gaps[low] for low, mask in bars)
+    return not gaps & bars
 
 
 def _first_witness(fault, items) -> dict | None:
@@ -234,20 +247,22 @@ def kreweras_suite(order, seed=7) -> list[ReportEntry]:
                       _first_witness(count_fault, enumerate_nc(n)))
                for n in range(1, order + 1)]
     for n in range(1, min(order, 6) + 1):
-        candidates = [(sigma, *_interleaving(sigma)) for sigma in enumerate_nc(n)]
+        packed = {sigma: _interleaving(sigma) for sigma in enumerate_nc(n)}
 
-        def maximality_fault(candidate):
-            gamma, gaps, _ = candidate
+        def maximality_fault(item):
+            gamma, (gaps, _, _) = item
             kr = kreweras(gamma)
-            if not _compatible(gaps, _interleaving(kr)[1]):
+            _, kr_bars, kr_cover = packed.get(kr) or _interleaving(kr)
+            if not _compatible(gaps, kr_bars):
                 return {"partition": str(gamma), "complement": str(kr),
                         "reason": "complement not compatible"}
-            for other, _, bars in candidates:
-                if _compatible(gaps, bars) and not leq(other, kr):
+            # a compatible partition with a block across two blocks of K(gamma)
+            for other, (_, bars, _) in packed.items():
+                if _compatible(gaps, bars) and bars & kr_cover:
                     return {"partition": str(gamma), "complement": str(kr),
                             "coarser": str(other)}
         entries.append(_entry("kreweras", "complement maximality", {"n": n},
-                              _first_witness(maximality_fault, candidates)))
+                              _first_witness(maximality_fault, packed.items())))
     return entries
 
 
@@ -387,9 +402,11 @@ def run_suites(names, *, order=None, seed=7) -> list[ReportEntry]:
     for name in names:
         default, top = ORDERS.get(name, (None, None))
         if order is not None and order < 1:
-            raise ValueError(f"verify {name} needs an order of at least 1 (requested {order})")
+            raise ValueError(f"verify {name} needs an order of at least 1 "
+                             f"(requested {shorten(str(order))})")
         if order is not None and top is not None and order > top:
-            raise LimitExceeded(f"verify {name} runs up to order {top} (requested {order})")
+            raise LimitExceeded(f"verify {name} runs up to order {top} "
+                                f"(requested {shorten(str(order))})")
         runs.append((name, default if order is None else order))
     entries = [e for name, resolved in runs for e in SUITES[name](order=resolved, seed=seed)]
     entries.sort(key=lambda e: (e.suite, e.identity, str(sorted(e.parameters.items()))))

@@ -5,6 +5,8 @@ import json
 import os
 import sys
 import time
+import tracemalloc
+from functools import partial
 from itertools import islice
 from math import comb
 from pathlib import Path
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from noncrossing import cli, freeness, jsonio, render, transforms, trees, verify
-from noncrossing.errors import LimitExceeded, NotConnected, NotNclS
+from noncrossing import cli, freeness, jsonio, partitions, render, transforms, trees, verify
+from noncrossing.errors import LimitExceeded, NotConnected, NotNclS, shorten
+from noncrossing.limits import DEFAULT_LIMITS
 from noncrossing.partitions import NCPartition
 from noncrossing.trees import enumerate_bicolor, enumerate_planar_trees
 
@@ -757,6 +760,14 @@ def test_integer_argument_refusal_quotes_a_head(digit_limit, argv):
     assert run_cli(*argv, "x").stderr.endswith(": invalid int value: 'x'\n")
 
 
+def test_shorten_never_lengthens_a_quote():
+    for size in range(301):
+        text = "7" * size
+        assert len(shorten(text)) <= len(text), size
+    assert shorten("7" * 57) == "7" * 57
+    assert shorten("7" * 58) == f"{'7' * 40}… (58 characters)"
+
+
 def test_verify_kreweras_passes():
     proc = run_cli("verify", "kreweras", "--order", "5", "--format", "text")
     assert proc.returncode == 0
@@ -857,6 +868,89 @@ def test_bare_unsafe_limits_raises_no_cap(monkeypatch, capsys, argv, message):
     code = cli.main([*argv, "--unsafe-limits"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _moments8():
+    return jsonio.parse_moments(json.loads(CATALAN8))
+
+
+# per cap kind: the CLI command and the library call for size n (and cap
+# ``limit``), and whether the cap takes an override
+CAP_REFUSALS = {
+    **{kind: (lambda n, kind=kind: ("enumerate", kind, str(n)),
+              lambda n, limit=None, fn=fn: fn(n, limit=limit), True)
+       for kind, fn in [("nc", partitions.enumerate_nc), ("ncl", partitions.enumerate_ncl),
+                        ("ncs", partitions.enumerate_ncs), ("ncls", partitions.enumerate_ncls),
+                        ("trees", enumerate_planar_trees), ("bicolor", enumerate_bicolor)]},
+    "theorem": (lambda n: ("convolve", "--mx", CATALAN8, "--my", CATALAN8, "--order", str(n)),
+                lambda n, limit=None: transforms.verify_t_multiplicativity(
+                    _moments8(), _moments8(), n, limit=limit), True),
+    "transform": (lambda n: ("transform", "m2k", _series([1] * n)),
+                  lambda n: transforms.moments_to_cumulants(transforms.MomentSequence([1] * n)),
+                  False),
+}
+NINES = "9" * 4000
+
+
+def _refusal_rows():
+    """(argv, NCL_LIMITS, library call, message) per cap kind and entry point:
+    a CLI argument, ``--limit``, ``NCL_LIMITS`` and a library call."""
+    for kind, (argv, call, overridable) in CAP_REFUSALS.items():
+        cap = DEFAULT_LIMITS[kind]
+        over = f"{kind} is capped at {cap} (requested {cap + 1})"
+        yield pytest.param(argv(cap + 1), None, None, over, id=f"{kind}-argument")
+        yield pytest.param(None, None, partial(call, cap + 1), over, id=f"{kind}-library")
+        if overridable:
+            under = f"{kind} is capped at 2 (requested 3)"
+            yield pytest.param((*argv(3), "--limit", f"{kind}=2"), None, None, under,
+                               id=f"{kind}-limit-flag")
+            yield pytest.param(argv(3), f"{kind}=2", None, under, id=f"{kind}-NCL_LIMITS")
+            yield pytest.param(None, None, partial(call, 3, limit=2), under,
+                               id=f"{kind}-library-limit")
+    # sizes of 4,000 digits, which the refusal quotes by a head
+    yield pytest.param(("verify", "theorem", "--order", NINES), None, None,
+                       f"verify theorem runs up to order 6 (requested {NINES[:40]}… "
+                       f"(4000 characters))", id="verify-order")
+    yield pytest.param(("enumerate", "nc", "1" * 4000), None, None,
+                       f"nc is capped at 12 (requested {'1' * 40}… (4000 characters))",
+                       id="enumerate-size")
+    yield pytest.param(("convolve", "--mx", CATALAN8, "--my", CATALAN8, f"--order=-{NINES}"),
+                       None, None,
+                       f"--order must be at least 1 (requested -{NINES[:39]}… (4001 characters))",
+                       id="convolve-order")
+    yield pytest.param(None, None, partial(partitions.enumerate_nc, -int(NINES)),
+                       f"nc needs a size of at least 1 (requested -{NINES[:39]}… "
+                       f"(4001 characters))", id="library-size")
+
+
+def _refuse(argv, limits, call):
+    """A CLI run's exit code, stdout and stderr; for a library call, those
+    that ``cli.main`` gives for the exception it raises."""
+    if argv is not None:
+        proc = run_cli(*argv, limits=limits)
+        return proc.returncode, proc.stdout, proc.stderr
+    try:
+        call()
+    except (LimitExceeded, ValueError) as exc:
+        return 2, "", f"error: {exc}\n"
+    return 0, "", ""
+
+
+@pytest.mark.parametrize("argv, limits, call, message", _refusal_rows())
+def test_every_cap_refusal_is_one_short_line_before_any_work(argv, limits, call, message):
+    # this file imports every module a command loads; a warm-up run would
+    # fill the enumerators' caches and hide work done before the cap check
+    tracemalloc.start()
+    try:
+        code, out, err = _refuse(argv, limits, call)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert _one_short_line(err)
+    # a refusal after the work would hold NC(13) or more; the CLI's own
+    # parser and buffers peak under 70 KiB
+    assert peak < 256 * 1024, peak
 
 
 def test_convolve_requires_arguments():

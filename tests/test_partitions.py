@@ -24,6 +24,7 @@ from noncrossing.errors import (
 )
 from noncrossing.partitions import (
     NCLPartition,
+    NCPartition,
     class_members,
     connected_components,
     enumerate_nc,
@@ -871,6 +872,59 @@ def test_maximality_crossing_test_agrees_with_validation_six():
         assert got is interleaved_compatible_by_validation(gamma, sigma), (gamma, sigma)
         outcomes[got] += 1
     assert outcomes[True] >= len(nc6) and outcomes[False] > 0
+
+
+def _packed_refines(sigma, pi) -> bool:
+    # no block of sigma, read at its minimum, reaches outside pi's block there
+    return not verify._interleaving(sigma)[1] & verify._interleaving(pi)[2]
+
+
+def test_packed_refinement_equals_leq():
+    for n in range(1, 7):
+        members = enumerate_nc(n)
+        for sigma in members:
+            for pi in members:
+                assert _packed_refines(sigma, pi) is leq(sigma, pi), (sigma, pi)
+    nc7 = enumerate_nc(7)
+    rng = random.Random(733)
+    outcomes = Counter()
+    for sigma, pi in [(rng.choice(nc7), rng.choice(nc7)) for _ in range(500)]:
+        got = _packed_refines(sigma, pi)
+        assert got is leq(sigma, pi), (sigma, pi)
+        outcomes[got] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_maximality_finds_a_coarser_partition_than_singletons(monkeypatch):
+    # singletons cross nothing, so only the refinement test can see that the
+    # true complement is coarser; one that always answered "refines" passes
+    def singletons(gamma):
+        return NCPartition(gamma.n, tuple((e,) for e in range(1, gamma.n + 1)))
+
+    monkeypatch.setattr(verify, "kreweras", singletons)
+    entries = {e.parameters["n"]: e for e in verify.kreweras_suite(6)
+               if e.identity == "complement maximality"}
+    assert entries[1].witness is None
+    for n in range(2, 7):
+        assert set(entries[n].witness) == {"partition", "complement", "coarser"}, n
+
+
+def test_maximality_packs_each_partition_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(verify, "_interleaving", counted("pack", verify._interleaving))
+    counted_leq = counted("leq", leq)
+    monkeypatch.setattr(partitions, "leq", counted_leq)
+    monkeypatch.setattr(verify, "leq", counted_leq, raising=False)
+    verify.kreweras_suite(6)
+    # every complement is a member of its NC(n), so none is packed again
+    assert calls == {"pack": sum(catalan(n) for n in range(1, 7))}
 
 
 # ---------------------------------------------------------------------------
