@@ -96,34 +96,28 @@ def _parse_limit_specs(specs) -> dict[str, int]:
     return overrides
 
 
-def _flag_limits(args, kind: str | None) -> dict[str, int]:
-    """The ``--limit`` overrides, which may name only the kind in use."""
+def _resolve_limit(args, kind: str | None) -> int | None:
+    """The cap in force for ``kind``: the default unless ``--limit`` or
+    ``NCL_LIMITS`` overrides it; ``--limit`` may name only ``kind``.  A run
+    with no cap kind (None) reads no ``NCL_LIMITS``, takes no ``--limit`` and
+    gets None.  ``--unsafe-limits`` only confirms an override above the
+    default; on its own it raises no cap."""
+    # NCL_LIMITS is shell-wide, so only its entry for ``kind`` applies
+    env = os.environ.get("NCL_LIMITS", "") if kind else ""
+    overrides = _parse_limit_specs(s for s in env.split(",") if s.strip())
     flags = _parse_limit_specs(args.limit or [])
     unused = sorted(set(flags) - {kind})
     if unused:
-        raise LimitExceeded(
-            f"--limit names {unused[0]}, which this {args.command} run does not cap"
-        )
-    return flags
-
-
-def _resolve_limit(args, kind: str) -> int:
-    """The cap in force for ``kind``: the default unless ``--limit`` or
-    ``NCL_LIMITS`` overrides it.  ``--unsafe-limits`` only confirms an
-    override above the default; on its own it raises no cap."""
-    # NCL_LIMITS is shell-wide, so only its entry for ``kind`` applies
-    env = os.environ.get("NCL_LIMITS", "")
-    overrides = _parse_limit_specs(s for s in env.split(",") if s.strip())
-    overrides.update(_flag_limits(args, kind))
-    if kind in overrides:
-        cap = overrides[kind]
-        if cap > DEFAULT_LIMITS[kind] and not args.unsafe_limits:
-            raise LimitExceeded(
-                f"raising the {kind} cap above {DEFAULT_LIMITS[kind]} "
-                f"requires --unsafe-limits"
-            )
-        return cap
-    return DEFAULT_LIMITS[kind]
+        raise LimitExceeded(f"--limit names {unused[0]}, which this {args.command} run "
+                            "does not cap")
+    overrides.update(flags)
+    if kind not in overrides:
+        return DEFAULT_LIMITS.get(kind)
+    cap = overrides[kind]
+    if cap > DEFAULT_LIMITS[kind] and not args.unsafe_limits:
+        raise LimitExceeded(f"raising the {kind} cap above {DEFAULT_LIMITS[kind]} "
+                            "requires --unsafe-limits")
+    return cap
 
 
 def _print_lines(lines) -> None:
@@ -214,7 +208,7 @@ def _cmd_convolve(args) -> int:
         raise ValueError(f"--{stray[0].replace('_', '-')} is not read by convolve {mode}")
     # both lists are checked against the transform cap before either is parsed
     if t_mode:
-        _flag_limits(args, None)
+        _resolve_limit(args, None)
         tx, ty = map(jsonio.parse_tcoeffs, [*map(jsonio.read_series, (args.tx, args.ty))])
         _print_lines([_dump(t_convolve(tx, ty).to_json_dict())])
         return 0

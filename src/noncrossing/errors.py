@@ -7,16 +7,17 @@ class Frozen:
 
     A subclass keeps its fields in ``__slots__``, names them in order in
     ``_fields`` and sets them in its own ``__init__`` through
-    ``object.__setattr__``.  Equality holds only within one class, the hash
-    is that of the field tuple, the repr is ``Name(field=value, ...)``, and
-    copy, deepcopy and pickle rebuild the same fields.  Assigning or
-    deleting any name raises :class:`dataclasses.FrozenInstanceError`.
+    ``object.__setattr__``.  Equality (only within one class), hash, copy,
+    deepcopy and pickle go by one key, ``_key()``: the field tuple, unless a
+    class states a smaller key and a ``_restore`` that rebuilds from it.  The
+    repr is ``Name(field=value, ...)``, and assigning or deleting any name
+    raises :class:`dataclasses.FrozenInstanceError`.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def _astuple(self) -> tuple:
+    def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
 
     @classmethod
@@ -30,17 +31,17 @@ class Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._astuple() == other._astuple()
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._astuple())
+        return hash(self._key())
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):
-        return self._restore, (self._astuple(),)
+        return self._restore, (self._key(),)
 
     # ``dataclasses`` is imported only to raise: importing it at start-up
     # pulls in ``inspect``, ``ast`` and more, about 1 MiB of peak RSS and
@@ -54,12 +55,29 @@ class Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def shorten(text: str, head: int = 40) -> str:
-    """``text``, or its first ``head`` characters, ``…`` and its length when
+_HEAD = 40  # the characters of a long quote that :func:`shorten` keeps
+
+
+def shorten(text: str) -> str:
+    """``text``, or its first ``_HEAD`` characters, ``…`` and its length when
     that is shorter, so that an error line quoting an input of any size
     stays one short line."""
-    short = f"{text[:head]}… ({len(text)} characters)"
+    short = f"{text[:_HEAD]}… ({len(text)} characters)"
     return short if len(short) < len(text) else text
+
+
+def shorten_int(n: int) -> str:
+    """``shorten(str(n))``, also for an ``n`` with more digits than the
+    interpreter writes as text: its head and length then come by arithmetic."""
+    try:
+        return shorten(str(n))
+    except ValueError:
+        sign, n = "-" * (n < 0), abs(n)
+    digits = int((n.bit_length() - 1) * 0.30102) + 1  # at most the count: log10(2) > 0.30102
+    while n >= 10 ** digits:
+        digits += 1
+    head = sign + str(n // 10 ** (digits - _HEAD))
+    return f"{head[:_HEAD]}… ({len(sign) + digits} characters)"
 
 
 class NonCrossingError(Exception):

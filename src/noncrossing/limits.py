@@ -13,7 +13,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import LimitExceeded, shorten
+from .errors import LimitExceeded, shorten, shorten_int
 
 DEFAULT_LIMITS = {
     "nc": 12,
@@ -31,11 +31,10 @@ def check_limit(kind: str, n: int, limit: int | None = None) -> None:
     """Raise :class:`ValueError` when ``n`` is below 1, whatever the cap, and
     :class:`LimitExceeded` when it exceeds the cap for ``kind``."""
     if n < 1:
-        raise ValueError(f"{kind} needs a size of at least 1 (requested {shorten(str(n))})")
+        raise ValueError(f"{kind} needs a size of at least 1 (requested {shorten_int(n)})")
     cap = DEFAULT_LIMITS[kind] if limit is None else limit
     if n > cap:
-        raise LimitExceeded(f"{kind} is capped at {shorten(str(cap))} "
-                            f"(requested {shorten(str(n))})")
+        raise LimitExceeded(f"{kind} is capped at {shorten_int(cap)} (requested {shorten_int(n)})")
 
 
 def too_many_digits(what: str) -> ValueError:

@@ -48,13 +48,8 @@ class _PartitionBase(Frozen):
 
     # spelled out, not looped over the fields: the Kreweras cache hashes
     # and compares partitions
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.blocks) == (other.n, other.blocks)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.blocks))
+    def _key(self) -> tuple:
+        return self.n, self.blocks
 
     def __str__(self) -> str:
         return "".join("(" + ",".join(map(str, b)) + ")" for b in self.blocks)

@@ -83,6 +83,8 @@ class _CoeffSequence(Frozen):
         seq._init(pairs, None)
         return seq
 
+    _restore = _from_pairs
+
     def _init(self, pairs: tuple, values) -> None:
         if not pairs:
             raise OrderTooLow(f"a {self.kind} sequence needs at least one entry")
@@ -110,16 +112,11 @@ class _CoeffSequence(Frozen):
             raise too_many_digits(f"a result {self.kind}") from None
         return {"order": self.order, "coeffs": coeffs}
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pairs == other.pairs
+    def _key(self) -> tuple:
+        return self.pairs
 
     def __hash__(self) -> int:
         return hash((self.values,))
-
-    def __reduce__(self):
-        return type(self), (self.values,)
 
 
 class MomentSequence(_CoeffSequence):
@@ -390,7 +387,7 @@ def _bicolor_profile(n: int, elementary: bool) -> tuple:
     from .trees import enumerate_bicolor, enumerate_bicolor_elementary
 
     trees = (enumerate_bicolor_elementary(n) if elementary
-             else enumerate_bicolor(n, limit=max(n, 7)))
+             else enumerate_bicolor(n, limit=n))
     return _profile(trees, _bicolor_indices)
 
 

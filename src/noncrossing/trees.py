@@ -57,6 +57,11 @@ class _Tree(Frozen):
         object.__setattr__(tree, "word", word)
         return tree
 
+    _restore = _from_word
+
+    def _key(self) -> tuple:
+        return self.word
+
     @property
     def size(self) -> int:
         return len(self.word) // self._width
@@ -120,14 +125,6 @@ class _Tree(Frozen):
             lists[depth + 1] = kids
         return top[0]["tree"]
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash(self.word)
-
     def __repr__(self) -> str:
         # the nested ``Name(children=(...))`` text from one scan: a vertex
         # opens its text, and is closed (with a trailing comma if it has one
@@ -146,9 +143,6 @@ class _Tree(Frozen):
                 close += ")"
             closers.append(close + ", " if rest else close)
         return "".join(out) + "".join(reversed(closers))
-
-    def __reduce__(self):
-        return self._from_word, (self.word,)
 
 
 class PlanarTree(_Tree):

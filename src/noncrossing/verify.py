@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .errors import LimitExceeded, shorten
+from .errors import LimitExceeded, shorten_int
 from .freeness import Scenario, freeness_vanishing_suite
 from .limits import DEFAULT_LIMITS
 from .partitions import (
@@ -403,10 +403,10 @@ def run_suites(names, *, order=None, seed=7) -> list[ReportEntry]:
         default, top = ORDERS.get(name, (None, None))
         if order is not None and order < 1:
             raise ValueError(f"verify {name} needs an order of at least 1 "
-                             f"(requested {shorten(str(order))})")
+                             f"(requested {shorten_int(order)})")
         if order is not None and top is not None and order > top:
             raise LimitExceeded(f"verify {name} runs up to order {top} "
-                                f"(requested {shorten(str(order))})")
+                                f"(requested {shorten_int(order)})")
         runs.append((name, default if order is None else order))
     entries = [e for name, resolved in runs for e in SUITES[name](order=resolved, seed=seed)]
     entries.sort(key=lambda e: (e.suite, e.identity, str(sorted(e.parameters.items()))))

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from noncrossing import cli, freeness, jsonio, partitions, render, transforms, trees, verify
+from noncrossing import (cli, errors, freeness, jsonio, partitions, render, transforms, trees,
+                         verify)
 from noncrossing.errors import LimitExceeded, NotConnected, NotNclS, shorten
 from noncrossing.limits import DEFAULT_LIMITS
 from noncrossing.partitions import NCPartition
@@ -921,6 +922,22 @@ def _refusal_rows():
     yield pytest.param(None, None, partial(partitions.enumerate_nc, -int(NINES)),
                        f"nc needs a size of at least 1 (requested -{NINES[:39]}… "
                        f"(4001 characters))", id="library-size")
+    # sizes of 5,001 digits, over the limit on integers written as text
+    huge, head = 10 ** 5000, "1" + "0" * 39
+    over_the_digit_limit = pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", int)(), reason="no digit limit")
+    for call, message in [
+        (partial(partitions.enumerate_nc, huge), "nc is capped at 12"),
+        (partial(enumerate_planar_trees, huge), "trees is capped at 10"),
+        (partial(verify.run_suites, "all", order=huge), "verify kreweras runs up to order 8"),
+    ]:
+        yield pytest.param(None, None, call, f"{message} (requested {head}… (5001 characters))",
+                           id=f"library-{message.split()[0]}-over-the-digit-limit",
+                           marks=over_the_digit_limit)
+    yield pytest.param(None, None, partial(partitions.enumerate_nc, -huge),
+                       f"nc needs a size of at least 1 (requested -{head[:39]}… "
+                       f"(5002 characters))", id="library-size-over-the-digit-limit",
+                       marks=over_the_digit_limit)
 
 
 def _refuse(argv, limits, call):
@@ -951,6 +968,79 @@ def test_every_cap_refusal_is_one_short_line_before_any_work(argv, limits, call,
     # a refusal after the work would hold NC(13) or more; the CLI's own
     # parser and buffers peak under 70 KiB
     assert peak < 256 * 1024, peak
+
+
+# per exception class of ``errors`` other than LimitExceeded (the cap table
+# above): a CLI run that ends in it, or None where no command reaches it, and
+# a library call that raises it
+ERROR_REFUSALS = {
+    errors.NotAPartition: (None, partial(partitions.validate_nc, 3, [[1, 2], [2, 3]])),
+    errors.NotACover: (["biject", "theta", '{"n":3,"blocks":[[1,2]]}'],
+                       partial(partitions.validate_ncl, 3, [[1, 2]])),
+    errors.Crossing: (["biject", "theta", '{"n":4,"blocks":[[1,3],[2,4]]}'],
+                      partial(partitions.validate_ncl, 4, [[1, 3], [2, 4]])),
+    errors.BadLink: (["render", '{"n":3,"blocks":[[1,2],[1,3]]}'],
+                     partial(partitions.validate_ncl, 3, [[1, 2], [1, 3]])),
+    errors.SizeMismatch: (["convolve", "--tx", '{"coeffs":["1"]}', "--ty", '{"coeffs":["1","2"]}'],
+                          lambda: transforms.t_convolve(transforms.TCoeffSequence([1]),
+                                                        transforms.TCoeffSequence([1, 2]))),
+    errors.BlockStraddlesSet: (None, lambda: partitions.restrict(
+        partitions.validate_nc(3, [[1, 2], [3]]), {1})),
+    errors.OddGroundSet: (None, lambda: partitions.is_ncs(partitions.validate_nc(3, [[1, 2, 3]]))),
+    errors.NotConnected: (["biject", "theta", '{"n":4,"blocks":[[1,2],[3,4]]}'],
+                          lambda: trees.tree_from_connected(
+                              partitions.validate_ncl(4, [[1, 2], [3, 4]]))),
+    errors.NotNclS: (["biject", "lambda", '{"n":3,"blocks":[[1,2,3]]}'],
+                     lambda: trees.bicolor_from_ncls(partitions.validate_ncl(3, [[1, 2, 3]]))),
+    errors.ZeroFirstMoment: (["transform", "m2t", '{"coeffs":["0","1"]}'],
+                             lambda: transforms.moments_to_tcoeffs(
+                                 transforms.MomentSequence([0, 1]))),
+    errors.ZeroT0: (["transform", "t2m", '{"coeffs":["0","1"]}'],
+                    partial(transforms.TCoeffSequence, [0, 1])),
+    errors.OrderTooLow: (["transform", "m2k", '{"coeffs":[]}'],
+                         partial(transforms.MomentSequence, [])),
+    errors.LetterNotInDomain: (None, lambda: freeness.mixed_moment(
+        freeness.Scenario({"X": transforms.CumulantSequence([1])}),
+        freeness.Word([freeness.Letter("Y")]))),
+}
+
+
+def test_every_error_class_has_a_refusal_row():
+    classes = {c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, errors.NonCrossingError)}
+    assert classes - {errors.NonCrossingError, LimitExceeded} == set(ERROR_REFUSALS)
+
+
+@pytest.mark.parametrize("cls", ERROR_REFUSALS, ids=lambda cls: cls.__name__)
+def test_every_error_class_is_one_short_line(monkeypatch, cls):
+    # exit 3 for a vanishing first moment or t_0, 4 for every other domain error
+    argv, call = ERROR_REFUSALS[cls]
+    with pytest.raises(cls) as raised:
+        call()
+    assert type(raised.value) is cls
+    if argv is None:  # the CLI prints the library's refusal, from any command
+        monkeypatch.setattr(cli, "_cmd_render", lambda args: call())
+        argv = ["render", "{}"]
+    proc = run_cli(*argv)
+    code = 3 if cls in (errors.ZeroFirstMoment, errors.ZeroT0) else 4
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", f"error: {raised.value}\n")
+    assert _one_short_line(proc.stderr)
+
+
+@pytest.mark.parametrize("argv", [
+    ("convolve", "--tx", SERIES, "--ty", SERIES),
+    ("transform", "m2k", SERIES),
+    ("biject", "theta", '{"n":2,"blocks":[[1,2]]}'),
+    ("render", '{"n":2,"blocks":[[1,2]]}'),
+    ("verify", "bridge", "--order", "2"),
+], ids=lambda argv: argv[0])
+def test_malformed_ncl_limits_leaves_uncapped_runs_alone(argv):
+    # NCL_LIMITS is read only by a run with a cap kind
+    clean = run_cli(*argv)
+    assert clean.returncode == 0
+    for limits in ("bogus=1", "nc=", "nc=0,,theorem=x"):
+        proc = run_cli(*argv, limits=limits)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, clean.stdout, "")
 
 
 def test_convolve_requires_arguments():

@@ -114,6 +114,17 @@ def test_cli_only_dispatches():
                 f"cli.py:{node.lineno} tests a library type"
 
 
+def test_only_frozen_defines_equality_and_pickling():
+    # records compare, hash and pickle through Frozen and the key a class
+    # states; a second __eq__ or __reduce__ would restate the rule
+    for path in sorted((ROOT / "src" / "noncrossing").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and (path.stem, node.name) != ("errors", "Frozen"):
+                defined = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                restated = defined & {"__eq__", "__reduce__", "__reduce_ex__"}
+                assert not restated, f"{path.name}: {node.name} defines {sorted(restated)}"
+
+
 def test_freeness_imports_no_enumerator():
     # moments and t-coefficients come from first-block recursions; the
     # partition and tree enumerations only prove identities

@@ -2,7 +2,9 @@ import copy
 import gc
 import pickle
 import time
+from collections import Counter
 from dataclasses import FrozenInstanceError
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -512,3 +514,71 @@ def test_lambda_weight_bookkeeping(data):
     # the vertices carrying same-colour children
     assert tree.size == pi.n // 2
     assert len(non_minimal_elements(pi)) == pi.n - len(pi.blocks)
+
+
+# ---------------------------------------------------------------------------
+# the bijections far past the enumeration caps, on uniform random trees
+
+
+def _composition_tree(n: int, width: int, bars):
+    """The tree of the weak composition of n - 1 into ``width`` * n parts
+    whose ``width`` * n - 1 bars sit at the sorted positions ``bars`` among
+    ``width`` * n + n - 2 slots (stars and bars), read as ``width`` child
+    counts per vertex and turned by whole vertices to the rotation that is a
+    preorder word.  By the cycle lemma exactly one rotation is: the one that
+    starts after the first vertex at which the partial sums of
+    (children - 1) are least.  The tree is built by the public constructors."""
+    counts = [b - a - 1 for a, b in zip([-1, *bars], [*bars, width * n + n - 2])]
+    least, start, partial = 0, 0, 0
+    for v in range(n):
+        partial += sum(counts[width * v:width * v + width]) - 1
+        if partial < least:
+            least, start = partial, v + 1
+    cut = width * (start % n)
+    word = counts[cut:] + counts[:cut]
+    # from the last vertex back, each takes its children off a stack, first child on top
+    stack: list = []
+    for i in range(len(word) - width, -1, -width):
+        kids = [stack.pop() for _ in range(sum(word[i:i + width]))]
+        stack.append(PlanarTree(kids) if width == 1 else BicolorPlanarTree(
+            [(1, kid) for kid in kids[:word[i]]] + [(0, kid) for kid in kids[word[i]:]]))
+    tree = stack.pop()
+    assert tree.word == tuple(word) and not stack
+    return tree
+
+
+@st.composite
+def uniform_trees(draw, width: int, max_size: int = 3000):
+    """A uniform planar (``width`` 1) or bicolor (``width`` 2) tree with up
+    to ``max_size`` vertices, from a uniform composition."""
+    n = draw(st.integers(1, max_size))
+    bars = draw(st.randoms()).sample(range(width * n + n - 2), width * n - 1)
+    return _composition_tree(n, width, sorted(bars))
+
+
+@pytest.mark.parametrize("width, top", [(1, 6), (2, 4)], ids=["plain", "bicolor"])
+def test_each_tree_comes_from_n_compositions(width, top):
+    # every tree with n vertices comes from exactly n compositions, one per
+    # rotation, so the generator is uniform
+    for n in range(1, top + 1):
+        hits = Counter(_composition_tree(n, width, bars)
+                       for bars in combinations(range(width * n + n - 2), width * n - 1))
+        domain = enumerate_planar_trees(n) if width == 1 else enumerate_bicolor(n)
+        assert set(hits) == set(domain) and set(hits.values()) == {n}
+
+
+@given(uniform_trees(1))
+@settings(max_examples=25, deadline=None)
+def test_theta_round_trip_far_past_the_cap(tree):
+    pi = connected_from_tree(tree)
+    assert validate_ncl(pi.n, pi.blocks) == pi and connected_by_union_find(pi)
+    assert tree_from_connected(pi) == tree
+
+
+@given(uniform_trees(2))
+@settings(max_examples=25, deadline=None)
+def test_lambda_round_trip_far_past_the_cap(tree):
+    pi = ncls_from_bicolor(tree)
+    assert pi.n == 2 * tree.size
+    assert validate_ncl(pi.n, pi.blocks) == pi and is_ncls_by_components(pi)
+    assert bicolor_from_ncls(pi) == tree
