@@ -17,6 +17,7 @@ input is made by the library function that reads it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -297,5 +298,22 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry of ``python -m noncrossing`` and of the installed
+    ``noncrossing`` script: :func:`main` with the cyclic collector off.
+
+    The library makes no reference cycles, so the collector finds nothing
+    in a run but argparse's parser.  Freezing every object before the
+    interpreter exits keeps the collection at shutdown, which runs even
+    when the collector is off, from walking the caches.  :func:`main`
+    itself leaves the collector as it finds it.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import io
 import json
@@ -1283,3 +1284,58 @@ def test_fuzz_exit_codes(monkeypatch, capsys, argv, value):
     assert code in {0, 2, 3, 4}
     if code:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# the process entry, cli.run, turns the cyclic collector off: it rests on
+# the library making no reference cycles, whatever the size of a run
+
+
+def test_suites_leave_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        entries = verify.run_suites("all")
+        assert entries and all(e.passed for e in entries)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_SERIES_60 = _series([f"{i % 7 + 1}/{i % 5 + 1}" for i in range(60)])
+_CATALAN_6 = _series([1, 2, 5, 14, 42, 132])
+_STAR_TREE = json.dumps({"children": [{"tree": {"children": []}}] * 2000})
+
+
+@pytest.mark.parametrize("tiny, large", [
+    (["enumerate", "nc", "2"], ["enumerate", "ncl", "9"]),
+    (["enumerate", "nc", "2", "--format", "text"], ["enumerate", "ncl", "9", "--format", "text"]),
+    (["transform", "m2k", _series([1])], ["transform", "m2t", _SERIES_60]),
+    (["biject", "theta-inv", '{"children":[]}'], ["biject", "theta-inv", _STAR_TREE]),
+    (["biject", "theta", '{"n":1,"blocks":[[1]]}'],
+     ["biject", "theta", json.dumps({"n": 2000, "blocks": [list(range(1, 2001))]})]),
+    (["render", '{"n":1,"blocks":[[1]]}'],
+     ["render", json.dumps({"n": 400, "blocks": [[i] for i in range(1, 401)]})]),
+    (["verify", "counts", "--order", "1"], ["verify", "all"]),
+    (["verify", "counts", "--order", "1", "--format", "text"], ["verify", "all", "--format", "text"]),
+    (["convolve", "--tx", _series([1]), "--ty", _series([1])],
+     ["convolve", "--tx", _SERIES_60, "--ty", _SERIES_60]),
+    (["convolve", "--mx", _series([1]), "--my", _series([1])],
+     ["convolve", "--mx", _CATALAN_6, "--my", _CATALAN_6]),
+], ids=["enumerate", "enumerate-text", "transform", "biject-inverse", "biject", "render",
+        "verify", "verify-text", "convolve-t", "convolve-m"])
+def test_cyclic_garbage_of_a_command_does_not_grow_with_its_input(tiny, large):
+    # argparse's parser (and the indenting JSON encoder) are the only cyclic
+    # garbage of a command, so a large input leaves as much as a tiny one
+    def cyclic_garbage(argv):
+        gc.collect()
+        gc.disable()
+        try:
+            proc = run_cli(*argv)
+            return proc.returncode, gc.collect()
+        finally:
+            gc.enable()
+
+    cyclic_garbage(tiny)  # the modules a command loads are imported once
+    small = cyclic_garbage(tiny)
+    assert small[0] == 0 and small[1] > 0
+    assert cyclic_garbage(large) == small

@@ -382,7 +382,8 @@ def test_linked_families_need_no_planar_trees(fresh_caches, monkeypatch):
 
 def test_enumeration_leaves_no_reference_cycles(fresh_caches):
     # everything the recursion allocates is freed or cached by reference
-    # counting, so nothing is left for the cyclic collector
+    # counting, so nothing is left for the cyclic collector, which the
+    # command-line process runs without
     gc.collect()
     gc.disable()
     try:
@@ -390,6 +391,12 @@ def test_enumeration_leaves_no_reference_cycles(fresh_caches):
             enumerate_nc(n)
         for n in range(1, 8):
             enumerate_ncl(n)
+        for n in range(1, 7):
+            enumerate_ncs(n)
+        for n in range(1, 6):
+            enumerate_ncls(n)
+        assert sum(1 for _ in iter_nc(10)) == catalan(10)
+        assert sum(1 for _ in iter_ncl(9)) == 41586
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,14 +1,18 @@
 """Guards on the package's shape that the functional tests do not see."""
 
 import ast
+import gc
 import importlib
 import importlib.util
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-from noncrossing import freeness, partitions, transforms
+from noncrossing import cli, freeness, partitions, transforms
+
+from harness import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -188,6 +192,45 @@ def test_series_route_loads_no_enumerator():
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert set(proc.stderr.split()) == expected, code
+
+
+# what ``python -m noncrossing ARGV`` runs, noting that it calls ``cli.run``
+# and whether the cyclic collector is on when ``cli.main`` starts
+ENTRY = """
+import gc, runpy, sys
+from noncrossing import cli
+assert gc.isenabled() and not gc.get_freeze_count()
+seen, main, run = [], cli.main, cli.run
+cli.run = lambda: seen.append("run") or run()
+cli.main = lambda *args: seen.append(gc.isenabled()) or main(*args)
+sys.argv[1:] = ARGV
+try:
+    runpy.run_module("noncrossing", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+assert seen == ["run", False], seen
+assert gc.get_freeze_count() > 0
+sys.exit(code)
+"""
+
+
+def test_both_install_routes_run_one_entry():
+    # the installed script and python -m call cli.run, which runs the
+    # command with the collector off and keeps its exit code and output
+    scripts = (ROOT / "pyproject.toml").read_text().split("[project.scripts]", 1)[1]
+    (target,) = re.findall(r'^noncrossing\s*=\s*"([^"]+)"', scripts.split("\n[", 1)[0], re.M)
+    modname, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(modname), attr) is cli.run
+    for argv in (["transform", "m2k", '{"coeffs":["1","2","5"]}'], ["enumerate", "nc", "13"],
+                 ["transform", "m2t", '{"coeffs":["0","1"]}'],
+                 ["biject", "theta", '{"n":3,"blocks":[[1,2],[3]]}'], ["transform"]):
+        # the inherited environment, PYTHONPATH included, as the CLI tests run
+        proc = subprocess.run([sys.executable, "-c", ENTRY.replace("ARGV", repr(argv))],
+                              capture_output=True, text=True)
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        same = run_cli(*argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        assert (proc.returncode, proc.stdout) == (same.returncode, same.stdout), proc.stderr
 
 
 def test_package_names_resolve_to_their_modules():

@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import json
 import pickle
@@ -6,6 +7,7 @@ import random
 import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from functools import cache
 from math import gcd
 
 import pytest
@@ -660,6 +662,26 @@ def test_free_multiplicative_n3_matches_direct_sum():
             right *= ky.values[len(blk) - 1]
         total += left * right
     assert free_multiplicative(kx, ky, 3) == total
+
+
+def test_transforms_and_convolutions_leave_no_reference_cycles(monkeypatch):
+    # the solves, the Cauchy product and the Kreweras sum free or cache all
+    # they allocate by reference counting, so nothing is left for the cyclic
+    # collector, which the command-line process runs without
+    monkeypatch.setattr(transforms, "_kreweras_profile",
+                        cache(transforms._kreweras_profile.__wrapped__))
+    m = seeded_moment_corpus(11, 1, 60)[0]
+    gc.collect()
+    gc.disable()
+    try:
+        kappa, t = moments_to_cumulants(m), moments_to_tcoeffs(m)
+        assert cumulants_to_moments(kappa) == m == tcoeffs_to_moments(t)
+        assert t_convolve(t, t).order == 60
+        for n in range(1, 7):
+            free_multiplicative(kappa, kappa, n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_eval_bicolor_examples():

@@ -3,8 +3,10 @@ import gc
 import pickle
 import time
 from collections import Counter
+from functools import cache
 from dataclasses import FrozenInstanceError
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +16,16 @@ import noncrossing.partitions
 import noncrossing.trees
 from noncrossing.errors import LimitExceeded, NotConnected, NotNclS
 from noncrossing.partitions import (
+    NCPartition,
+    enumerate_nc,
     enumerate_ncl,
     enumerate_ncls,
+    kreweras,
     non_minimal_elements,
+    validate_nc,
     validate_ncl,
 )
+from noncrossing.transforms import TCoeffSequence, eval_bicolor, eval_tree, ncls_weight
 from noncrossing.trees import (
     BicolorPlanarTree,
     PlanarTree,
@@ -40,6 +47,7 @@ from oracles import (
     connected_by_union_find,
     elementary_by_walk,
     is_ncls_by_components,
+    ncls_weight_by_profile,
     rebuild_by_walk,
     repr_by_walk,
     size_by_walk,
@@ -426,14 +434,19 @@ def test_lambda_matches_exterior_block_fold():
         assert bicolor_from_ncls(pi) == bicolor_by_exterior_blocks(pi)
 
 
-def test_bijections_leave_no_reference_cycles():
-    # everything a θ or λ round trip allocates is freed by reference
-    # counting, so nothing is left for the cyclic collector
-    trees = [t for n in range(1, 8) for t in enumerate_planar_trees(n)]
-    bicolor = [t for n in range(1, 6) for t in enumerate_bicolor(n)]
+def test_bijections_leave_no_reference_cycles(monkeypatch):
+    # everything the enumerations and a θ or λ round trip allocate is freed
+    # or cached by reference counting, so nothing is left for the cyclic
+    # collector, which the command-line process runs without
+    for name in ("_trees", "_bicolor"):
+        monkeypatch.setattr(noncrossing.trees, name,
+                            cache(getattr(noncrossing.trees, name).__wrapped__))
     gc.collect()
     gc.disable()
     try:
+        trees = [t for n in range(1, 8) for t in enumerate_planar_trees(n)]
+        bicolor = [t for n in range(1, 6) for t in enumerate_bicolor(n)]
+        assert [len(enumerate_bicolor_elementary(n)) for n in range(1, 8)] == [*range(1, 8)]
         for tree in trees:
             assert tree_from_connected(connected_from_tree(tree)) == tree
         for tree in bicolor:
@@ -582,3 +595,67 @@ def test_lambda_round_trip_far_past_the_cap(tree):
     assert pi.n == 2 * tree.size
     assert validate_ncl(pi.n, pi.blocks) == pi and is_ncls_by_components(pi)
     assert bicolor_from_ncls(pi) == tree
+
+
+def _small_tcoeffs(data, order: int) -> TCoeffSequence:
+    """t_0..t_(order-1), nonzero small integers, so no weight vanishes."""
+    nonzero = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    return TCoeffSequence(data.draw(st.lists(nonzero, min_size=order, max_size=order)))
+
+
+@given(uniform_trees(1, max_size=200), st.data())
+@settings(max_examples=25, deadline=None)
+def test_tree_weight_is_the_linked_weight_far_past_the_cap(tree, data):
+    # t_(child count) per vertex against t_(|B| - 1) per block of θ⁻¹(tree)
+    # and t_0 per non-minimal position, of which there are n - #blocks
+    t = _small_tcoeffs(data, tree.size)
+    pi = connected_from_tree(tree)
+    linked = prod(t.values[len(b) - 1] for b in pi.blocks) * t.values[0] ** (
+        pi.n - len(pi.blocks))
+    assert eval_tree(tree, t) == linked
+
+
+@given(uniform_trees(2, max_size=200), st.data())
+@settings(max_examples=25, deadline=None)
+def test_bicolor_weight_is_the_split_weight_far_past_the_cap(tree, data):
+    tx, ty = _small_tcoeffs(data, tree.size), _small_tcoeffs(data, tree.size)
+    pi = ncls_from_bicolor(tree)
+    assert eval_bicolor(tree, tx, ty) == ncls_weight(pi, tx, ty) \
+        == ncls_weight_by_profile(pi, tx, ty)
+
+
+def _nc_from_siblings(tree: PlanarTree) -> NCPartition:
+    """The partition of {1..n} whose blocks are the children of each vertex
+    of a planar tree with n + 1 vertices, numbered 1..n in preorder after the
+    root: a bijection onto NC(n), both counted by Catalan(n)."""
+    parents, open_vertices = [], []  # (vertex, children still to come)
+    for v, count in enumerate(tree.word):
+        if open_vertices:
+            parent, left = open_vertices.pop()
+            parents.append(parent)
+            if left > 1:
+                open_vertices.append((parent, left - 1))
+        if count:
+            open_vertices.append((v, count))
+    blocks: dict = {}
+    for child, parent in enumerate(parents, 1):
+        blocks.setdefault(parent, []).append(child)
+    return validate_nc(tree.size - 1, list(blocks.values()))
+
+
+def test_sibling_blocks_are_a_bijection_onto_nc():
+    for n in range(1, 8):
+        image = [_nc_from_siblings(tree) for tree in enumerate_planar_trees(n + 1)]
+        assert sorted(image, key=lambda pi: pi.blocks) == sorted(enumerate_nc(n),
+                                                                 key=lambda pi: pi.blocks)
+
+
+@given(uniform_trees(1, max_size=201).filter(lambda tree: tree.size > 1))
+@settings(max_examples=25, deadline=None)
+def test_kreweras_far_past_the_cap(tree):
+    # K∘K turns every block by one position back, and |π| + |K(π)| = n + 1
+    pi = _nc_from_siblings(tree)
+    n, complement = pi.n, kreweras(pi)
+    assert len(pi.blocks) + len(complement.blocks) == n + 1
+    assert kreweras(complement) == validate_nc(n, [[(b - 2) % n + 1 for b in blk]
+                                                   for blk in pi.blocks])
