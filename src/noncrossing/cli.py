@@ -27,31 +27,33 @@ from . import jsonio
 from .errors import LimitExceeded, NonCrossingError, ZeroFirstMoment, ZeroT0, shorten
 from .limits import DEFAULT_LIMITS
 
-# kind -> (module, enumerator); NC(n) and NCL(n) stream, so a dump keeps
-# none of them
+# the tables below name public functions; the package imports the module
+# that defines one when it is first read (PEP 562)
+_package = import_module(__package__)
+
+# kind -> enumerator; NC(n) and NCL(n) stream, so a dump keeps none of them
 _ENUMERATORS = {
-    "nc": ("partitions", "iter_nc"),
-    "ncl": ("partitions", "iter_ncl"),
-    "ncs": ("partitions", "enumerate_ncs"),
-    "ncls": ("partitions", "enumerate_ncls"),
-    "trees": ("trees", "enumerate_planar_trees"),
-    "bicolor": ("trees", "enumerate_bicolor"),
+    "nc": "iter_nc",
+    "ncl": "iter_ncl",
+    "ncs": "enumerate_ncs",
+    "ncls": "enumerate_ncls",
+    "trees": "enumerate_planar_trees",
+    "bicolor": "enumerate_bicolor",
 }
 
-# command -> direction -> (input parser in jsonio, module, function); the
-# module is imported when a direction of it runs
+# command -> direction -> (input parser in jsonio, function)
 _ROUTES = {
     "transform": {
-        "m2k": ("parse_moments", "transforms", "moments_to_cumulants"),
-        "k2m": ("parse_cumulants", "transforms", "cumulants_to_moments"),
-        "m2t": ("parse_moments", "transforms", "moments_to_tcoeffs"),
-        "t2m": ("parse_tcoeffs", "transforms", "tcoeffs_to_moments"),
+        "m2k": ("parse_moments", "moments_to_cumulants"),
+        "k2m": ("parse_cumulants", "cumulants_to_moments"),
+        "m2t": ("parse_moments", "moments_to_tcoeffs"),
+        "t2m": ("parse_tcoeffs", "tcoeffs_to_moments"),
     },
     "biject": {
-        "theta": ("parse_ncl", "trees", "tree_from_connected"),
-        "theta-inv": ("parse_tree", "trees", "connected_from_tree"),
-        "lambda": ("parse_ncl", "trees", "bicolor_from_ncls"),
-        "lambda-inv": ("parse_tree", "trees", "ncls_from_bicolor"),
+        "theta": ("parse_ncl", "tree_from_connected"),
+        "theta-inv": ("parse_tree", "connected_from_tree"),
+        "lambda": ("parse_ncl", "bicolor_from_ncls"),
+        "lambda-inv": ("parse_tree", "ncls_from_bicolor"),
     },
 }
 
@@ -147,8 +149,7 @@ def _enumeration_lines(objects, fmt: str):
 
 def _cmd_enumerate(args) -> int:
     limit = _resolve_limit(args, args.kind)
-    module, name = _ENUMERATORS[args.kind]
-    enumerator = getattr(import_module(f".{module}", __package__), name)
+    enumerator = getattr(_package, _ENUMERATORS[args.kind])
     # the enumerator checks the cap before it yields, so a refusal prints nothing
     objects = enumerator(args.n, limit=limit)
     _print_lines(_enumeration_lines(objects, args.format))
@@ -158,9 +159,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_route(args) -> int:
     """``transform`` and ``biject``: parse ``DATA`` and apply the function
     of the direction."""
-    parse, module, name = _ROUTES[args.command][args.direction]
-    function = getattr(import_module(f".{module}", __package__), name)
-    out = function(getattr(jsonio, parse)(jsonio.read_object(args.data)))
+    parse, name = _ROUTES[args.command][args.direction]
+    out = getattr(_package, name)(getattr(jsonio, parse)(jsonio.read_object(args.data)))
     _print_lines([_dump(out.to_json_dict())])
     return 0
 
@@ -195,8 +195,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
-    from .transforms import t_convolve, verify_t_multiplicativity
-
     t_mode = args.tx is not None and args.ty is not None
     if not t_mode and (args.mx is None or args.my is None):
         raise ValueError("convolve needs either --tx/--ty or --mx/--my")
@@ -211,7 +209,7 @@ def _cmd_convolve(args) -> int:
     if t_mode:
         _resolve_limit(args, None)
         tx, ty = map(jsonio.parse_tcoeffs, [*map(jsonio.read_series, (args.tx, args.ty))])
-        _print_lines([_dump(t_convolve(tx, ty).to_json_dict())])
+        _print_lines([_dump(_package.t_convolve(tx, ty).to_json_dict())])
         return 0
     mx, my = map(jsonio.parse_moments, [*map(jsonio.read_series, (args.mx, args.my))])
     order = args.order
@@ -220,7 +218,7 @@ def _cmd_convolve(args) -> int:
     limit = _resolve_limit(args, "theorem")
     if order is None:
         order = min(mx.order, my.order, limit)
-    report = verify_t_multiplicativity(mx, my, order, limit=limit)
+    report = _package.verify_t_multiplicativity(mx, my, order, limit=limit)
     _print_lines([json.dumps(report.to_json_dict(), sort_keys=True, indent=2)])
     return 0 if report.passed else 1
 

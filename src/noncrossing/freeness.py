@@ -65,9 +65,6 @@ class Word(Frozen):
             raise ValueError("a word needs at least one letter")
         _set(self, "letters", letters)
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def __str__(self) -> str:
         return " ".join(str(l) for l in self.letters)
 

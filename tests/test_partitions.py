@@ -828,6 +828,9 @@ def test_kreweras_refuses_a_linked_partition(fresh_caches):
     assert partitions.kreweras.cache_info().currsize == 0
     # with no links, a linked partition is a partition
     assert partitions.kreweras(validate_ncl(3, [[1], [2, 3]])).blocks == ((1, 3), (2,))
+    # the record constructor does not validate, so a record need not cover 1..n
+    with pytest.raises(NotAPartition, match=r"^\(1\) is not a partition of 1\.\.3$"):
+        partitions.kreweras(NCPartition(3, ((1,),)))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -145,3 +145,5 @@ def test_render_leaves_no_reference_cycles():
 def test_render_dispatch():
     assert render(validate_nc(1, [[1]]))
     assert render(PlanarTree())
+    with pytest.raises(TypeError, match="^cannot render int$"):
+        render(5)

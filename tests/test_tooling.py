@@ -324,3 +324,92 @@ def test_only_the_named_tests_start_a_child():
             elif isinstance(node, ast.Name) and node.id in ("run_child", "open_child"):
                 assert id(node) in allowed, f"{path.name}:{node.lineno} starts a child"
     assert {name: tests for name, tests in found.items() if tests} == CHILD_TESTS
+
+
+def test_cli_tables_name_public_functions():
+    # the package's registry is the one map from a public function to its
+    # module; the CLI's tables name functions only and read them through it
+    import noncrossing
+
+    entries = [*cli._ENUMERATORS.values()]
+    entries += [entry for routes in cli._ROUTES.values() for entry in routes.values()]
+    for entry in entries:
+        *parsers, name = entry if isinstance(entry, tuple) else (entry,)
+        assert name in noncrossing.__all__, f"{entry} applies {name}"
+        assert not set(IMPORT_ORDER) & {*parsers, name}, f"{entry} names a module"
+
+
+# ROADMAP item 15: every top-level function or class of the library is
+# reached from a product root, or is owed a caller by the open item named
+# here; a name leaves this table when its item lands
+OWED = {"vertex_order": 19, "elementary_decomposition": 19, "parse_nc": 19, "parse_scenario": 1}
+
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*", re.ASCII)
+
+
+def _mentioned(node):
+    """The identifiers a statement names: its names, attributes, imported
+    names and identifier-like strings (the CLI tables and ``getattr``)."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and IDENTIFIER.fullmatch(n.value):
+            yield n.value
+
+
+def _reached():
+    """(top-level functions and classes of the library, those reached).
+
+    A pure AST walk: reaching a name reaches every top-level statement of
+    the library that binds it, and every identifier that statement names.
+    The roots are the CLI's entry points, commands and tables, the verify
+    suites, the API (the package's public names that README writes in
+    backticks) and the names the acceptance suite imports."""
+    import noncrossing
+
+    roots = {"main", "run", "build_parser", "_ENUMERATORS", "_ROUTES", "run_suites", "SUITES"}
+    bound, defined = {}, set()
+    for name in IMPORT_ORDER:
+        for node in ast.parse((ROOT / "src" / "noncrossing" / f"{name}.py").read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+                bound.setdefault(node.name, []).append(node)
+                if name == "cli" and node.name.startswith("_cmd_"):
+                    roots.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name):
+                            bound.setdefault(n.id, []).append(node)
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    bound.setdefault(alias.asname or alias.name, []).append(alias)
+    for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text()):
+        roots |= {word.rsplit(".", 1)[-1] for word in re.findall(r"[A-Za-z_][\w.]*", span)
+                  } & set(noncrossing.__all__)
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    roots |= {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "noncrossing" for alias in node.names}
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in bound.get(name, ()):
+                todo.extend(_mentioned(node))
+    return defined, reached & defined
+
+
+def test_every_function_is_reached_or_owed():
+    defined, reached = _reached()
+    assert len(defined) > 150 and {"main", "kreweras", "Frozen"} <= reached
+    assert not set(OWED) - defined, f"owed names no longer defined: {sorted(set(OWED) - defined)}"
+    assert not set(OWED) & reached, f"owed names now reached: {sorted(set(OWED) & reached)}"
+    unreached = defined - reached - set(OWED)
+    assert not unreached, f"nothing reaches {sorted(unreached)}: delete them or owe them an item"

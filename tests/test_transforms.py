@@ -8,7 +8,7 @@ import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from functools import cache
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -56,9 +56,11 @@ from noncrossing.verify import (
     shifted_catalan_moments,
 )
 
+from harness import run_cli
 from oracles import (
     bicolor_sum,
     bicolor_weight_by_profile,
+    catalan,
     cauchy_product_by_fractions,
     class_sum,
     cumulant_solve_by_fractions,
@@ -170,6 +172,67 @@ def test_corpus_roundtrips():
     for m in seeded_moment_corpus(20240801, 200, 8):
         assert cumulants_to_moments(moments_to_cumulants(m)) == m
         assert tcoeffs_to_moments(moments_to_tcoeffs(m)) == m
+
+
+# ---------------------------------------------------------------------------
+# closed-form laws at order 60 (Nica-Speicher, Lectures 11-12): a wrong
+# equation would still round-trip, but would miss these values
+
+
+def _binomial(x, j):
+    """The generalized binomial coefficient C(x, j) for a rational x."""
+    out = F(1)
+    for i in range(j):
+        out = out * (x - i) / (i + 1)
+    return out
+
+
+def _free_poisson(rate, jump, order):
+    """Moments, free cumulants and t-coefficients of the free Poisson law:
+    kappa_n = rate jump^n, m_n = jump^n sum_k N(n, k) rate^k (Narayana
+    numbers) and T(x) = jump (rate + x)."""
+    moments = [jump**n * sum(comb(n, k) * comb(n, k - 1) // n * rate**k for k in range(1, n + 1))
+               for n in range(1, order + 1)]
+    cumulants = [rate * jump**n for n in range(1, order + 1)]
+    return moments, cumulants, [jump * rate, jump] + [0] * (order - 2)
+
+
+def _semicircle(mean, order):
+    """The semicircle law of variance 1: kappa = (mean, 1, 0, ...),
+    m_n = sum_j C(n, 2j) Cat_j mean^(n-2j), and from M = R(z(1+M)) and
+    M = z(1+M) T(M), T(x) = (mean + sqrt(mean^2 + 4x)) / 2."""
+    moments = [sum(comb(n, 2 * j) * catalan(j) * mean ** (n - 2 * j) for j in range(n // 2 + 1))
+               for n in range(1, order + 1)]
+    tcoeffs = [mean] + [mean / 2 * _binomial(F(1, 2), j) * (4 / mean**2) ** j
+                        for j in range(1, order)]
+    return moments, [mean, 1] + [0] * (order - 2), tcoeffs
+
+
+LAWS = {"free-poisson": _free_poisson(F(2, 3), F(5, 4), 60), "semicircle": _semicircle(F(3, 2), 60)}
+
+# direction -> (function, index of its input in a law, index of its output)
+DIRECTIONS = {
+    "m2k": (moments_to_cumulants, 0, 1),
+    "k2m": (cumulants_to_moments, 1, 0),
+    "m2t": (moments_to_tcoeffs, 0, 2),
+    "t2m": (tcoeffs_to_moments, 2, 0),
+}
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+@pytest.mark.parametrize("law", LAWS)
+def test_transforms_give_closed_form_laws_at_order_60(law, direction):
+    function, given, wanted = DIRECTIONS[direction]
+    sequence = (MomentSequence, CumulantSequence, TCoeffSequence)[given](LAWS[law][given])
+    assert function(sequence).values == tuple(LAWS[law][wanted])
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_cli_m2t_prints_closed_form_laws(law):
+    moments, _, tcoeffs = LAWS[law]
+    proc = run_cli("transform", "m2t", json.dumps({"coeffs": [str(v) for v in moments]}))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"coeffs": [str(F(v)) for v in tcoeffs], "order": 60}
 
 
 # ---------------------------------------------------------------------------
