@@ -96,12 +96,16 @@ class Crossing(NonCrossingError):
     """Two blocks interleave.
 
     Carries the witness ``(i, k, p, q)`` with ``i < k < p < q`` where
-    ``i, p`` lie in one block and ``k, q`` in another.
+    ``i, p`` lie in one block and ``k, q`` in another; a copy or pickle
+    rebuilds the error from it, its one argument.
     """
 
-    def __init__(self, witness, message=None):
+    def __init__(self, witness):
         self.witness = tuple(witness)
-        super().__init__(message or f"blocks cross at {self.witness}")
+        super().__init__(self.witness)
+
+    def __str__(self) -> str:
+        return f"blocks cross at {self.witness}"
 
 
 class BadLink(NonCrossingError):

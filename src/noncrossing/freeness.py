@@ -35,7 +35,7 @@ from math import prod
 from types import MappingProxyType
 
 from .errors import Frozen, LetterNotInDomain, OrderTooLow, shorten
-from .limits import check_limit, parse_rational
+from .limits import check_limit, rational
 from .transforms import CumulantSequence, MomentSequence, _dot, _sum
 
 _set = object.__setattr__
@@ -48,7 +48,7 @@ class Letter(Frozen):
 
     def __init__(self, algebra: str, scale=Fraction(1)):
         _set(self, "algebra", algebra)
-        _set(self, "scale", parse_rational(scale) if isinstance(scale, str) else Fraction(scale))
+        _set(self, "scale", rational(scale))
 
     def __str__(self) -> str:
         return self.algebra if self.scale == 1 else f"{self.scale}*{self.algebra}"
@@ -71,18 +71,14 @@ class Word(Frozen):
     @classmethod
     def parse(cls, text: str) -> "Word":
         """Parse ``"X Y 2*X -1/3*Y"`` into a word; a scale follows the
-        grammar of :func:`limits.parse_rational`."""
+        grammar of :func:`limits.rational`."""
         letters = []
         for token in text.split():
-            if "*" in token:
-                scale, _, algebra = token.partition("*")
-                try:
-                    scale = parse_rational(scale)
-                except ValueError as exc:
-                    raise ValueError(f"letter {shorten(repr(token))}: {exc}") from None
-                letters.append(Letter(algebra, scale))
-            else:
-                letters.append(Letter(token))
+            scale, star, algebra = token.partition("*")
+            try:
+                letters.append(Letter(algebra, scale) if star else Letter(token))
+            except ValueError as exc:
+                raise ValueError(f"letter {shorten(repr(token))}: {exc}") from None
         return cls(tuple(letters))
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import shorten
-from .limits import check_limit, parse_rational, too_many_digits
+from .limits import check_limit, rational, too_many_digits
 from .transforms import (
     CumulantSequence,
     MomentSequence,
@@ -44,15 +44,13 @@ def read_series(text: str) -> dict:
 
 
 def parse_fraction(text) -> Fraction:
-    """A JSON number, or a string in the grammar of
-    :func:`limits.parse_rational` ("-2", "3/4", "0.125"); other values are
+    """A JSON string or integer as :func:`limits.rational` reads it ("-2",
+    "3/4", "0.125", 5), or a JSON float by its decimal text; other values are
     refused by type alone.  A JSON number is already bounded by the decoder.
     """
     kind = type(text)
-    if kind is str:
-        return parse_rational(text)
-    if kind is int:
-        return Fraction(text)
+    if kind is str or kind is int:
+        return rational(text)
     if kind is float:
         return Fraction(str(text))
     raise ValueError(f"a coefficient is a string or a number, not {kind.__name__}")

@@ -50,17 +50,23 @@ def too_many_digits(what: str) -> ValueError:
 _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?").fullmatch
 
 
-def parse_rational(text: str) -> Fraction:
-    """A string of an optional sign and ASCII digits, then optionally ``/``
-    or ``.`` and more digits ("-2", "3/4", "0.125"), as a ``Fraction``.
+def rational(value) -> Fraction:
+    """``value`` as a ``Fraction``: a ``Fraction`` as it is, any other
+    non-string through ``Fraction``, and a string of an optional sign and
+    ASCII digits, then optionally ``/`` or ``.`` and more digits ("-2",
+    "3/4", "0.125"), by a grammar of the package's own.
 
     The grammar is the same on every interpreter: ``Fraction`` accepts
     exponents (it would expand "1e3000000" into digits before any cap
     applies), and by version underscores, spaces and other scripts' digits.
     """
-    match = _RATIONAL(text)
+    if type(value) is Fraction:
+        return value
+    if not isinstance(value, str):
+        return Fraction(value)
+    match = _RATIONAL(value)
     if match is None:
-        raise ValueError(f"{shorten(repr(text))} is not an integer, a/b or a plain decimal")
+        raise ValueError(f"{shorten(repr(value))} is not an integer, a/b or a plain decimal")
     sign, whole, over, frac = match.groups()
     try:
         num, den = int(whole), int(over or 1)
@@ -70,5 +76,5 @@ def parse_rational(text: str) -> Fraction:
     except ValueError:  # the digits are ASCII, so only the digit limit fails
         raise too_many_digits("an input coefficient") from None
     if not den:
-        raise ValueError(f"zero denominator in {shorten(repr(text))}")
+        raise ValueError(f"zero denominator in {shorten(repr(value))}")
     return Fraction(-num if sign == "-" else num, den)

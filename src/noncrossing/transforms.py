@@ -52,7 +52,7 @@ from .errors import (
     ZeroT0,
     shorten,
 )
-from .limits import check_limit, parse_rational, too_many_digits
+from .limits import check_limit, rational, too_many_digits
 
 
 class _CoeffSequence(Frozen):
@@ -71,9 +71,7 @@ class _CoeffSequence(Frozen):
     kind: str
 
     def __init__(self, values):
-        values = tuple(v if type(v) is Fraction
-                       else parse_rational(v) if isinstance(v, str) else Fraction(v)
-                       for v in values)
+        values = tuple(map(rational, values))
         self._init(tuple([(v.numerator, v.denominator) for v in values]), values)
 
     @classmethod
@@ -305,12 +303,6 @@ def _profile(objects, statistic) -> tuple:
     ).items())
 
 
-def _order_too_low(seq, indices) -> OrderTooLow:
-    """The error of a ``seq`` too short for some of ``indices``: it names the
-    smallest index out of range."""
-    return OrderTooLow(f"need {seq.kind} of index {min(i for i in indices if i >= seq.order)}")
-
-
 def _evaluate(profile, *seqs) -> Fraction:
     """Sum of multiplicity times the product of seq.values[i] ** e, with one
     integer numerator and denominator per monomial.  The caller checks that
@@ -331,11 +323,12 @@ def _evaluate(profile, *seqs) -> Fraction:
 def _product(seqs, index_lists) -> Fraction:
     """The product of seq.values[i] over the indices listed per sequence: the
     weight of one object, with no profile.  Each sequence's length is checked
-    once per call."""
+    once per call; a short one is refused naming its smallest missing index."""
     num = den = 1
     for seq, indices in zip(seqs, index_lists):
         if indices and max(indices) >= seq.order:
-            raise _order_too_low(seq, indices)
+            missing = min(i for i in indices if i >= seq.order)
+            raise OrderTooLow(f"need {seq.kind} of index {missing}")
         pairs = seq.pairs
         for i in indices:
             p, q = pairs[i]

@@ -67,14 +67,10 @@ class _Tree(Frozen):
         return len(self.word) // self._width
 
     def _subtrees(self) -> list:
-        """The root's children, left to right, each the shortest run of
-        vertices that completes a subtree."""
+        """The root's children, left to right, each the run of the word from
+        one depth-1 vertex to the next."""
         word, width = self.word, self._width
-        starts, missing = [], 0  # missing: vertices the current child still needs
-        for i in range(width, len(word), width):
-            if not missing:
-                starts.append(i)
-            missing += (word[i] + word[i + 1] if width == 2 else word[i]) - (missing > 0)
+        starts = [width * i for i, (depth, *_) in enumerate(self._vertices()) if depth == 1]
         return [self._from_word(word[a:b]) for a, b in zip(starts, starts[1:] + [len(word)])]
 
     def _vertices(self):

@@ -49,16 +49,18 @@ from .trees import (
     enumerate_planar_trees,
 )
 
-SCHROEDER = [1, 2, 6, 22, 90, 394, 1806, 8558, 41586]
-BICOLOR_COUNTS = [1, 2, 7, 30, 143]
+
+def catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)
+
+
+# |NCL(n)| is the large Schroeder number S(n - 1); bicolor trees of n vertices: C(3n - 2, n - 1) / n
+SCHROEDER = [sum(comb(m + k, m - k) * catalan(k) for k in range(m + 1)) for m in range(9)]
+BICOLOR_COUNTS = [comb(3 * n - 2, n - 1) // n for n in range(1, 6)]
 
 # the twelve-point linked fixture and the ten-point plain fixture
 LINKED_12_BLOCKS = ((1, 4, 6, 9), (2, 3), (4, 5), (6, 7, 8), (10, 11), (11, 12))
 PLAIN_10_BLOCKS = ((1, 4, 6), (2, 3), (5,), (7, 8), (9, 10))
-
-
-def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
 
 
 class ReportEntry(IdentityCheck):

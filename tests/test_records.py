@@ -9,6 +9,7 @@ from types import MappingProxyType
 
 import pytest
 
+from noncrossing import errors
 from noncrossing import (
     CumulantSequence,
     IdentityCheck,
@@ -107,3 +108,21 @@ def test_record_constructors_normalise():
         ReportEntry("t", {}, None, "s")  # the suite is keyword-only
     with pytest.raises(TypeError):
         ReportEntry("t", {})
+
+
+ERRORS = {cls.__name__: cls for cls in vars(errors).values()
+          if isinstance(cls, type) and issubclass(cls, errors.NonCrossingError)}
+CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+@pytest.mark.parametrize("clone", CLONES)
+@pytest.mark.parametrize("name", ERRORS)
+def test_errors_keep_type_message_and_attributes_through_copies(name, clone):
+    # an exception is rebuilt from its args, so those must be its
+    # constructor's arguments
+    cls = ERRORS[name]
+    exc = cls((1, 2, 3, 4)) if cls is errors.Crossing else cls("need moment of index 3")
+    got = CLONES[clone](exc)
+    assert type(got) is cls and str(got) == str(exc)
+    assert got.args == exc.args and vars(got) == vars(exc)

@@ -8,7 +8,8 @@ import time
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 from functools import cache
-from math import comb, gcd
+from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from noncrossing.errors import (
     ZeroT0,
 )
 from noncrossing import cli, transforms
+from noncrossing.freeness import Letter
 from noncrossing.partitions import enumerate_nc, enumerate_ncl, enumerate_ncls, kreweras
 from noncrossing.transforms import (
     CumulantSequence,
@@ -57,10 +59,10 @@ from noncrossing.verify import (
 )
 
 from harness import run_cli
+from laws import LAWS, POWERS, free_poisson, poisson_power
 from oracles import (
     bicolor_sum,
     bicolor_weight_by_profile,
-    catalan,
     cauchy_product_by_fractions,
     class_sum,
     cumulant_solve_by_fractions,
@@ -175,40 +177,8 @@ def test_corpus_roundtrips():
 
 
 # ---------------------------------------------------------------------------
-# closed-form laws at order 60 (Nica-Speicher, Lectures 11-12): a wrong
-# equation would still round-trip, but would miss these values
-
-
-def _binomial(x, j):
-    """The generalized binomial coefficient C(x, j) for a rational x."""
-    out = F(1)
-    for i in range(j):
-        out = out * (x - i) / (i + 1)
-    return out
-
-
-def _free_poisson(rate, jump, order):
-    """Moments, free cumulants and t-coefficients of the free Poisson law:
-    kappa_n = rate jump^n, m_n = jump^n sum_k N(n, k) rate^k (Narayana
-    numbers) and T(x) = jump (rate + x)."""
-    moments = [jump**n * sum(comb(n, k) * comb(n, k - 1) // n * rate**k for k in range(1, n + 1))
-               for n in range(1, order + 1)]
-    cumulants = [rate * jump**n for n in range(1, order + 1)]
-    return moments, cumulants, [jump * rate, jump] + [0] * (order - 2)
-
-
-def _semicircle(mean, order):
-    """The semicircle law of variance 1: kappa = (mean, 1, 0, ...),
-    m_n = sum_j C(n, 2j) Cat_j mean^(n-2j), and from M = R(z(1+M)) and
-    M = z(1+M) T(M), T(x) = (mean + sqrt(mean^2 + 4x)) / 2."""
-    moments = [sum(comb(n, 2 * j) * catalan(j) * mean ** (n - 2 * j) for j in range(n // 2 + 1))
-               for n in range(1, order + 1)]
-    tcoeffs = [mean] + [mean / 2 * _binomial(F(1, 2), j) * (4 / mean**2) ** j
-                        for j in range(1, order)]
-    return moments, [mean, 1] + [0] * (order - 2), tcoeffs
-
-
-LAWS = {"free-poisson": _free_poisson(F(2, 3), F(5, 4), 60), "semicircle": _semicircle(F(3, 2), 60)}
+# closed-form laws at order 60 (tests/laws.py): a wrong equation would still
+# round-trip, but would miss these values
 
 # direction -> (function, index of its input in a law, index of its output)
 DIRECTIONS = {
@@ -218,9 +188,13 @@ DIRECTIONS = {
     "t2m": (tcoeffs_to_moments, 2, 0),
 }
 
+# every law and direction whose two sides have a closed form
+LAW_CASES = [(law, direction) for law, sides in LAWS.items()
+             for direction, (_, given, wanted) in DIRECTIONS.items()
+             if sides[given] is not None and sides[wanted] is not None]
 
-@pytest.mark.parametrize("direction", DIRECTIONS)
-@pytest.mark.parametrize("law", LAWS)
+
+@pytest.mark.parametrize("law, direction", LAW_CASES, ids=["-".join(case) for case in LAW_CASES])
 def test_transforms_give_closed_form_laws_at_order_60(law, direction):
     function, given, wanted = DIRECTIONS[direction]
     sequence = (MomentSequence, CumulantSequence, TCoeffSequence)[given](LAWS[law][given])
@@ -233,6 +207,21 @@ def test_cli_m2t_prints_closed_form_laws(law):
     proc = run_cli("transform", "m2t", json.dumps({"coeffs": [str(v) for v in moments]}))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"coeffs": [str(F(v)) for v in tcoeffs], "order": 60}
+
+
+@pytest.mark.parametrize("rates", [(F(2, 3), F(1, 2)), (F(1, 5), F(3))])
+def test_free_additive_adds_free_poisson_rates(rates):
+    jump = F(5, 4)
+    kx, ky = (moments_to_cumulants(MomentSequence(free_poisson(rate, jump)[0])) for rate in rates)
+    assert cumulants_to_moments(free_additive(kx, ky)).values == \
+        tuple(free_poisson(sum(rates), jump)[0])
+
+
+@pytest.mark.parametrize("r, s", combinations_with_replacement(POWERS, 2), ids=str)
+def test_t_convolve_adds_poisson_power_exponents(r, s):
+    # C(r, j) * C(s, j) summed as a Cauchy product is C(r + s, j) (Vandermonde)
+    tx, ty = (TCoeffSequence(poisson_power(p)[2]) for p in (r, s))
+    assert tcoeffs_to_moments(t_convolve(tx, ty)).values == tuple(poisson_power(r + s)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +526,38 @@ def test_sequence_strings_follow_the_coefficient_grammar(cls):
         with pytest.raises(ValueError, match="is not an integer, a/b or a plain decimal$"):
             cls(("1", text))
         assert time.perf_counter() - start < 0.1
+
+
+# every constructor that takes a number reads it by one rule, limits.rational
+READERS = {
+    "moment": lambda v: MomentSequence((v,)).values[0],
+    "cumulant": lambda v: CumulantSequence((v,)).values[0],
+    "t-coefficient": lambda v: TCoeffSequence((1, v)).values[1],
+    "letter": lambda v: Letter("X", v).scale,
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("value, expected", [
+    ("3/4", F(3, 4)), ("-2", F(-2)), ("0.125", F(1, 8)), (F(1, 3), F(1, 3)), (5, F(5)),
+    (0.5, F(1, 2)),
+])
+def test_readers_read_a_value_alike(reader, value, expected):
+    got = READERS[reader](value)
+    assert type(got) is F and got == expected
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("text, message", [
+    ("1e3", "'1e3' is not an integer, a/b or a plain decimal"),
+    ("1_0", "'1_0' is not an integer, a/b or a plain decimal"),
+    ("\uff11", "'\uff11' is not an integer, a/b or a plain decimal"),
+    ("1/0", "zero denominator in '1/0'"),
+])
+def test_readers_refuse_a_value_alike(reader, text, message):
+    with pytest.raises(ValueError) as info:
+        READERS[reader](text)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_cumulant_via_classes_examples():
