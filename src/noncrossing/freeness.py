@@ -41,13 +41,22 @@ from .transforms import CumulantSequence, MomentSequence, _dot, _sum
 _set = object.__setattr__
 
 
+def _algebra_name(name) -> str:
+    """``name`` if a letter of it prints as one token that parses back: a
+    nonempty string with no ``*`` and no whitespace."""
+    if not isinstance(name, str) or name.split() != [name] or "*" in name:
+        raise ValueError(f"an algebra name is a nonempty string with no '*' or whitespace, "
+                         f"not {shorten(repr(name))}")
+    return name
+
+
 class Letter(Frozen):
     """A scaled generator: ``scale`` times the generator of ``algebra``."""
 
     __slots__ = _fields = ("algebra", "scale")
 
     def __init__(self, algebra: str, scale=Fraction(1)):
-        _set(self, "algebra", algebra)
+        _set(self, "algebra", _algebra_name(algebra))
         _set(self, "scale", rational(scale))
 
     def __str__(self) -> str:
@@ -88,7 +97,7 @@ class Scenario(Frozen):
     __slots__ = _fields = ("algebras",)
 
     def __init__(self, algebras: Mapping[str, CumulantSequence]):
-        _set(self, "algebras", MappingProxyType(dict(algebras)))
+        _set(self, "algebras", MappingProxyType({_algebra_name(a): k for a, k in algebras.items()}))
 
     def first_moment(self, letter: Letter) -> Fraction:
         return letter.scale * _cumulants(self, letter).values[0]
@@ -203,19 +212,10 @@ def _tcoeffs(scenario: Scenario, words) -> list[Fraction]:
             raise LetterNotInDomain(f"letter {l} has zero expectation")
     for word in words:
         check_limit("ncl", len(word))
-    # every sub-word drops one letter of a longer one; the list, not the
-    # set, fixes the solve order
-    subwords = list(dict.fromkeys(coded))
-    found = set(subwords)
-    for sub in subwords:
-        if len(sub) == 1:
-            continue
-        for i in range(len(sub)):
-            shorter = sub[:i] + sub[i + 1:]
-            if shorter not in found:
-                found.add(shorter)
-                subwords.append(shorter)
-    subwords.sort(key=len)
+    subwords = set(coded)  # each sub-word drops one letter of a longer one
+    for k in range(max(map(len, coded), default=0), 1, -1):
+        subwords |= {w[:i] + w[i + 1:] for w in subwords if len(w) == k for i in range(k)}
+    subwords = sorted(subwords, key=len)
     moment = _moments(scenario, letters, subwords)
     table: dict = {}
     for sub in subwords:

@@ -44,15 +44,13 @@ def read_series(text: str) -> dict:
 
 
 def parse_fraction(text) -> Fraction:
-    """A JSON string or integer as :func:`limits.rational` reads it ("-2",
-    "3/4", "0.125", 5), or a JSON float by its decimal text; other values are
-    refused by type alone.  A JSON number is already bounded by the decoder.
+    """A JSON string or number as :func:`limits.rational` reads it ("-2",
+    "3/4", "0.125", 5, 0.1); other values are refused by type alone.  A JSON
+    number is already bounded by the decoder.
     """
     kind = type(text)
-    if kind is str or kind is int:
+    if kind is str or kind is int or kind is float:
         return rational(text)
-    if kind is float:
-        return Fraction(str(text))
     raise ValueError(f"a coefficient is a string or a number, not {kind.__name__}")
 
 

@@ -12,6 +12,7 @@ rational numbers are read from text by one grammar of the package's own.
 import re
 import sys
 from fractions import Fraction
+from math import isfinite
 
 from .errors import LimitExceeded, shorten, shorten_int
 
@@ -51,17 +52,23 @@ _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?").fullmatch
 
 
 def rational(value) -> Fraction:
-    """``value`` as a ``Fraction``: a ``Fraction`` as it is, any other
-    non-string through ``Fraction``, and a string of an optional sign and
-    ASCII digits, then optionally ``/`` or ``.`` and more digits ("-2",
-    "3/4", "0.125"), by a grammar of the package's own.
+    """``value`` as a ``Fraction``: a ``Fraction`` as it is, a finite float
+    by its shortest decimal text (0.1 is 1/10), any other non-string through
+    ``Fraction``, and a string of an optional sign and ASCII digits, then
+    optionally ``/`` or ``.`` and more digits ("-2", "3/4", "0.125"), by a
+    grammar of the package's own.
 
     The grammar is the same on every interpreter: ``Fraction`` accepts
     exponents (it would expand "1e3000000" into digits before any cap
     applies), and by version underscores, spaces and other scripts' digits.
+    A float's text is short, so ``Fraction`` reads it, exponent and all.
     """
     if type(value) is Fraction:
         return value
+    if isinstance(value, float):
+        if not isfinite(value):
+            raise ValueError(f"{value} is not a finite number")
+        return Fraction(float.__repr__(value))
     if not isinstance(value, str):
         return Fraction(value)
     match = _RATIONAL(value)

@@ -337,19 +337,11 @@ def _product(seqs, index_lists) -> Fraction:
     return Fraction(num, den)
 
 
-def _linked_indices(pi: NCLPartition) -> list[int]:
-    """The t-indices of a linked partition's t-weight: |B| - 1 per block, and
-    0 per non-minimal position, of which there are n - (blocks), the minima
-    being distinct."""
-    return [len(b) - 1 for b in pi.blocks] + [0] * (pi.n - len(pi.blocks))
-
-
-def _tree_indices(tree: PlanarTree) -> tuple:
-    return (tree.word,)
-
-
-def _bicolor_indices(tree: BicolorPlanarTree) -> tuple:
-    return (tree.word[::2], tree.word[1::2])
+def _linked_indices(blocks, n: int) -> list[int]:
+    """The t-indices of the t-weight of linked ``blocks`` over n positions:
+    |B| - 1 per block, and 0 per non-minimal position, of which there are
+    n - (blocks), the minima being distinct."""
+    return [len(b) - 1 for b in blocks] + [0] * (n - len(blocks))
 
 
 @cache
@@ -357,14 +349,14 @@ def _class_profile(n: int) -> tuple:
     from .partitions import NCPartition, class_members
 
     members = class_members(NCPartition(n, (tuple(range(1, n + 1)),)))
-    return _profile(members, lambda pi: (_linked_indices(pi),))
+    return _profile(members, lambda pi: (_linked_indices(pi.blocks, n),))
 
 
 @cache
 def _tree_profile(n: int) -> tuple:
-    from .trees import enumerate_planar_trees
+    from .trees import PlanarTree, enumerate_planar_trees
 
-    return _profile(enumerate_planar_trees(n), _tree_indices)
+    return _profile(enumerate_planar_trees(n), PlanarTree._t_indices)
 
 
 @cache
@@ -377,11 +369,11 @@ def _kreweras_profile(n: int) -> tuple:
 
 @cache
 def _bicolor_profile(n: int, elementary: bool) -> tuple:
-    from .trees import enumerate_bicolor, enumerate_bicolor_elementary
+    from .trees import BicolorPlanarTree, enumerate_bicolor, enumerate_bicolor_elementary
 
     trees = (enumerate_bicolor_elementary(n) if elementary
              else enumerate_bicolor(n, limit=n))
-    return _profile(trees, _bicolor_indices)
+    return _profile(trees, BicolorPlanarTree._t_indices)
 
 
 def cumulant_via_classes(t: TCoeffSequence, n: int) -> Fraction:
@@ -396,9 +388,9 @@ def eval_tree(tree: PlanarTree, t: TCoeffSequence) -> Fraction:
     """Product over the tree's elementary pieces of t_(child count)."""
     from .trees import PlanarTree
 
-    if not isinstance(tree, PlanarTree):  # the word would be read in the wrong layout
+    if not isinstance(tree, PlanarTree):  # its indices fit the other kind's sequences
         raise TypeError(f"eval_tree takes a PlanarTree, not {type(tree).__name__}")
-    return _product((t,), _tree_indices(tree))
+    return _product((t,), tree._t_indices())
 
 
 def cumulant_via_trees(t: TCoeffSequence, n: int) -> Fraction:
@@ -439,29 +431,23 @@ def eval_bicolor(
     children and k counts colour-1 children."""
     from .trees import BicolorPlanarTree
 
-    if not isinstance(tree, BicolorPlanarTree):  # the word would be read in the wrong layout
+    if not isinstance(tree, BicolorPlanarTree):  # its indices fit the other kind's sequences
         raise TypeError(f"eval_bicolor takes a BicolorPlanarTree, not {type(tree).__name__}")
-    return _product((tx, ty), _bicolor_indices(tree))
+    return _product((tx, ty), tree._t_indices())
 
 
 def ncls_weight(pi: NCLPartition, tx: TCoeffSequence, ty: TCoeffSequence) -> Fraction:
-    """The bicolor t-weight of a parity-split linked partition.
-
-    Odd blocks contribute first-argument coefficients, even blocks second-
-    argument ones, and each non-minimal position a constant term of its
-    parity's argument.
+    """The bicolor t-weight of a parity-split linked partition: the linked
+    t-weight of its odd blocks over the n/2 odd positions in the first
+    argument, times that of its even blocks over the even ones in the second.
     """
     from .partitions import is_ncls
 
     if not is_ncls(pi):
         raise NotNclS(f"{shorten(str(pi))} is not parity-split")
-    odd, even = [], []
-    for b in pi.blocks:
-        (odd if b[0] & 1 else even).append(len(b) - 1)
-    # the minima are distinct: each parity's n/2 positions less its block
-    # minima are its non-minimal positions, each weighing t_0
-    half = pi.n // 2
-    return _product((tx, ty), (odd + [0] * (half - len(odd)), even + [0] * (half - len(even))))
+    odd = [b for b in pi.blocks if b[0] & 1]
+    even = [b for b in pi.blocks if not b[0] & 1]
+    return _product((tx, ty), (_linked_indices(odd, pi.n // 2), _linked_indices(even, pi.n // 2)))
 
 
 def t_convolve(tx: TCoeffSequence, ty: TCoeffSequence) -> TCoeffSequence:

@@ -10,8 +10,8 @@ vertices correspond to the parity-split linked partitions of {1..2n}.
 
 A tree is stored as its preorder child-count ``word``: a planar tree's
 Łukasiewicz word, one child count per vertex, or for a bicolor tree the
-flattened (colour-1, colour-0) counts per vertex.  The weights and the
-bijections read the word; ``children`` is derived from it.
+flattened (colour-1, colour-0) counts per vertex.  Only this module reads
+it: the bijections, the weights' t-indices and ``children`` come from it.
 """
 
 from __future__ import annotations
@@ -152,6 +152,10 @@ class PlanarTree(_Tree):
     def children(self) -> tuple[PlanarTree, ...]:
         return tuple(self._subtrees())
 
+    def _t_indices(self) -> tuple:
+        """The t-indices of the tree's weight: each vertex's child count."""
+        return (self.word,)
+
 
 class BicolorPlanarTree(_Tree):
     """A planar tree whose edges carry colours, 1-edges before 0-edges; a
@@ -173,6 +177,10 @@ class BicolorPlanarTree(_Tree):
     @property
     def children(self) -> tuple[tuple[int, BicolorPlanarTree], ...]:
         return tuple(zip([1] * self.word[0] + [0] * self.word[1], self._subtrees()))
+
+    def _t_indices(self) -> tuple:
+        """The t-indices of the tree's weight: colour-1 counts, then colour-0 ones."""
+        return (self.word[::2], self.word[1::2])
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,14 @@ def test_coefficient_outside_the_grammar_exit2(capsys, text):
     assert capsys.readouterr() == ("", f"error: {text!r} is not an integer, a/b or a plain decimal\n")
 
 
+@pytest.mark.parametrize("number, shown", [("1e400", "inf"), ("-1e400", "-inf"),
+                                           ("NaN", "nan"), ("-Infinity", "-inf")])
+def test_non_finite_json_number_exit2(capsys, number, shown):
+    # the decoder reads these as float inf or nan; the refusal is the package's own line
+    assert cli.main(["transform", "m2k", '{"coeffs":[%s]}' % number]) == 2
+    assert capsys.readouterr() == ("", f"error: {shown} is not a finite number\n")
+
+
 @pytest.fixture
 def digit_limit():
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -550,6 +558,8 @@ def test_bad_json_exit2():
         ("render", '{"n":"3","blocks":[[1,2,3]]}'),
         ("render", '{"children":[{"color":true,"tree":{}}]}'),
         ("transform", "m2k", '{"order":true,"coeffs":["1"]}'),
+        ("transform", "m2k", '{"coeffs":[1e400]}'),
+        ("transform", "m2k", '{"coeffs":[NaN]}'),
     ],
 )
 def test_malformed_json_exit2(args):

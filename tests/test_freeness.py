@@ -101,6 +101,39 @@ def test_letter_scale_strings_follow_the_coefficient_grammar():
     assert len(str(info.value)) <= 200
 
 
+_NAME_RULE = "an algebra name is a nonempty string with no '*' or whitespace, not "
+
+
+@pytest.mark.parametrize("text, token, name", [
+    ("2*", "2*", "''"), ("X 2*3*X", "2*3*X", "'3*X'"), ("Y 1/2*X* X", "1/2*X*", "'X*'"),
+])
+def test_word_parse_refuses_letters_without_an_algebra_name(text, token, name):
+    with pytest.raises(ValueError) as info:
+        Word.parse(text)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"letter {token!r}: {_NAME_RULE}{name}"
+
+
+@pytest.mark.parametrize("name", ["", "X Y", "X\tY", " X", "X\n", "3*X", "*", 3, None])
+def test_letters_and_scenarios_refuse_a_name_no_word_prints(name):
+    # a letter prints as one token of a word's text, which splits on
+    # whitespace and reads a scale up to the first '*'
+    for build in (lambda: Letter(name), lambda: Letter(name, 2),
+                  lambda: Scenario({"X": CumulantSequence((1,)), name: CumulantSequence((1,))})):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert type(info.value) is ValueError
+        assert str(info.value) == _NAME_RULE + repr(name) and "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_words_parse_back_from_their_text(seed):
+    _, words = _three_algebra_words(seed)
+    for letters in words:
+        word = Word(letters)
+        assert Word.parse(str(word)) == word
+
+
 def test_mixed_cumulant(scenario):
     assert mixed_cumulant(scenario, [Letter("X"), Letter("Y")]) == 0
     assert mixed_cumulant(scenario, [Letter("X", 2), Letter("X")]) == 2

@@ -42,6 +42,18 @@ def test_parse_fraction_forms(text, value):
     assert jsonio.parse_fraction(text) == value
 
 
+def test_json_floats_read_as_the_constructors_read_them():
+    # a JSON float is read by its shortest decimal text, as limits.rational
+    # reads a float; 1e400 decodes to inf, which no reader accepts
+    assert jsonio.parse_moments(jsonio.read_series('{"coeffs": [0.1, 1e-05]}')).values == (
+        Fraction(1, 10), Fraction(1, 100000))
+    for text, shown in (("1e400", "inf"), ("-Infinity", "-inf"), ("Infinity", "inf"),
+                        ("NaN", "nan")):
+        with pytest.raises(ValueError) as info:
+            jsonio.parse_moments(jsonio.read_series('{"coeffs": [1, %s]}' % text))
+        assert type(info.value) is ValueError and str(info.value) == f"{shown} is not a finite number"
+
+
 @given(st.from_regex(r"[+-]?[0-9]+(/0*[1-9][0-9]*|\.[0-9]+)?", fullmatch=True))
 @settings(max_examples=200, deadline=None)
 def test_parse_fraction_keeps_the_value_of_every_string_in_its_grammar(text):

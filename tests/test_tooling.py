@@ -269,6 +269,16 @@ def test_render_reads_trees_through_one_scan():
             assert node.name not in called, f"render.{node.name} calls itself"
 
 
+def test_only_trees_reads_the_tree_word():
+    # each tree class states its weight's t-indices (``_t_indices``), so no
+    # other module needs to know how a tree word is laid out
+    for path in sorted((ROOT / "src" / "noncrossing").glob("*.py")):
+        if path.name != "trees.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                assert not (isinstance(node, ast.Attribute) and node.attr == "word"), \
+                    f"{path.name}:{node.lineno} reads .word"
+
+
 def test_cli_import_loads_no_dataclasses():
     # importing dataclasses pulls in inspect, ast and more, about 1 MiB of
     # peak RSS per process; FrozenInstanceError is imported only when raised

@@ -44,7 +44,7 @@ from noncrossing.transforms import (
     tcoeffs_to_moments,
     verify_t_multiplicativity,
 )
-from noncrossing.transforms import _bicolor_profile, _evaluate, _power_row, _profile, _tree_indices
+from noncrossing.transforms import _bicolor_profile, _evaluate, _power_row, _profile
 from noncrossing.trees import (
     PlanarTree,
     bicolor_from_ncls,
@@ -540,7 +540,7 @@ READERS = {
 @pytest.mark.parametrize("reader", READERS)
 @pytest.mark.parametrize("value, expected", [
     ("3/4", F(3, 4)), ("-2", F(-2)), ("0.125", F(1, 8)), (F(1, 3), F(1, 3)), (5, F(5)),
-    (0.5, F(1, 2)),
+    (0.5, F(1, 2)), (0.1, F(1, 10)), (1e-05, F(1, 100000)),
 ])
 def test_readers_read_a_value_alike(reader, value, expected):
     got = READERS[reader](value)
@@ -553,6 +553,9 @@ def test_readers_read_a_value_alike(reader, value, expected):
     ("1_0", "'1_0' is not an integer, a/b or a plain decimal"),
     ("\uff11", "'\uff11' is not an integer, a/b or a plain decimal"),
     ("1/0", "zero denominator in '1/0'"),
+    (float("inf"), "inf is not a finite number"),
+    (float("-inf"), "-inf is not a finite number"),
+    (float("nan"), "nan is not a finite number"),
 ])
 def test_readers_refuse_a_value_alike(reader, text, message):
     with pytest.raises(ValueError) as info:
@@ -696,7 +699,7 @@ def test_profile_sum_checks_each_length_once(monkeypatch):
         with pytest.raises(OrderTooLow, match=f"^{message}$"):
             call()
     # STAR3 and CHAIN3 by their elementary degrees: t_0^2 t_2 and t_0 t_1^2
-    profile = _profile(enumerate_planar_trees(3), _tree_indices)
+    profile = _profile(enumerate_planar_trees(3), PlanarTree._t_indices)
     assert type(profile) is tuple
     assert all(type(num) is int for _, num in profile)
     assert dict(profile) == {(((0, 2), (2, 1)),): 1, (((0, 1), (1, 2)),): 1}
