@@ -54,9 +54,9 @@ _RATIONAL = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?").fullmatch
 def rational(value) -> Fraction:
     """``value`` as a ``Fraction``: a ``Fraction`` as it is, a finite float
     by its shortest decimal text (0.1 is 1/10), any other non-string through
-    ``Fraction``, and a string of an optional sign and ASCII digits, then
-    optionally ``/`` or ``.`` and more digits ("-2", "3/4", "0.125"), by a
-    grammar of the package's own.
+    ``Fraction`` (a non-finite one is refused as a float is), and a string
+    of an optional sign and ASCII digits, then optionally ``/`` or ``.`` and
+    more digits ("-2", "3/4", "0.125"), by a grammar of the package's own.
 
     The grammar is the same on every interpreter: ``Fraction`` accepts
     exponents (it would expand "1e3000000" into digits before any cap
@@ -70,7 +70,10 @@ def rational(value) -> Fraction:
             raise ValueError(f"{value} is not a finite number")
         return Fraction(float.__repr__(value))
     if not isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (OverflowError, ValueError):  # a Decimal infinity or NaN
+            raise ValueError(f"{shorten(str(value))} is not a finite number") from None
     match = _RATIONAL(value)
     if match is None:
         raise ValueError(f"{shorten(repr(value))} is not an integer, a/b or a plain decimal")

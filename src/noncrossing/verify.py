@@ -1,4 +1,5 @@
-"""Verification suites: identities checked over seeded corpora and fixtures.
+"""Verification suites: identities checked over seeded corpora and fixtures,
+or proved per order as identities of integer polynomials (prop21, eq5).
 
 Each suite returns report entries.  An entry is a checked identity
 (:class:`~noncrossing.transforms.IdentityCheck`) tagged with its suite: the
@@ -33,8 +34,8 @@ from .transforms import (
     CumulantSequence,
     IdentityCheck,
     MomentSequence,
-    cumulant_via_classes,
-    cumulant_via_trees,
+    _class_profile,
+    _tree_profile,
     eval_bicolor,
     free_multiplicative,
     moments_to_cumulants,
@@ -268,56 +269,101 @@ def kreweras_suite(order, seed=7) -> list[ReportEntry]:
     return entries
 
 
-# how many random sequences prop21, eq5 and theorem draw from the seed
+# how many random sequences theorem draws from the seed
 CORPUS_SIZE = 200
-
-
-def _corpus_with_fixtures(seed, count, order):
-    corpus = seeded_moment_corpus(seed, count, order)
-    corpus.append(catalan_moments(order))
-    corpus.append(shifted_catalan_moments(order))
-    return corpus
 
 
 def _pairs_with_fixtures(seed, count, order) -> list[tuple]:
     """The fixture pair, then the ``count`` seeded sequences two by two."""
-    *seeded, catalan_seq, shifted_seq = _corpus_with_fixtures(seed, count, order)
-    return [(catalan_seq, shifted_seq), *zip(seeded[0::2], seeded[1::2])]
+    seeded = seeded_moment_corpus(seed, count, order)
+    return [(catalan_moments(order), shifted_catalan_moments(order)),
+            *zip(seeded[0::2], seeded[1::2])]
 
 
-@lru_cache(maxsize=1)  # prop21 and eq5 share one corpus
-def _cumulant_route_targets(seed, top) -> tuple:
-    corpus = _corpus_with_fixtures(seed, CORPUS_SIZE, top)
-    return tuple((moments_to_cumulants(m), moments_to_tcoeffs(m)) for m in corpus)
+def _mul_into(out: dict, p: dict, q: dict, sign: int = 1) -> None:
+    """Add ``sign`` times the product of the integer polynomials p and q to
+    ``out``.  A polynomial maps a packed monomial to its coefficient: the
+    exponent of t_i sits in the i-th field of a fixed bit width, so the
+    product of two monomials is the sum of their keys."""
+    for a, x in p.items():
+        for b, y in q.items():
+            out[a + b] = out.get(a + b, 0) + sign * x * y
 
 
-def _cumulant_route_suite(suite, identity, cumulant_via, order, seed):
-    """Check ``cumulant_via(t, n)`` against the cumulants of every corpus
-    sequence; both transforms run once per sequence, outside the n loop.
-    The comparison reads the cumulant's reduced pair, so a passing check
-    builds no ``Fraction`` for it."""
-    targets = _cumulant_route_targets(seed, order)
+def _poly_row(rows: list, a: list) -> None:
+    """Append row d = len(rows) of the power table of A = a[0] z + a[1] z^2
+    + ...: row[j] = [z^d] A^j for j = 0..d, reading a[0..d-1] only."""
+    d = len(rows)
+    row = [{} for _ in range(d + 1)]
+    if d == 0:
+        row[0][0] = 1
+    for ai, src in zip(a, reversed(rows)):  # a_i with row d - i
+        for j, poly in enumerate(src, 1):
+            _mul_into(row[j], ai, poly)
+    rows.append(row)
+
+
+@lru_cache(maxsize=1)  # prop21 and eq5 share one solve
+def _cumulant_polynomials(order: int) -> tuple[dict, ...]:
+    """kappa_1..kappa_order as polynomials in t_0..t_(order-1) with integer
+    coefficients, each a dict from a monomial in the profile form of
+    ``transforms._profile`` to its nonzero coefficient.  They solve the
+    equations of the numeric transforms, M = z(1 + M) T(M) for the moments,
+    then M = R(z(1 + M)) for the cumulants; neither divides, so the solve
+    stays in Z[t] and holds for every t."""
+    width = order.bit_length()  # a degree-order monomial has exponents <= order
+    moments, rows = [], []
+    for n in range(1, order + 1):  # m_n = sum_j t_j [z^(n-1)](M^j + M^(j+1))
+        _poly_row(rows, moments)
+        row, m_n = rows[n - 1], {}
+        for j in range(n):
+            for power in row[j:j + 2]:
+                _mul_into(m_n, {1 << width * j: 1}, power)
+        moments.append(m_n)
+    a, rows, kappa = [{0: 1}, *moments], [], []
+    for n in range(1, order + 1):  # kappa_n = m_n - sum_(k<n) kappa_k [z^n] (z(1+M))^k
+        while len(rows) <= n:
+            _poly_row(rows, a)
+        k_n = dict(moments[n - 1])
+        for k, k_k in enumerate(kappa, 1):
+            _mul_into(k_n, k_k, rows[n][k], -1)
+        kappa.append({key: c for key, c in k_n.items() if c})
+    mask = (1 << width) - 1
+    return tuple({(tuple((i, e) for i in range(order) if (e := key >> width * i & mask)),): c
+                  for key, c in k_n.items()} for k_n in kappa)
+
+
+def _monomial_text(monomial) -> str:
+    (powers,) = monomial
+    return "*".join(f"t{i}^{e}" if e > 1 else f"t{i}" for i, e in powers)
+
+
+def _profile_suite(suite, identity, profile, order):
+    """Compare each kappa_n of :func:`_cumulant_polynomials` with the
+    enumerative ``profile(n)`` monomial by monomial, for n = 1..order: a
+    passing entry proves the identity at that order for every t.  A witness
+    names the first differing monomial in sorted order and both
+    coefficients."""
     entries = []
-    for n in range(1, order + 1):
-        def fault(indexed):
-            idx, (kappa, t) = indexed
-            got = cumulant_via(t, n)
-            expected = kappa.pairs[n - 1]
-            if (got.numerator, got.denominator) != expected:
-                return {"sequence": idx, "got": str(got), "expected": str(Fraction(*expected))}
-        entries.append(_entry(suite, identity, {"n": n, "sequences": len(targets)},
-                              _first_witness(fault, enumerate(targets))))
+    for n, series in enumerate(_cumulant_polynomials(order), 1):
+        total = dict(profile(n))
+        witness = None
+        if series != total:
+            first = min(m for m in series.keys() | total.keys()
+                        if series.get(m, 0) != total.get(m, 0))
+            witness = {"monomial": _monomial_text(first), "series": series.get(first, 0),
+                       "sum": total.get(first, 0)}
+        entries.append(_entry(suite, identity, {"n": n, "terms": len(series)}, witness))
     return entries
 
 
 def prop21_suite(order, seed=7) -> list[ReportEntry]:
-    return _cumulant_route_suite("prop21", "cumulant via connected linked classes",
-                                 cumulant_via_classes, order, seed)
+    return _profile_suite("prop21", "cumulant via connected linked classes",
+                          _class_profile, order)
 
 
 def eq5_suite(order, seed=7) -> list[ReportEntry]:
-    return _cumulant_route_suite("eq5", "cumulant via planar tree sum",
-                                 cumulant_via_trees, order, seed)
+    return _profile_suite("eq5", "cumulant via planar tree sum", _tree_profile, order)
 
 
 def prop22_suite(order, seed=7) -> list[ReportEntry]:
@@ -414,5 +460,5 @@ def run_suites(names, *, order=None, seed=7) -> list[ReportEntry]:
                                 f"(requested {shorten_int(order)})")
         runs.append((name, default if order is None else order))
     entries = [e for name, resolved in runs for e in SUITES[name](order=resolved, seed=seed)]
-    entries.sort(key=lambda e: (e.suite, e.identity, str(sorted(e.parameters.items()))))
+    entries.sort(key=lambda e: (e.suite, e.identity, tuple(sorted(e.parameters.items()))))
     return entries

@@ -297,6 +297,6 @@ def test_criterion_12_cli():
     assert data["pass"] is True
     # and prints these exact bytes (seed 7, json); a change must be deliberate
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-        "4b5d06c765e67a08eb5d802edd2386ae3128c3e466c1ee52e387d1b4c6c93d29"
+        "0bbdf3717592ef3bf36fc83bdfc833291aa2caa3c6211b5c0199c567d138a263"
     )
     _passed(12, "command-line contract")

@@ -652,7 +652,7 @@ def test_verify_transcripts_pinned(monkeypatch, capsys):
             captured = capsys.readouterr()
             transcript.append(f"{' '.join(argv)} {fmt}\n{code}\n{captured.out}{captured.err}")
     digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
-    assert digest == "8eec57d8ecf0d9e31e134521a467c8154e166a51321f98c8bcd5fef612b2d1fc"
+    assert digest == "88ef168d656de5929c1b3b10ab76a7cc07b09ae9f07d64d0bf9e5d00191b85d5"
 
 
 def test_verify_prop21_and_eq5_at_order_10():
@@ -1114,6 +1114,32 @@ def _drop_one(original):
     return lambda n, **kwargs: original(n, **kwargs)[1:]
 
 
+def _first_multiplicity_off_by_one(original):
+    return lambda n: tuple((monomial, count + (i == 0))
+                           for i, (monomial, count) in enumerate(original(n)))
+
+
+def _top_coefficient_off_by_one(original):
+    # the highest cumulant's first monomial, on copies: the cache keeps the true ones
+    def broken(order):
+        *lower, top = original(order)
+        first = min(top)
+        return (*lower, {**top, first: top[first] + 1})
+
+    return broken
+
+
+def _weight_off_by_one(original):
+    # [z^d] A of each power-table row from d = 2 on, which every solve reads
+    def broken(rows, a):
+        original(rows, a)
+        nums, den = rows[-1]
+        if len(nums) > 2:
+            nums[1] += den
+
+    return broken
+
+
 def _drop_first(original):
     # the block stream of NCL(n) loses its first member
     return lambda n, linked, **kwargs: islice(original(n, linked, **kwargs),
@@ -1171,10 +1197,10 @@ def _off_by_one_on_mixed_subwords(original):
          {"partition", "complement", "reason"}),
         (verify, "kreweras", "_compatible", _always_compatible, "complement maximality",
          {"partition", "complement", "coarser"}),
-        (verify, "prop21", "cumulant_via_classes", _off_by_one,
-         "cumulant via connected linked classes", {"sequence", "got", "expected"}),
-        (verify, "eq5", "cumulant_via_trees", _off_by_one,
-         "cumulant via planar tree sum", {"sequence", "got", "expected"}),
+        (verify, "prop21", "_class_profile", _first_multiplicity_off_by_one,
+         "cumulant via connected linked classes", {"monomial", "series", "sum"}),
+        (verify, "eq5", "_tree_profile", _drop_one,
+         "cumulant via planar tree sum", {"monomial", "series", "sum"}),
         (verify, "counts", "iter_blocks", _drop_first, "linked partition count",
          {"got", "expected"}),
         (verify, "counts", "iter_blocks", _repeat_first, "non-crossing partition count",
@@ -1199,11 +1225,17 @@ def _off_by_one_on_mixed_subwords(original):
          "fixture ten-point partition validates", {"got"}),
         (transforms, "convolve", "free_multiplicative", _off_by_one_above_first,
          "t-coefficient product rule", {"lhs", "rhs"}),
+        (verify, "prop21", "_cumulant_polynomials", _top_coefficient_off_by_one,
+         "cumulant via connected linked classes", {"monomial", "series", "sum"}),
+        (verify, "eq5", "_cumulant_polynomials", _top_coefficient_off_by_one,
+         "cumulant via planar tree sum", {"monomial", "series", "sum"}),
+        (transforms, "theorem", "_power_row", _weight_off_by_one,
+         "t-series multiplicativity", {"identity", "parameters", "lhs", "rhs"}),
     ],
     ids=["kreweras", "maximality-mirrored", "maximality-no-crossings", "prop21", "eq5",
          "counts", "counts-duplicate", "theorem", "bridge", "prop22", "prop22-cumulant",
          "fixture-components", "fixture-exterior", "fixture-non-minimal", "fixture-ten-point",
-         "convolve"],
+         "convolve", "series-prop21", "series-eq5", "theorem-power-row"],
 )
 def test_fault_injection_reports_witness(
     monkeypatch, capsys, module, suite, attr, corrupt, identity, witness_keys

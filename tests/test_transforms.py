@@ -6,6 +6,7 @@ import pickle
 import random
 import time
 from dataclasses import FrozenInstanceError
+from decimal import Decimal
 from fractions import Fraction as F
 from functools import cache
 from itertools import combinations_with_replacement
@@ -53,6 +54,7 @@ from noncrossing.trees import (
     enumerate_planar_trees,
 )
 from noncrossing.verify import (
+    _cumulant_polynomials,
     catalan_moments,
     seeded_moment_corpus,
     shifted_catalan_moments,
@@ -540,7 +542,7 @@ READERS = {
 @pytest.mark.parametrize("reader", READERS)
 @pytest.mark.parametrize("value, expected", [
     ("3/4", F(3, 4)), ("-2", F(-2)), ("0.125", F(1, 8)), (F(1, 3), F(1, 3)), (5, F(5)),
-    (0.5, F(1, 2)), (0.1, F(1, 10)), (1e-05, F(1, 100000)),
+    (0.5, F(1, 2)), (0.1, F(1, 10)), (1e-05, F(1, 100000)), (Decimal("0.1"), F(1, 10)),
 ])
 def test_readers_read_a_value_alike(reader, value, expected):
     got = READERS[reader](value)
@@ -556,6 +558,10 @@ def test_readers_read_a_value_alike(reader, value, expected):
     (float("inf"), "inf is not a finite number"),
     (float("-inf"), "-inf is not a finite number"),
     (float("nan"), "nan is not a finite number"),
+    (Decimal("Infinity"), "Infinity is not a finite number"),
+    (Decimal("-Infinity"), "-Infinity is not a finite number"),
+    (Decimal("NaN"), "NaN is not a finite number"),
+    (Decimal("sNaN"), "sNaN is not a finite number"),
 ])
 def test_readers_refuse_a_value_alike(reader, text, message):
     with pytest.raises(ValueError) as info:
@@ -607,6 +613,18 @@ def test_class_and_tree_kernels_equal_per_object_sums(n):
         t = TCoeffSequence(_random_rationals(rng, n, max_den))
         assert cumulant_via_classes(t, n) == class_sum(t.values, n)
         assert cumulant_via_trees(t, n) == tree_sum(t.values, n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_cumulant_polynomials_evaluate_to_the_numeric_solves(n):
+    # verify's prop21 and eq5 compare the profiles with these polynomials, so
+    # they must be the numeric kernel's cumulants at every t
+    rng = random.Random(3000 + n)
+    polynomial = tuple(_cumulant_polynomials(10)[n - 1].items())
+    for max_den in PROFILE_DENOMINATORS:
+        t = TCoeffSequence(_random_rationals(rng, n, max_den))
+        kappa = moments_to_cumulants(tcoeffs_to_moments(t)).values[n - 1]
+        assert _evaluate(polynomial, t) == kappa
 
 
 @pytest.mark.parametrize("n", range(1, 8))
