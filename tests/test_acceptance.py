@@ -297,6 +297,6 @@ def test_criterion_12_cli():
     assert data["pass"] is True
     # and prints these exact bytes (seed 7, json); a change must be deliberate
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-        "0bbdf3717592ef3bf36fc83bdfc833291aa2caa3c6211b5c0199c567d138a263"
+        "34256edc39e23609aa6654443d43e926dd42681cc7507f9b5ac099b8b1fcbdb3"
     )
     _passed(12, "command-line contract")

@@ -652,13 +652,42 @@ def test_verify_transcripts_pinned(monkeypatch, capsys):
             captured = capsys.readouterr()
             transcript.append(f"{' '.join(argv)} {fmt}\n{code}\n{captured.out}{captured.err}")
     digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
-    assert digest == "88ef168d656de5929c1b3b10ab76a7cc07b09ae9f07d64d0bf9e5d00191b85d5"
+    assert digest == "0cbb9728f5d3764cb59ce3b8f0069778784174251367c1c11ad3c59399577215"
 
 
 def test_verify_prop21_and_eq5_at_order_10():
     entries = verify.run_suites(["prop21", "eq5"], order=10)
     assert len(entries) == 20
     assert all(e.passed for e in entries)
+
+
+def test_verify_theorem_at_order_6():
+    # three identities per n proved in Z[tx, ty], then the numeric pairs
+    entries = verify.run_suites("theorem", order=6)
+    assert len(entries) == 3 * 6 + verify.CORPUS_SIZE // 2 + 1
+    assert all(e.passed for e in entries)
+
+
+def test_verify_all_solves_only_for_its_numeric_pairs(monkeypatch):
+    # the symbolic entries solve nothing numerically; each of theorem's numeric
+    # pairs (the fixture and the seeded ones) takes m2k and m2t of both factors,
+    # then k2m and m2t of the product, and each of bridge's m2t and m2k of both
+    for module in (transforms, verify):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    calls = []
+    solve = transforms._solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, "_solve", counted)
+    entries = verify.run_suites("all", seed=7)
+    assert all(e.passed for e in entries)
+    bridge_pairs = {e.parameters["pair"] for e in entries if e.suite == "bridge"}
+    assert len(calls) == 6 * (verify.CORPUS_SIZE // 2 + 1) + 4 * len(bridge_pairs)
 
 
 @pytest.mark.parametrize(
@@ -1115,8 +1144,8 @@ def _drop_one(original):
 
 
 def _first_multiplicity_off_by_one(original):
-    return lambda n: tuple((monomial, count + (i == 0))
-                           for i, (monomial, count) in enumerate(original(n)))
+    return lambda *args: tuple((monomial, count + (i == 0))
+                               for i, (monomial, count) in enumerate(original(*args)))
 
 
 def _top_coefficient_off_by_one(original):
@@ -1231,11 +1260,18 @@ def _off_by_one_on_mixed_subwords(original):
          "cumulant via planar tree sum", {"monomial", "series", "sum"}),
         (transforms, "theorem", "_power_row", _weight_off_by_one,
          "t-series multiplicativity", {"identity", "parameters", "lhs", "rhs"}),
+        (verify, "theorem", "_kreweras_profile", _drop_one,
+         "aggregate Kreweras identity", {"monomial", "series", "sum"}),
+        (verify, "theorem", "_bicolor_profile", _first_multiplicity_off_by_one,
+         "aggregate tree identity", {"monomial", "series", "sum"}),
+        (verify, "theorem", "_cumulant_polynomials", _top_coefficient_off_by_one,
+         "aggregate Kreweras identity", {"monomial", "series", "sum"}),
     ],
     ids=["kreweras", "maximality-mirrored", "maximality-no-crossings", "prop21", "eq5",
          "counts", "counts-duplicate", "theorem", "bridge", "prop22", "prop22-cumulant",
          "fixture-components", "fixture-exterior", "fixture-non-minimal", "fixture-ten-point",
-         "convolve", "series-prop21", "series-eq5", "theorem-power-row"],
+         "convolve", "series-prop21", "series-eq5", "theorem-power-row",
+         "theorem-kreweras-profile", "theorem-bicolor-profile", "series-theorem"],
 )
 def test_fault_injection_reports_witness(
     monkeypatch, capsys, module, suite, attr, corrupt, identity, witness_keys

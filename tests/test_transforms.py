@@ -55,6 +55,8 @@ from noncrossing.trees import (
 )
 from noncrossing.verify import (
     _cumulant_polynomials,
+    _theorem_identities,
+    _unpacked,
     catalan_moments,
     seeded_moment_corpus,
     shifted_catalan_moments,
@@ -620,11 +622,33 @@ def test_cumulant_polynomials_evaluate_to_the_numeric_solves(n):
     # verify's prop21 and eq5 compare the profiles with these polynomials, so
     # they must be the numeric kernel's cumulants at every t
     rng = random.Random(3000 + n)
-    polynomial = tuple(_cumulant_polynomials(10)[n - 1].items())
+    polynomial = _unpacked(_cumulant_polynomials(10)[n - 1], 10)
     for max_den in PROFILE_DENOMINATORS:
         t = TCoeffSequence(_random_rationals(rng, n, max_den))
         kappa = moments_to_cumulants(tcoeffs_to_moments(t)).values[n - 1]
         assert _evaluate(polynomial, t) == kappa
+
+
+def test_theorem_polynomials_evaluate_to_the_numeric_routes():
+    # verify's theorem proves its identities on these polynomials in Z[tx, ty],
+    # so at rational tx, ty both sides must be the product's cumulant by the
+    # Kreweras sum and by the t-series product, or the elementary tree's weight
+    rng = random.Random(4000)
+    identities = list(_theorem_identities(6))
+    for max_den in PROFILE_DENOMINATORS:
+        tx = TCoeffSequence(_random_rationals(rng, 6, max_den))
+        ty = TCoeffSequence(_random_rationals(rng, 6, max_den))
+        both = TCoeffSequence(tx.values + ty.values)  # ty_i sits in field 6 + i
+        kx, ky = (moments_to_cumulants(tcoeffs_to_moments(t)) for t in (tx, ty))
+        txy = t_convolve(tx, ty)
+        kxy = moments_to_cumulants(tcoeffs_to_moments(txy))
+        for identity, n, series, total in identities:
+            if identity == "one-level evaluation identity":
+                wanted = [eval_tree(PlanarTree((PlanarTree(),) * (n - 1)), txy)]
+            else:
+                wanted = [free_multiplicative(kx, ky, n), kxy.values[n - 1]]
+            for side in (series, total):
+                assert [_evaluate(_unpacked(side, 6), both)] * len(wanted) == wanted
 
 
 @pytest.mark.parametrize("n", range(1, 8))
