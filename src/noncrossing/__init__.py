@@ -103,8 +103,8 @@ _EXPORTS = {
         "vertex_order",
     ),
 }
-_SUBMODULES = ("cli", "errors", "freeness", "jsonio", "limits", "partitions", "render",
-               "transforms", "trees", "verify")
+_SUBMODULES = ("cli", "errors", "freeness", "jsonio", "limits", "partitions", "poly",
+               "render", "transforms", "trees", "verify")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)

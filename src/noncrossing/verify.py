@@ -2,9 +2,9 @@
 or proved per order as identities of integer polynomials.
 
 prop21 and eq5 prove their identities in Z[t] and theorem its three in
-Z[tx, ty]: a polynomial packs each monomial into one int, and an
-enumerative profile is substituted at lists of such polynomials, so the
-comparison holds for every value of the variables and reads no seed.
+Z[tx, ty], the rings of :mod:`noncrossing.poly`: an enumerative profile is
+substituted at lists of polynomials there, so the comparison holds for
+every value of the variables and reads no seed.
 theorem also checks a few seeded pairs numerically, which keeps the numeric
 transforms, the Kreweras sum and the tree evaluations under ``verify all``.
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, gcd
 
 from .errors import LimitExceeded, shorten_int
@@ -36,6 +35,15 @@ from .partitions import (
     non_minimal_elements,
     validate_nc,
     validate_ncl,
+)
+from .poly import (
+    cumulant_polynomials,
+    monomial_text,
+    moved,
+    mul_into,
+    substitute,
+    unpacked,
+    variables,
 )
 from .transforms import (
     CumulantSequence,
@@ -293,110 +301,6 @@ def _pairs_with_fixtures(seed, count, order) -> list[tuple]:
             *zip(seeded[0::2], seeded[1::2])]
 
 
-def _mul_into(out: dict, p: dict, q: dict, sign: int = 1) -> None:
-    """Add ``sign`` times the product of the integer polynomials p and q to
-    ``out``.  A polynomial maps a packed monomial to its coefficient: the
-    exponent of variable i sits in the i-th field of order.bit_length()
-    bits, so the product of two monomials is the sum of their keys."""
-    for a, x in p.items():
-        for b, y in q.items():
-            out[a + b] = out.get(a + b, 0) + sign * x * y
-
-
-def _times(p: dict, q: dict) -> dict:
-    out: dict = {}
-    _mul_into(out, p, q)
-    return out
-
-
-def _poly_row(rows: list, a: list) -> None:
-    """Append row d = len(rows) of the power table of A = a[0] z + a[1] z^2
-    + ...: row[j] = [z^d] A^j for j = 0..d, reading a[0..d-1] only."""
-    d = len(rows)
-    row = [{} for _ in range(d + 1)]
-    if d == 0:
-        row[0][0] = 1
-    for ai, src in zip(a, reversed(rows)):  # a_i with row d - i
-        for j, poly in enumerate(src, 1):
-            _mul_into(row[j], ai, poly)
-    rows.append(row)
-
-
-@lru_cache(maxsize=1)  # prop21 and eq5 share one solve
-def _cumulant_polynomials(order: int) -> tuple[dict, ...]:
-    """kappa_1..kappa_order as polynomials in t_0..t_(order-1) with integer
-    coefficients, each a dict from a packed monomial (:func:`_mul_into`) to
-    its nonzero coefficient.  They solve the equations of the numeric
-    transforms, M = z(1 + M) T(M) for the moments, then M = R(z(1 + M)) for
-    the cumulants; neither divides, so the solve stays in Z[t] and holds for
-    every t."""
-    t = _variables(order, 0)
-    moments, rows = [], []
-    for n in range(1, order + 1):  # m_n = sum_j t_j [z^(n-1)](M^j + M^(j+1))
-        _poly_row(rows, moments)
-        row, m_n = rows[n - 1], {}
-        for j in range(n):
-            for power in row[j:j + 2]:
-                _mul_into(m_n, t[j], power)
-        moments.append(m_n)
-    a, rows, kappa = [{0: 1}, *moments], [], []
-    for n in range(1, order + 1):  # kappa_n = m_n - sum_(k<n) kappa_k [z^n] (z(1+M))^k
-        while len(rows) <= n:
-            _poly_row(rows, a)
-        k_n = dict(moments[n - 1])
-        for k, k_k in enumerate(kappa, 1):
-            _mul_into(k_n, k_k, rows[n][k], -1)
-        kappa.append({key: c for key, c in k_n.items() if c})
-    return tuple(kappa)
-
-
-def _variables(order: int, first: int) -> list[dict]:
-    """order variables as packed polynomials, in fields first..first+order-1."""
-    width = order.bit_length()
-    return [{1 << width * (first + i): 1} for i in range(order)]
-
-
-def _powers(key: int, order: int) -> list[tuple[int, int]]:
-    """The (field, exponent) pairs of a packed monomial, in field order."""
-    width = order.bit_length()
-    mask = (1 << width) - 1
-    return [(i, e) for i in range(-(-key.bit_length() // width))
-            if (e := key >> width * i & mask)]
-
-
-def _unpacked(poly: dict, order: int) -> tuple:
-    """A packed polynomial as a one-sequence profile (``transforms._profile``)."""
-    return tuple(((_powers(key, order),), c) for key, c in poly.items())
-
-
-def _substitute(profile, seqs) -> dict:
-    """A profile's sum (``transforms._evaluate``) at sequences of packed
-    polynomials: per monomial, its multiplicity times the product of
-    seqs[k][i] ** e, each power built once."""
-    powers: dict = {}
-    total: dict = {}
-    for monomial, count in profile:
-        product = {0: count}
-        for k, (seq, pairs) in enumerate(zip(seqs, monomial)):
-            for i, e in pairs:
-                power = powers.get((k, i, e))
-                if power is None:
-                    power = seq[i]
-                    for _ in range(e - 1):
-                        power = _times(power, seq[i])
-                    powers[k, i, e] = power
-                product = _times(product, power)
-        for key, c in product.items():
-            total[key] = total.get(key, 0) + c
-    return {key: c for key, c in total.items() if c}
-
-
-def _monomial_text(key: int, order: int, alphabets: tuple) -> str:
-    """A packed monomial as text, ``alphabets[k]`` naming fields k*order on."""
-    return "*".join(f"{alphabets[i // order]}{i % order}" + (f"^{e}" if e > 1 else "")
-                    for i, e in _powers(key, order))
-
-
 def _compared(suite, identity, n, series, total, order, alphabets) -> ReportEntry:
     """An entry comparing two polynomials monomial by monomial: a passing
     entry proves the identity at order n for every value of the variables.
@@ -406,17 +310,18 @@ def _compared(suite, identity, n, series, total, order, alphabets) -> ReportEntr
     if series != total:
         first = min(m for m in series.keys() | total.keys()
                     if series.get(m, 0) != total.get(m, 0))
-        witness = {"monomial": _monomial_text(first, order, alphabets),
+        witness = {"monomial": monomial_text(first, order, alphabets),
                    "series": series.get(first, 0), "sum": total.get(first, 0)}
     return _entry(suite, identity, {"n": n, "terms": len(series)}, witness)
 
 
 def _profile_suite(suite, identity, profile, order):
-    """kappa_n of :func:`_cumulant_polynomials` against the enumerative
-    ``profile(n)`` substituted at the variables, for n = 1..order."""
-    t = _variables(order, 0)
-    return [_compared(suite, identity, n, series, _substitute(profile(n), [t]), order, ("t",))
-            for n, series in enumerate(_cumulant_polynomials(order), 1)]
+    """kappa_n of :func:`~noncrossing.poly.cumulant_polynomials` against
+    the enumerative ``profile(n)`` substituted at the variables, for n =
+    1..order."""
+    t = variables(order, 0)
+    return [_compared(suite, identity, n, series, substitute(profile(n), [t]), order, ("t",))
+            for n, series in enumerate(cumulant_polynomials(order), 1)]
 
 
 def prop21_suite(order, seed=7) -> list[ReportEntry]:
@@ -470,29 +375,31 @@ def bridge_suite(order, seed=7) -> list[ReportEntry]:
 
 def _theorem_identities(order: int):
     """Per n = 1..order, the theorem's three identities in Z[tx, ty], as
-    (identity, n, series, sum) with both sides packed over tx_i in field i
-    and ty_i in field order + i.  The Kreweras sum of the factors' cumulant
-    polynomials and the bicolor tree sum each equal kappa_n(tx ty): kappa_n
-    with t_j replaced by sum_i tx_i ty_(j-i).  The one-level bicolor sum
-    equals the elementary tree's weight (tx ty)_(n-1) (tx ty)_0^(n-1).  As
-    t -> kappa is triangular and invertible for t_0 != 0, the first identity
-    for n = 1..order is t_(x box y) = tx ty up to index order - 1."""
-    kx = _cumulant_polynomials(order)
-    tx, ty = _variables(order, 0), _variables(order, order)
-    ky = [_substitute(_unpacked(k_n, order), [ty]) for k_n in kx]
+    (identity, n, series, sum) with both sides polynomials of
+    :mod:`noncrossing.poly` in tx, alphabet 0, and ty, alphabet 1.  The
+    Kreweras sum of the factors' cumulant polynomials and the bicolor tree
+    sum each equal kappa_n(tx ty): kappa_n with t_j replaced by sum_i tx_i
+    ty_(j-i).  The one-level bicolor sum equals the elementary tree's weight
+    (tx ty)_(n-1) (tx ty)_0^(n-1).  As t -> kappa is triangular and
+    invertible for t_0 != 0, the first identity for n = 1..order is
+    t_(x box y) = tx ty up to index order - 1.  kappa(ty) is kappa(tx)
+    moved one alphabet over."""
+    kx = cumulant_polynomials(order)
+    tx, ty = variables(order, 0), variables(order, 1)
+    ky = [moved(k_n, order) for k_n in kx]
     txy = [{} for _ in range(order)]
     for j in range(order):
         for i in range(j + 1):
-            _mul_into(txy[j], tx[i], ty[j - i])
+            mul_into(txy[j], tx[i], ty[j - i])
     for n, k_n in enumerate(kx, 1):
-        product = _substitute(_unpacked(k_n, order), [txy])
+        product = substitute(unpacked(k_n, order), [txy])
         elementary = _profile((PlanarTree((PlanarTree(),) * (n - 1)),), PlanarTree._t_indices)
         yield ("aggregate Kreweras identity", n, product,
-               _substitute(_kreweras_profile(n), [kx, ky]))
+               substitute(_kreweras_profile(n), [kx, ky]))
         yield ("aggregate tree identity", n, product,
-               _substitute(_bicolor_profile(n, False), [tx, ty]))
-        yield ("one-level evaluation identity", n, _substitute(elementary, [txy]),
-               _substitute(_bicolor_profile(n, True), [tx, ty]))
+               substitute(_bicolor_profile(n, False), [tx, ty]))
+        yield ("one-level evaluation identity", n, substitute(elementary, [txy]),
+               substitute(_bicolor_profile(n, True), [tx, ty]))
 
 
 def theorem_suite(order, seed=7) -> list[ReportEntry]:

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from noncrossing import (cli, errors, freeness, jsonio, partitions, render, transforms, trees,
-                         verify)
+from noncrossing import (cli, errors, freeness, jsonio, partitions, poly, render, transforms,
+                         trees, verify)
 from noncrossing.errors import LimitExceeded, NotConnected, NotNclS, shorten
 from noncrossing.limits import DEFAULT_LIMITS
 from noncrossing.partitions import NCPartition
@@ -672,7 +672,7 @@ def test_verify_all_solves_only_for_its_numeric_pairs(monkeypatch):
     # the symbolic entries solve nothing numerically; each of theorem's numeric
     # pairs (the fixture and the seeded ones) takes m2k and m2t of both factors,
     # then k2m and m2t of the product, and each of bridge's m2t and m2k of both
-    for module in (transforms, verify):
+    for module in (transforms, poly, verify):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -1254,9 +1254,9 @@ def _off_by_one_on_mixed_subwords(original):
          "fixture ten-point partition validates", {"got"}),
         (transforms, "convolve", "free_multiplicative", _off_by_one_above_first,
          "t-coefficient product rule", {"lhs", "rhs"}),
-        (verify, "prop21", "_cumulant_polynomials", _top_coefficient_off_by_one,
+        (verify, "prop21", "cumulant_polynomials", _top_coefficient_off_by_one,
          "cumulant via connected linked classes", {"monomial", "series", "sum"}),
-        (verify, "eq5", "_cumulant_polynomials", _top_coefficient_off_by_one,
+        (verify, "eq5", "cumulant_polynomials", _top_coefficient_off_by_one,
          "cumulant via planar tree sum", {"monomial", "series", "sum"}),
         (transforms, "theorem", "_power_row", _weight_off_by_one,
          "t-series multiplicativity", {"identity", "parameters", "lhs", "rhs"}),
@@ -1264,7 +1264,7 @@ def _off_by_one_on_mixed_subwords(original):
          "aggregate Kreweras identity", {"monomial", "series", "sum"}),
         (verify, "theorem", "_bicolor_profile", _first_multiplicity_off_by_one,
          "aggregate tree identity", {"monomial", "series", "sum"}),
-        (verify, "theorem", "_cumulant_polynomials", _top_coefficient_off_by_one,
+        (verify, "theorem", "cumulant_polynomials", _top_coefficient_off_by_one,
          "aggregate Kreweras identity", {"monomial", "series", "sum"}),
     ],
     ids=["kreweras", "maximality-mirrored", "maximality-no-crossings", "prop21", "eq5",

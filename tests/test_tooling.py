@@ -75,7 +75,7 @@ def test_runtime_imports_are_stdlib():
 # no import cycle; an import deferred into a function (ast.walk sees it too)
 # is there only to keep start-up small, never to dodge a cycle
 IMPORT_ORDER = ("errors", "limits", "partitions", "trees", "transforms", "freeness",
-                "jsonio", "render", "verify", "cli")
+                "jsonio", "render", "poly", "verify", "cli")
 
 
 def test_package_imports_follow_one_order():
@@ -88,6 +88,26 @@ def test_package_imports_follow_one_order():
             targets = [node.module] if node.module else [alias.name for alias in node.names]
             for target in targets:
                 assert IMPORT_ORDER.index(target) < rank, f"{name} imports {target}"
+
+
+def test_only_poly_packs_monomials():
+    # poly owns the packed layout: it has no relative import (an absolute one
+    # is stdlib, above), only verify imports it, and verify reads no bit length
+    src = ROOT / "src" / "noncrossing"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+                assert not (path.stem == "poly" and node.level), f"poly.py:{node.lineno}"
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert path.stem == "verify" or "poly" not in {n.rsplit(".", 1)[-1] for n in names}, \
+                f"{path.name}:{node.lineno} imports poly"
+    for node in ast.walk(ast.parse((src / "verify.py").read_text())):
+        assert not (isinstance(node, ast.Attribute) and node.attr == "bit_length"), \
+            f"verify.py:{node.lineno} reads a bit length"
 
 
 def test_cli_only_dispatches():

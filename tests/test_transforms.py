@@ -53,10 +53,9 @@ from noncrossing.trees import (
     enumerate_bicolor_elementary,
     enumerate_planar_trees,
 )
+from noncrossing.poly import cumulant_polynomials, unpacked
 from noncrossing.verify import (
-    _cumulant_polynomials,
     _theorem_identities,
-    _unpacked,
     catalan_moments,
     seeded_moment_corpus,
     shifted_catalan_moments,
@@ -622,7 +621,7 @@ def test_cumulant_polynomials_evaluate_to_the_numeric_solves(n):
     # verify's prop21 and eq5 compare the profiles with these polynomials, so
     # they must be the numeric kernel's cumulants at every t
     rng = random.Random(3000 + n)
-    polynomial = _unpacked(_cumulant_polynomials(10)[n - 1], 10)
+    polynomial = unpacked(cumulant_polynomials(10)[n - 1], 10)
     for max_den in PROFILE_DENOMINATORS:
         t = TCoeffSequence(_random_rationals(rng, n, max_den))
         kappa = moments_to_cumulants(tcoeffs_to_moments(t)).values[n - 1]
@@ -648,7 +647,7 @@ def test_theorem_polynomials_evaluate_to_the_numeric_routes():
             else:
                 wanted = [free_multiplicative(kx, ky, n), kxy.values[n - 1]]
             for side in (series, total):
-                assert [_evaluate(_unpacked(side, 6), both)] * len(wanted) == wanted
+                assert [_evaluate(unpacked(side, 6), both)] * len(wanted) == wanted
 
 
 @pytest.mark.parametrize("n", range(1, 8))
