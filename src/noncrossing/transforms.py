@@ -436,18 +436,21 @@ def eval_bicolor(
     return _product((tx, ty), tree._t_indices())
 
 
+def _ncls_indices(pi: NCLPartition) -> tuple:
+    """The t-indices of the bicolor t-weight of a parity-split linked
+    partition: the linked t-indices of its odd blocks over the n/2 odd
+    positions, then those of its even blocks over the even ones."""
+    return tuple(_linked_indices([b for b in pi.blocks if b[0] & 1 == odd], pi.n // 2)
+                 for odd in (1, 0))
+
+
 def ncls_weight(pi: NCLPartition, tx: TCoeffSequence, ty: TCoeffSequence) -> Fraction:
-    """The bicolor t-weight of a parity-split linked partition: the linked
-    t-weight of its odd blocks over the n/2 odd positions in the first
-    argument, times that of its even blocks over the even ones in the second.
-    """
+    """The bicolor t-weight of ``pi`` at :func:`_ncls_indices`: odd blocks in tx, even in ty."""
     from .partitions import is_ncls
 
     if not is_ncls(pi):
         raise NotNclS(f"{shorten(str(pi))} is not parity-split")
-    odd = [b for b in pi.blocks if b[0] & 1]
-    even = [b for b in pi.blocks if not b[0] & 1]
-    return _product((tx, ty), (_linked_indices(odd, pi.n // 2), _linked_indices(even, pi.n // 2)))
+    return _product((tx, ty), _ncls_indices(pi))
 
 
 def t_convolve(tx: TCoeffSequence, ty: TCoeffSequence) -> TCoeffSequence:

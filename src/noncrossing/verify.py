@@ -1,10 +1,11 @@
 """Verification suites: identities checked over seeded corpora and fixtures,
 or proved per order as identities of integer polynomials.
 
-prop21 and eq5 prove their identities in Z[t] and theorem its three in
+prop21 and eq5 prove their identities in Z[t], theorem and bridge theirs in
 Z[tx, ty], the rings of :mod:`noncrossing.poly`: an enumerative profile is
 substituted at lists of polynomials there, so the comparison holds for
-every value of the variables and reads no seed.
+every value of the variables and reads no seed.  bridge also matches each
+parity-split partition's weight with its bicolor tree's as monomials.
 theorem also checks a few seeded pairs numerically, which keeps the numeric
 transforms, the Kreweras sum and the tree evaluations under ``verify all``.
 
@@ -18,7 +19,6 @@ suites back the CLI ``verify`` command and the acceptance tests.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import comb, gcd
 
 from .errors import LimitExceeded, shorten_int
@@ -52,16 +52,13 @@ from .transforms import (
     _bicolor_profile,
     _class_profile,
     _kreweras_profile,
+    _ncls_indices,
     _profile,
     _tree_profile,
-    eval_bicolor,
-    free_multiplicative,
-    moments_to_cumulants,
-    moments_to_tcoeffs,
-    ncls_weight,
     verify_t_multiplicativity,
 )
 from .trees import (
+    BicolorPlanarTree,
     PlanarTree,
     bicolor_from_ncls,
     enumerate_bicolor,
@@ -136,12 +133,12 @@ def seeded_moment_corpus(seed: int, count: int, order: int) -> list[MomentSequen
 
 def catalan_moments(order: int) -> MomentSequence:
     """Moments whose cumulants are all one (the Catalan numbers)."""
-    return MomentSequence(tuple(Fraction(catalan(n)) for n in range(1, order + 1)))
+    return MomentSequence(tuple(catalan(n) for n in range(1, order + 1)))
 
 
 def shifted_catalan_moments(order: int) -> MomentSequence:
     """Moments with cumulants (2, 1, 0, 0, ...) (shifted Catalan numbers)."""
-    return MomentSequence(tuple(Fraction(catalan(n + 1)) for n in range(1, order + 1)))
+    return MomentSequence(tuple(catalan(n + 1) for n in range(1, order + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +291,6 @@ def kreweras_suite(order, seed=7) -> list[ReportEntry]:
 CORPUS_SIZE = 8
 
 
-def _pairs_with_fixtures(seed, count, order) -> list[tuple]:
-    """The fixture pair, then the ``count`` seeded sequences two by two."""
-    seeded = seeded_moment_corpus(seed, count, order)
-    return [(catalan_moments(order), shifted_catalan_moments(order)),
-            *zip(seeded[0::2], seeded[1::2])]
-
-
 def _compared(suite, identity, n, series, total, order, alphabets) -> ReportEntry:
     """An entry comparing two polynomials monomial by monomial: a passing
     entry proves the identity at order n for every value of the variables.
@@ -344,55 +334,59 @@ def prop22_suite(order, seed=7) -> list[ReportEntry]:
     ]
 
 
-def bridge_suite(order, seed=7) -> list[ReportEntry]:
-    entries = []
-    for pair_idx, (ma, mb) in enumerate(_pairs_with_fixtures(seed, 2, max(order, 2))):
-        tx = moments_to_tcoeffs(ma)
-        ty = moments_to_tcoeffs(mb)
-        kx = moments_to_cumulants(ma)
-        ky = moments_to_cumulants(mb)
+def _product_cumulants(order: int) -> tuple[list, list]:
+    """t_(x box y) = tx ty up to index order - 1, and kappa_1..kappa_order
+    at it: polynomials in tx, alphabet 0, and ty, alphabet 1."""
+    tx, ty = variables(order, 0), variables(order, 1)
+    txy = [{} for _ in range(order)]
+    for j in range(order):
+        for i in range(j + 1):
+            mul_into(txy[j], tx[i], ty[j - i])
+    return txy, [substitute(unpacked(k_n, order), [txy]) for k_n in cumulant_polynomials(order)]
 
-        def fault(weighed):
-            pi, weight = weighed
-            via_tree = eval_bicolor(bicolor_from_ncls(pi), tx, ty)
-            if weight != via_tree:
-                return {"partition": str(pi), "weight": str(weight), "tree value": str(via_tree)}
-        for n in range(1, order + 1):
-            weighed = [(pi, ncls_weight(pi, tx, ty)) for pi in enumerate_ncls(n)]
-            entries.append(_entry("bridge", "split-partition weight equals bicolor evaluation",
-                                  {"n": n, "pair": pair_idx}, _first_witness(fault, weighed)))
-            total = sum((weight for _, weight in weighed), Fraction(0))
-            tree_total = sum((eval_bicolor(b, tx, ty) for b in enumerate_bicolor(n)), Fraction(0))
-            km = free_multiplicative(kx, ky, n)
-            entries.append(
-                _entry("bridge", "aggregate split weights give the product cumulant",
-                       {"n": n, "pair": pair_idx},
-                       None if total == tree_total == km else
-                       {"weights": str(total), "trees": str(tree_total), "cumulant": str(km)})
-            )
+
+def bridge_suite(order, seed=7) -> list[ReportEntry]:
+    """Per n = 1..order, each parity-split linked partition's weight against
+    its bicolor tree's under lambda, as one-object profiles, equal exactly
+    when both are one monomial in tx and ty; then the sum of the weights
+    over NCL_S(n) against kappa_n(tx ty) in Z[tx, ty]."""
+    tx, ty = variables(order, 0), variables(order, 1)
+
+    def text(weight):
+        (key,) = substitute(weight, [tx, ty])
+        return monomial_text(key, order, ("tx", "ty"))
+
+    def fault(pi):
+        weight = _profile((pi,), _ncls_indices)
+        via_tree = _profile((bicolor_from_ncls(pi),), BicolorPlanarTree._t_indices)
+        if weight != via_tree:
+            return {"partition": str(pi), "weight": text(weight), "tree value": text(via_tree)}
+
+    entries = []
+    for n, product in enumerate(_product_cumulants(order)[1], 1):
+        members = enumerate_ncls(n)
+        total = substitute(_profile(members, _ncls_indices), [tx, ty])
+        entries.append(_entry("bridge", "split-partition weight equals bicolor evaluation",
+                              {"n": n}, _first_witness(fault, members)))
+        entries.append(_compared("bridge", "aggregate split weights give the product cumulant",
+                                 n, product, total, order, ("tx", "ty")))
     return entries
 
 
 def _theorem_identities(order: int):
     """Per n = 1..order, the theorem's three identities in Z[tx, ty], as
-    (identity, n, series, sum) with both sides polynomials of
-    :mod:`noncrossing.poly` in tx, alphabet 0, and ty, alphabet 1.  The
-    Kreweras sum of the factors' cumulant polynomials and the bicolor tree
-    sum each equal kappa_n(tx ty): kappa_n with t_j replaced by sum_i tx_i
-    ty_(j-i).  The one-level bicolor sum equals the elementary tree's weight
-    (tx ty)_(n-1) (tx ty)_0^(n-1).  As t -> kappa is triangular and
-    invertible for t_0 != 0, the first identity for n = 1..order is
-    t_(x box y) = tx ty up to index order - 1.  kappa(ty) is kappa(tx)
-    moved one alphabet over."""
+    (identity, n, series, sum) with both sides in tx and ty as in
+    :func:`_product_cumulants`.  The Kreweras sum of the factors' cumulant
+    polynomials (kappa(ty) is kappa(tx) moved one alphabet over) and the
+    bicolor tree sum each equal kappa_n(tx ty), and the one-level bicolor
+    sum the elementary tree's weight (tx ty)_(n-1) (tx ty)_0^(n-1).  As
+    t -> kappa is triangular and invertible for t_0 != 0, the first
+    identity for n = 1..order is t_(x box y) = tx ty up to index order - 1."""
     kx = cumulant_polynomials(order)
     tx, ty = variables(order, 0), variables(order, 1)
     ky = [moved(k_n, order) for k_n in kx]
-    txy = [{} for _ in range(order)]
-    for j in range(order):
-        for i in range(j + 1):
-            mul_into(txy[j], tx[i], ty[j - i])
-    for n, k_n in enumerate(kx, 1):
-        product = substitute(unpacked(k_n, order), [txy])
+    txy, products = _product_cumulants(order)
+    for n, product in enumerate(products, 1):
         elementary = _profile((PlanarTree((PlanarTree(),) * (n - 1)),), PlanarTree._t_indices)
         yield ("aggregate Kreweras identity", n, product,
                substitute(_kreweras_profile(n), [kx, ky]))
@@ -413,7 +407,10 @@ def theorem_suite(order, seed=7) -> list[ReportEntry]:
         if not check.passed:
             return {"identity": check.identity, "parameters": check.parameters, **check.witness}
 
-    for pair_idx, (ma, mb) in enumerate(_pairs_with_fixtures(seed, CORPUS_SIZE, order)):
+    seeded = seeded_moment_corpus(seed, CORPUS_SIZE, order)
+    pairs = [(catalan_moments(order), shifted_catalan_moments(order)),
+             *zip(seeded[0::2], seeded[1::2])]
+    for pair_idx, (ma, mb) in enumerate(pairs):
         report = verify_t_multiplicativity(ma, mb, order)
         entries.append(_entry("theorem", "t-series multiplicativity",
                               {"order": order, "pair": pair_idx, "checks": len(report.checks)},

@@ -297,6 +297,6 @@ def test_criterion_12_cli():
     assert data["pass"] is True
     # and prints these exact bytes (seed 7, json); a change must be deliberate
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
-        "34256edc39e23609aa6654443d43e926dd42681cc7507f9b5ac099b8b1fcbdb3"
+        "6a5357c1b5b7ab81a522e3988baeeab2dba6ee3497f0a10711e22fca01b4353a"
     )
     _passed(12, "command-line contract")

@@ -652,7 +652,7 @@ def test_verify_transcripts_pinned(monkeypatch, capsys):
             captured = capsys.readouterr()
             transcript.append(f"{' '.join(argv)} {fmt}\n{code}\n{captured.out}{captured.err}")
     digest = hashlib.sha256("".join(transcript).encode()).hexdigest()
-    assert digest == "0cbb9728f5d3764cb59ce3b8f0069778784174251367c1c11ad3c59399577215"
+    assert digest == "a24b6b3364c088a969fbd1d08d7c06f329815c4da8915838289180cad05e5275"
 
 
 def test_verify_prop21_and_eq5_at_order_10():
@@ -669,9 +669,9 @@ def test_verify_theorem_at_order_6():
 
 
 def test_verify_all_solves_only_for_its_numeric_pairs(monkeypatch):
-    # the symbolic entries solve nothing numerically; each of theorem's numeric
-    # pairs (the fixture and the seeded ones) takes m2k and m2t of both factors,
-    # then k2m and m2t of the product, and each of bridge's m2t and m2k of both
+    # the symbolic entries, bridge's too, solve nothing numerically; each of
+    # theorem's numeric pairs (the fixture and the seeded ones) takes m2k and
+    # m2t of both factors, then k2m and m2t of the product
     for module in (transforms, poly, verify):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
@@ -686,8 +686,25 @@ def test_verify_all_solves_only_for_its_numeric_pairs(monkeypatch):
     monkeypatch.setattr(transforms, "_solve", counted)
     entries = verify.run_suites("all", seed=7)
     assert all(e.passed for e in entries)
-    bridge_pairs = {e.parameters["pair"] for e in entries if e.suite == "bridge"}
-    assert len(calls) == 6 * (verify.CORPUS_SIZE // 2 + 1) + 4 * len(bridge_pairs)
+    assert len(calls) == 6 * (verify.CORPUS_SIZE // 2 + 1)
+
+
+@pytest.mark.parametrize("suite", ["bridge", "prop21", "eq5", "kreweras"])
+def test_suites_with_no_seeded_data_print_the_same_bytes_for_every_seed(
+    monkeypatch, capsys, suite
+):
+    # these suites draw no corpus from the seed, so --seed changes no byte
+    def drawn(*args):
+        raise AssertionError(f"verify {suite} drew a seeded corpus")
+
+    monkeypatch.setattr(verify, "seeded_moment_corpus", drawn)
+    monkeypatch.delenv("NCL_LIMITS", raising=False)
+    for fmt in ("text", "json"):
+        printed = set()
+        for seed in ("1", "7", "123"):
+            code = cli.main(["verify", suite, "--seed", seed, "--format", fmt])
+            printed.add((code, capsys.readouterr().out))
+        assert len(printed) == 1 and printed.pop()[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -1130,13 +1147,15 @@ def _always_compatible(original):
     return lambda gaps, bars: True
 
 
-def _off_by_one(original):
-    return lambda *args: original(*args) + 1
-
-
 def _off_by_one_above_first(original):
     # a +1 at n = 1 breaks m_1, and the suite then exits 4 before comparing
     return lambda kx, ky, n: original(kx, ky, n) + (n > 1)
+
+
+def _colours_swapped(original):
+    # odd and even blocks trade sequences: the sum over NCL_S(n) is symmetric
+    # in tx and ty, so only the one-object comparison can see it
+    return lambda pi: original(pi)[::-1]
 
 
 def _drop_one(original):
@@ -1236,9 +1255,11 @@ def _off_by_one_on_mixed_subwords(original):
          {"got", "expected", "out_of_order"}),
         (transforms, "theorem", "free_multiplicative", _off_by_one_above_first,
          "t-series multiplicativity", {"identity", "parameters", "lhs", "rhs"}),
-        (verify, "bridge", "ncls_weight", _off_by_one,
+        (verify, "bridge", "_ncls_indices", _colours_swapped,
          "split-partition weight equals bicolor evaluation",
          {"partition", "weight", "tree value"}),
+        (verify, "bridge", "enumerate_ncls", _drop_one,
+         "aggregate split weights give the product cumulant", {"monomial", "series", "sum"}),
         (freeness, "prop22", "_moments", _off_by_one_on_mixed_subwords,
          "mixed words have vanishing cumulants and t-coefficients",
          {"word", "kind", "value"}),
@@ -1268,7 +1289,8 @@ def _off_by_one_on_mixed_subwords(original):
          "aggregate Kreweras identity", {"monomial", "series", "sum"}),
     ],
     ids=["kreweras", "maximality-mirrored", "maximality-no-crossings", "prop21", "eq5",
-         "counts", "counts-duplicate", "theorem", "bridge", "prop22", "prop22-cumulant",
+         "counts", "counts-duplicate", "theorem", "bridge", "bridge-aggregate", "prop22",
+         "prop22-cumulant",
          "fixture-components", "fixture-exterior", "fixture-non-minimal", "fixture-ten-point",
          "convolve", "series-prop21", "series-eq5", "theorem-power-row",
          "theorem-kreweras-profile", "theorem-bicolor-profile", "series-theorem"],

@@ -2,18 +2,22 @@
 lemma's closed form, homogeneity (no exponent carries into the next field)
 and sympy's expansion of the same profiles."""
 
+from itertools import chain
 from math import factorial, prod
 
 import pytest
 
+from noncrossing.partitions import enumerate_ncls
 from noncrossing.poly import cumulant_polynomials, substitute, unpacked, variables
 from noncrossing.transforms import (
     _bicolor_profile,
     _class_profile,
     _kreweras_profile,
+    _ncls_indices,
+    _profile,
     _tree_profile,
 )
-from noncrossing.verify import _theorem_identities
+from noncrossing.verify import ORDERS, _product_cumulants, _theorem_identities
 
 
 def _partition_count(n: int) -> int:
@@ -58,16 +62,27 @@ def test_cumulant_polynomials_are_homogeneous(order):
         assert _degrees(kappa, order) == {(n, 0, 0)}, n
 
 
+def _bridge_identities(order: int):
+    """bridge's aggregate sides as its suite builds them, as (identity, n,
+    kappa_n(tx ty), the split weights' sum over NCL_S(n))."""
+    tx, ty = variables(order, 0), variables(order, 1)
+    for n, product in enumerate(_product_cumulants(order)[1], 1):
+        yield ("aggregate split weights", n, product,
+               substitute(_profile(enumerate_ncls(n), _ncls_indices), [tx, ty]))
+
+
 @pytest.mark.parametrize("order", range(1, 7))
 def test_theorem_sides_are_homogeneous(order):
-    for identity, n, series, total in _theorem_identities(order):
+    bridge = _bridge_identities(order) if order <= ORDERS["bridge"][1] else ()
+    for identity, n, series, total in chain(_theorem_identities(order), bridge):
         for side in (series, total):
             assert _degrees(side, order) == {(n, n, 0)}, (identity, n)
 
 
 def test_packed_sums_equal_sympy_expansions():
-    # both sides of prop21, eq5 and the theorem's three identities, expanded
-    # by sympy from the same profiles, against the unpacked polynomials
+    # both sides of prop21, eq5, the theorem's three identities and bridge's
+    # aggregate, expanded by sympy from the same profiles, against the
+    # unpacked polynomials
     import sympy
 
     order = 5
@@ -102,7 +117,9 @@ def test_packed_sums_equal_sympy_expansions():
             product, expression(_bicolor_profile(n, False), tx, ty))
         sides["one-level evaluation identity", n] = (
             txy[n - 1] * txy[0] ** (n - 1), expression(_bicolor_profile(n, True), tx, ty))
-    identities = list(_theorem_identities(order))
+        sides["aggregate split weights", n] = (
+            product, expression(_profile(enumerate_ncls(n), _ncls_indices), tx, ty))
+    identities = [*_theorem_identities(order), *_bridge_identities(order)]
     assert len(identities) == len(sides)
     for identity, n, series, total in identities:
         assert [packed_terms(series), packed_terms(total)] == [

@@ -25,7 +25,13 @@ from noncrossing.partitions import (
     validate_nc,
     validate_ncl,
 )
-from noncrossing.transforms import TCoeffSequence, eval_bicolor, eval_tree, ncls_weight
+from noncrossing.transforms import (
+    TCoeffSequence,
+    _ncls_indices,
+    eval_bicolor,
+    eval_tree,
+    ncls_weight,
+)
 from noncrossing.trees import (
     BicolorPlanarTree,
     PlanarTree,
@@ -427,11 +433,14 @@ def test_lambda_inverse_roundtrip(n):
 
 
 def test_lambda_matches_exterior_block_fold():
-    # the one-pass reading against the paper's exterior-block construction
+    # the one-pass reading against the paper's exterior-block construction;
+    # the partition's split t-indices are its tree's, as bridge compares them
     domain = [pi for n in range(1, 6) for pi in enumerate_ncls(n)]
     domain += [ncls_from_bicolor(t) for t in enumerate_bicolor(6)]
     for pi in domain:
-        assert bicolor_from_ncls(pi) == bicolor_by_exterior_blocks(pi)
+        tree = bicolor_by_exterior_blocks(pi)
+        assert bicolor_from_ncls(pi) == tree
+        assert [sorted(i) for i in _ncls_indices(pi)] == [sorted(i) for i in tree._t_indices()]
 
 
 def test_bijections_leave_no_reference_cycles(monkeypatch):
